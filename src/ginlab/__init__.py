@@ -9,9 +9,6 @@ from .groebner import (
     DegreeCapExceeded,
     Ideal,
     buchberger,
-    hilbert_function,
-    ideal_equal,
-    initial_ideal,
     normal_form,
     reduce_groebner_basis,
 )
@@ -22,11 +19,9 @@ from .monomial_ideals import (
     ek_betti,
     hilbert_data,
     is_borel_fixed,
-    monomial_hilbert,
     saturate_borel,
-    saturate_monomial,
 )
-from .orders import Lex, ProductOrder, Revlex, WeightOrder, cmp_monomials, elimination_order
+from .orders import Lex, ProductOrder, Revlex, WeightOrder, elimination_order
 from .partial_elim import (
     PartialElimTower,
     X0Profile,

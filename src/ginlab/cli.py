@@ -14,7 +14,6 @@ import argparse
 import sys
 
 from .experiments import (
-    Check,
     ExperimentReport,
     experiment_borel_census,
     experiment_curve,
@@ -96,14 +95,12 @@ def build_parser():
     p = sub.add_parser("curve", help="lex gin of a generic complete intersection curve in P^3")
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
-    p.add_argument("--expect-regularity", type=int, help="override the expected regularity")
     _common(p)
 
     p = sub.add_parser("points", help="gin vs segment ideal for random points in P^r")
     p.add_argument("--s", type=int, required=True, help="number of points")
     p.add_argument("--r", type=int, required=True, help="projective dimension")
     p.add_argument("--orders", default="lex,revlex")
-    p.add_argument("--expect-regularity", type=int)
     _common(p)
 
     p = sub.add_parser("nonsmooth", help="the singular complete intersection example")
@@ -222,16 +219,6 @@ def _cmd_segment(args):
     return report
 
 
-def _apply_expect_override(report, args):
-    if getattr(args, "expect_regularity", None) is None:
-        return
-    for c in report.checks:
-        if c.name in ("regularity", "lex_regularity_is_point_count"):
-            report.checks.append(
-                Check("regularity_override", args.expect_regularity, c.got)
-            )
-
-
 def run(argv=None):
     args = build_parser().parse_args(argv)
     try:
@@ -254,13 +241,11 @@ def run(argv=None):
                 args.a, args.b, seed=args.seed,
                 field=field_from_spec(args.field), degree_cap=args.degree_cap,
             )
-            _apply_expect_override(report, args)
         elif args.command == "points":
             report = experiment_points(
                 args.s, args.r, orders=args.orders.split(","), seed=args.seed,
                 field=field_from_spec(args.field), degree_cap=args.degree_cap,
             )
-            _apply_expect_override(report, args)
         elif args.command == "nonsmooth":
             report = experiment_nonsmooth(
                 seed=args.seed, field=field_from_spec(args.field),

@@ -67,11 +67,6 @@ def apply_change(I, change):
     return Ideal([g.substitute(images) for g in I.generators], ring=ring)
 
 
-def inverse_change(change):
-    inv = linalg.inverse(change.ring.field, [list(r) for r in change.matrix])
-    return CoordinateChange(change.ring, tuple(tuple(r) for r in inv), -1)
-
-
 @dataclass
 class GinResult:
     """Outcome of a gin computation.  ``regularity`` is only populated when

@@ -50,21 +50,10 @@ class _DenseEngine:
         self.ring = ring
         self.order = order
         self.p = ring.field.p
-        self._mons = {}
-        self._index = {}
-        self._exps = {}
         self._maps = {}
         self.basis = []  # (degree, vector) with monic leading coefficient
         self.lts = []  # leading exponent tuples
         self._lt_mat = None
-
-    def _degree_tables(self, d):
-        if d not in self._mons:
-            mons = sorted(self.ring.monomials_of_degree(d), key=self.order.sort_key)
-            self._mons[d] = mons
-            self._index[d] = {m: i for i, m in enumerate(mons)}
-            self._exps[d] = np.array(mons, dtype=np.int64)
-        return self._mons[d]
 
     def prepare(self, f):
         """Polynomial -> (degree, vector), or None for zero."""
@@ -73,15 +62,14 @@ class _DenseEngine:
         d = f.homogeneous_degree()
         if d is None:
             raise ValueError("dense engine requires homogeneous polynomials")
-        self._degree_tables(d)
-        idx = self._index[d]
+        idx = self.ring.graded_piece(d, self.order).index
         v = np.zeros(len(idx), dtype=np.int64)
         for m, c in f.terms.items():
             v[idx[m]] = c
         return d, v
 
     def to_polynomial(self, d, v):
-        mons = self._degree_tables(d)
+        mons = self.ring.graded_piece(d, self.order).monomials
         nz = np.flatnonzero(v)
         return Polynomial(self.ring, {mons[i]: int(v[i]) for i in nz})
 
@@ -89,10 +77,8 @@ class _DenseEngine:
         key = (src_deg, delta)
         cached = self._maps.get(key)
         if cached is None:
-            dst = src_deg + sum(delta)
-            self._degree_tables(dst)
-            idx = self._index[dst]
-            src = self._mons[src_deg]
+            idx = self.ring.graded_piece(src_deg + sum(delta), self.order).index
+            src = self.ring.graded_piece(src_deg, self.order).monomials
             cached = np.fromiter(
                 (idx[mono_mul(m, delta)] for m in src), dtype=np.int64, count=len(src)
             )
@@ -104,7 +90,7 @@ class _DenseEngine:
         inv = pow(int(v[lead]), -1, self.p)
         v = v * inv % self.p
         self.basis.append((d, v))
-        self.lts.append(self._mons[d][lead])
+        self.lts.append(self.ring.graded_piece(d, self.order).monomials[lead])
         self._lt_mat = None
         return len(self.basis) - 1
 
@@ -121,8 +107,8 @@ class _DenseEngine:
             return None if not v.any() else v
         p = self.p
         lt_mat = self._lt_matrix()
-        exps = self._exps[d]
-        mons = self._mons[d]
+        piece = self.ring.graded_piece(d, self.order)
+        exps, mons = piece.exponents, piece.monomials
         v = v % p
         n = len(v)
         i = 0
@@ -149,8 +135,7 @@ class _DenseEngine:
         """S-polynomial vector of two (monic) basis elements."""
         lcm = mono_lcm(self.lts[i], self.lts[j])
         d = sum(lcm)
-        self._degree_tables(d)
-        out = np.zeros(len(self._mons[d]), dtype=np.int64)
+        out = np.zeros(self.ring.monomial_count(d), dtype=np.int64)
         di, vi = self.basis[i]
         dj, vj = self.basis[j]
         out[self._mulmap(di, mono_div(lcm, self.lts[i]))] += vi
@@ -244,8 +229,15 @@ class _SparseEngine:
         return sum(lcm), terms
 
 
-def _make_engine(ring, order, max_degree):
-    if ring.field.is_prime_field and ring.monomial_count(max_degree) <= _DENSE_PIECE_LIMIT:
+def _make_engine(ring, order, max_degree, polys):
+    """The dense engine over a prime field when every input is homogeneous
+    and the degree-``max_degree`` piece fits the limit; the sparse one
+    otherwise."""
+    if (
+        ring.field.is_prime_field
+        and all(f.is_homogeneous for f in polys)
+        and ring.monomial_count(max_degree) <= _DENSE_PIECE_LIMIT
+    ):
         return _DenseEngine(ring, order)
     return _SparseEngine(ring, order)
 
@@ -313,7 +305,7 @@ def buchberger(gens, order, degree_cap=DEFAULT_DEGREE_CAP):
         return []
     if max(f.homogeneous_degree() for f in polys) > degree_cap:
         raise ValueError("degree_cap is below a generator degree")
-    engine = _make_engine(ring, order, degree_cap)
+    engine = _make_engine(ring, order, degree_cap, polys)
     pairs = {}
     for f in polys:
         d, v = engine.prepare(f)
@@ -362,7 +354,7 @@ def reduce_groebner_basis(basis, order):
         return []
     ring = basis[0].ring
     maxdeg = max(g.total_degree() for g in basis)
-    engine = _make_engine(ring, order, maxdeg)
+    engine = _make_engine(ring, order, maxdeg, basis)
     for g in basis:
         d, v = engine.prepare(g)
         engine.add_basis(d, v)
@@ -381,13 +373,7 @@ def normal_form(f, basis, order):
     if not basis:
         return f
     ring = f.ring
-    homog = f.is_homogeneous and all(g.is_homogeneous for g in basis)
-    if homog and ring.field.is_prime_field and ring.monomial_count(
-        f.total_degree()
-    ) <= _DENSE_PIECE_LIMIT:
-        engine = _DenseEngine(ring, order)
-    else:
-        engine = _SparseEngine(ring, order)
+    engine = _make_engine(ring, order, f.total_degree(), [f, *basis])
     for g in basis:
         d, v = engine.prepare(g)
         engine.add_basis(d, v)
@@ -472,15 +458,3 @@ class Ideal:
         return self.groebner_basis(order, degree_cap) == other.groebner_basis(
             order, degree_cap
         )
-
-
-def initial_ideal(I, order, degree_cap=DEFAULT_DEGREE_CAP):
-    return I.initial_ideal(order, degree_cap)
-
-
-def hilbert_function(I, order, bound, degree_cap=DEFAULT_DEGREE_CAP):
-    return I.hilbert_function(order, bound, degree_cap)
-
-
-def ideal_equal(I, J, order=None, degree_cap=DEFAULT_DEGREE_CAP):
-    return I.equals(J, order, degree_cap)

@@ -1,20 +1,26 @@
 """Exact dense linear algebra over the coefficient fields.
 
-Prime-field matrices are reduced with vectorized numpy int64 arithmetic
-(products of two residues < 2**31 stay inside int64); rational matrices fall
-back to Fraction row operations.  Everything returns exact results.
+Each field has one elimination loop: prime-field matrices are reduced with
+vectorized numpy int64 arithmetic (products of two residues < 2**31 stay
+inside int64), rational matrices with Fraction row operations.  ``rref``,
+``kernel_basis`` and ``det`` are built on that loop; ``Echelon`` keeps its
+own one-vector-at-a-time reducer.  Everything returns exact results.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 import numpy as np
 
 
 def _fp_rref(rows, p):
-    """Reduced row echelon form mod p.  Returns (array, pivot column list)."""
+    """Reduced row echelon form mod p.  Returns (array, pivot column list,
+    product of the pivots negated once per row swap)."""
     a = np.array(rows, dtype=np.int64) % p
     nrows, ncols = a.shape
     pivots = []
+    scale = 1
     r = 0
     for c in range(ncols):
         if r == nrows:
@@ -25,21 +31,23 @@ def _fp_rref(rows, p):
         piv = r + int(nz[0])
         if piv != r:
             a[[r, piv]] = a[[piv, r]]
+            scale = -scale
+        scale = scale * int(a[r, c]) % p
         a[r] = a[r] * pow(int(a[r, c]), -1, p) % p
         col = a[:, c].copy()
         col[r] = 0
         a = (a - np.outer(col, a[r])) % p
         pivots.append(c)
         r += 1
-    return a, pivots
+    return a, pivots, scale
 
 
 def _qq_rref(rows):
-    a = [list(r) for r in rows]
-    if not a:
-        return a, []
+    """Reduced row echelon form over QQ, with the same triple as _fp_rref."""
+    a = [[Fraction(x) for x in r] for r in rows]
     nrows, ncols = len(a), len(a[0])
     pivots = []
+    scale = Fraction(1)
     r = 0
     for c in range(ncols):
         if r == nrows:
@@ -47,7 +55,10 @@ def _qq_rref(rows):
         piv = next((i for i in range(r, nrows) if a[i][c] != 0), None)
         if piv is None:
             continue
-        a[r], a[piv] = a[piv], a[r]
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            scale = -scale
+        scale *= a[r][c]
         inv = 1 / a[r][c]
         a[r] = [x * inv for x in a[r]]
         for i in range(nrows):
@@ -56,7 +67,13 @@ def _qq_rref(rows):
                 a[i] = [x - f * y for x, y in zip(a[i], a[r])]
         pivots.append(c)
         r += 1
-    return a, pivots
+    return a, pivots, scale
+
+
+def _rref(field, rows):
+    if field.is_prime_field:
+        return _fp_rref(rows, field.p)
+    return _qq_rref(rows)
 
 
 def rref(field, rows):
@@ -64,14 +81,10 @@ def rref(field, rows):
     rows = [list(r) for r in rows]
     if not rows:
         return [], []
+    a, pivots, _ = _rref(field, rows)
     if field.is_prime_field:
-        a, pivots = _fp_rref(rows, field.p)
-        return [[int(x) for x in row] for row in a], pivots
-    return _qq_rref(rows)
-
-
-def rank(field, rows):
-    return len(rref(field, rows)[1])
+        a = [[int(x) for x in row] for row in a]
+    return a, pivots
 
 
 def kernel_basis(field, rows, ncols):
@@ -94,58 +107,15 @@ def kernel_basis(field, rows, ncols):
 
 
 def det(field, rows):
-    """Determinant of a square scalar matrix."""
+    """Determinant of a square scalar matrix: the rref's pivot product and
+    swap sign when it reaches the identity, zero otherwise."""
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("determinant requires a square matrix")
     if n == 0:
         return field.one
-    if field.is_prime_field:
-        p = field.p
-        a = np.array(rows, dtype=np.int64) % p
-        sign = 1
-        d = 1
-        for c in range(n):
-            nz = np.nonzero(a[c:, c])[0]
-            if nz.size == 0:
-                return 0
-            piv = c + int(nz[0])
-            if piv != c:
-                a[[c, piv]] = a[[piv, c]]
-                sign = -sign
-            d = d * int(a[c, c]) % p
-            inv = pow(int(a[c, c]), -1, p)
-            col = a[c + 1:, c].copy()
-            a[c + 1:] = (a[c + 1:] - np.outer(col * inv % p, a[c])) % p
-        return d * sign % p
-    a = [list(r) for r in rows]
-    sign = 1
-    d = field.one
-    for c in range(n):
-        piv = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if piv is None:
-            return field.zero
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            sign = -sign
-        d = field.mul(d, a[c][c])
-        inv = field.inv(a[c][c])
-        for i in range(c + 1, n):
-            if a[i][c] != 0:
-                f = field.mul(a[i][c], inv)
-                a[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(a[i], a[c])]
-    return d if sign == 1 else field.neg(d)
-
-
-def inverse(field, rows):
-    """Inverse of a square matrix, or None if singular."""
-    n = len(rows)
-    aug = [list(r) + [field.one if i == j else field.zero for j in range(n)]
-           for i, r in enumerate(rows)]
-    red, pivots = rref(field, aug)
-    if pivots[:n] != list(range(n)):
-        return None
-    return [row[n:] for row in red[:n]]
+    _, pivots, scale = _rref(field, rows)
+    return scale if len(pivots) == n else field.zero
 
 
 class Echelon:

@@ -11,11 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .orders import Lex
 from .poly import Polynomial
 from .rings import mono_degree, mono_divides
-
-_LEX = Lex()
 
 
 def minimalize_monomials(gens):
@@ -298,12 +295,6 @@ def _series_values(numer, nvars, bound):
     ]
 
 
-def monomial_hilbert(J: MonomialIdeal, bound: int):
-    """(HilbertFunction, dimension, degree, numerator) of S/J."""
-    data = hilbert_data(J, bound)
-    return data.hf, data.dimension, data.degree, data.numerator
-
-
 # ----------------------------------------------------------------------
 # saturation
 
@@ -338,11 +329,6 @@ def saturate_borel(J: MonomialIdeal):
     if not is_borel_fixed(J):
         raise ValueError("maximal-ideal saturation shortcut requires a Borel-fixed ideal")
     return saturate_variable(J, J.ring.nvars - 1)
-
-
-def saturate_monomial(J: MonomialIdeal, var_index: int):
-    """Raw x_i-saturation; see :func:`saturate_borel` for m-saturation."""
-    return saturate_variable(J, var_index)
 
 
 def _numer_difference(a, b):

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-LT, EQ, GT = -1, 0, 1
-
 
 @dataclass(frozen=True)
 class Lex:
@@ -121,21 +119,6 @@ def canonical(order):
             return tb
         return WeightOrder(order.weights, tb)
     return order
-
-
-def cmp_monomials(m, n, order):
-    """Three-way comparison of two exponent tuples: GT if m > n under
-    ``order``, EQ only when the tuples are identical."""
-    if len(m) != len(n):
-        raise ValueError("monomials from different rings are not comparable")
-    if m == n:
-        return EQ
-    return GT if order.sort_key(m) < order.sort_key(n) else LT
-
-
-def sort_monomials(monomials, order):
-    """Sort exponent tuples in descending order (greatest first)."""
-    return sorted(monomials, key=order.sort_key)
 
 
 def order_from_spec(spec: str, nvars: int):

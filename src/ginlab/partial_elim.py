@@ -115,8 +115,7 @@ def pei_oracle(I, p, degree_bound, inner_order=None):
     out = {}
     for d in range(degree_bound + 1):
         total = d + p
-        columns = sorted(ring.monomials_of_degree(total), key=elim.sort_key)
-        col_index = {m: i for i, m in enumerate(columns)}
+        columns, col_index, _ = ring.graded_piece(total, elim)
         rows = []
         for g in I.generators:
             gdeg = g.homogeneous_degree()

@@ -143,8 +143,7 @@ def vanishing_ideal(P: PointSet, degree_bound=None, ring=None):
     prev_kernel = []
     hf = [1]
     for d in range(1, bound + 1):
-        mons = ring.monomials_of_degree(d)
-        index = {m: i for i, m in enumerate(mons)}
+        mons, index, _ = ring.graded_piece(d)
         x_d = evaluation_matrix(P, d, ring)
         kernel = linalg.kernel_basis(field, x_d, len(mons))
         hf.append(len(mons) - len(kernel))
@@ -216,16 +215,3 @@ def genericity_spot_check(P: PointSet, d_max, samples, seed=0, ring=None):
             if linalg.det(P.field, minor) == P.field.zero:
                 failures.append((d, tuple(cols)))
     return SpotCheckReport(tested, failures, skipped)
-
-
-def load_points(text, field):
-    """Point-file format: one point per line, comma-separated integers."""
-    coords = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        coords.append(tuple(int(x) for x in line.split(",")))
-    if not coords:
-        raise ValueError("no points in file")
-    return explicit_points(field, coords)

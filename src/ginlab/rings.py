@@ -1,14 +1,21 @@
 """Ring contexts and exponent-tuple monomial utilities.
 
 Monomials are bare tuples of non-negative ints of length ``ring.nvars``; the
-degree is the tuple sum.  The ring context caches the canonical (lex
-descending) enumeration of each graded piece, which every dense computation
-indexes into.
+degree is the tuple sum.  The ring context owns the one table per (degree,
+order) of each graded piece -- its monomials greatest first, their positions
+and their exponents -- which every dense computation indexes into.
 """
 
 from __future__ import annotations
 
 from math import comb
+from typing import NamedTuple
+
+import numpy as np
+
+from .orders import Lex
+
+_LEX = Lex()
 
 
 def mono_degree(m):
@@ -49,12 +56,21 @@ def _enumerate_degree(nvars, d):
     return out
 
 
+class GradedPiece(NamedTuple):
+    """The degree-d monomials of a ring, greatest first under one order.
+    Shared by every caller on the ring, so read-only."""
+
+    monomials: tuple
+    index: dict  # monomial -> position in ``monomials``
+    exponents: np.ndarray  # int64, one row per monomial
+
+
 class RingContext:
     """A polynomial ring k[x0..x{n-1}]: variable count, names, and the
     coefficient field.  Immutable after creation; every polynomial refers to
     exactly one context."""
 
-    __slots__ = ("nvars", "field", "names", "_graded", "_graded_index", "_small")
+    __slots__ = ("nvars", "field", "names", "_graded", "_small")
 
     def __init__(self, nvars, field, names=None):
         if nvars < 1:
@@ -69,7 +85,6 @@ class RingContext:
         self.field = field
         self.names = names
         self._graded = {}
-        self._graded_index = {}
         self._small = None
 
     def __eq__(self, other):
@@ -89,21 +104,25 @@ class RingContext:
     def monomial_count(self, d):
         return comb(self.nvars - 1 + d, self.nvars - 1)
 
+    def graded_piece(self, d, order=_LEX):
+        """The degree-d monomials greatest first under ``order``, their index
+        map and exponent array; cached on the ring per (degree, order)."""
+        key = (d, order)
+        piece = self._graded.get(key)
+        if piece is None:
+            mons = _enumerate_degree(self.nvars, d)  # already descending lex
+            if order != _LEX:
+                mons.sort(key=order.sort_key)
+            mons = tuple(mons)
+            exps = np.array(mons, dtype=np.int64)
+            exps.setflags(write=False)
+            piece = GradedPiece(mons, {m: i for i, m in enumerate(mons)}, exps)
+            self._graded[key] = piece
+        return piece
+
     def monomials_of_degree(self, d):
         """All degree-d monomials in descending lex order (cached)."""
-        cached = self._graded.get(d)
-        if cached is None:
-            cached = tuple(_enumerate_degree(self.nvars, d))
-            self._graded[d] = cached
-        return cached
-
-    def monomial_index(self, d):
-        """Map monomial -> position in ``monomials_of_degree(d)`` (cached)."""
-        cached = self._graded_index.get(d)
-        if cached is None:
-            cached = {m: i for i, m in enumerate(self.monomials_of_degree(d))}
-            self._graded_index[d] = cached
-        return cached
+        return self.graded_piece(d).monomials
 
     def drop_first_variable(self):
         """The context in one fewer variable (the image ring of projection

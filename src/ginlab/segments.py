@@ -29,11 +29,10 @@ class SegmentSpace:
 
 
 def segment_space(d, u, order, ring) -> SegmentSpace:
-    mons = ring.monomials_of_degree(d)
+    mons = ring.graded_piece(d, order).monomials
     if not 0 <= u <= len(mons):
         raise ValueError(f"segment size {u} out of range for degree {d}")
-    ranked = sorted(mons, key=order.sort_key)
-    return SegmentSpace(d, tuple(ranked[:u]))
+    return SegmentSpace(d, mons[:u])
 
 
 @dataclass
@@ -194,7 +193,8 @@ def segment_witness(J: MonomialIdeal, degree_range=None):
     strict system is infeasible (certified by Fourier-Motzkin).
 
     The witness satisfies w . (m - n) > 0 for every in/out monomial pair
-    (m, n) per degree, with strictly positive entries."""
+    (m, n) per degree, with strictly positive entries; a vector that fails
+    that re-check raises RuntimeError."""
     if degree_range is None:
         degree_range = (1, J.max_generator_degree() + 1)
     lo, hi = degree_range
@@ -216,9 +216,9 @@ def segment_witness(J: MonomialIdeal, degree_range=None):
     if point is None:
         return None
     weights = _scale_to_integers(point)
-    witness = WeightWitness(weights, (lo, hi))
-    assert verify_weight_witness(J, weights, (lo, hi))
-    return witness
+    if not verify_weight_witness(J, weights, (lo, hi)):
+        raise RuntimeError(f"weight vector {weights} fails its own segment re-check")
+    return WeightWitness(weights, (lo, hi))
 
 
 def verify_weight_witness(J: MonomialIdeal, weights, degree_range) -> bool:

@@ -23,10 +23,14 @@ def graded_piece_rows(generators, ring, d, column_order):
     return rows, columns
 
 
+def _rank(field, rows):
+    return len(linalg.rref(field, rows)[1])
+
+
 def macaulay_dimension(I, d, column_order):
     """dim I_d by row rank (independent of any Groebner basis)."""
     rows, _ = graded_piece_rows(I.generators, I.ring, d, column_order)
-    return linalg.rank(I.ring.field, rows) if rows else 0
+    return _rank(I.ring.field, rows)
 
 
 def macaulay_contains(I, f, column_order):
@@ -37,5 +41,4 @@ def macaulay_contains(I, f, column_order):
     frow = [I.ring.field.zero] * len(columns)
     for m, c in f.terms.items():
         frow[index[m]] = c
-    base = linalg.rank(I.ring.field, rows) if rows else 0
-    return linalg.rank(I.ring.field, rows + [frow]) == base
+    return _rank(I.ring.field, rows + [frow]) == _rank(I.ring.field, rows)

@@ -19,7 +19,7 @@ from ginlab.experiments import (
 )
 from ginlab.fields import FP_DEFAULT
 from ginlab.gin import apply_change, gin, random_coordinate_change
-from ginlab.groebner import Ideal, ideal_equal
+from ginlab.groebner import Ideal
 from ginlab.monomial_ideals import HilbertFunction, MonomialIdeal, is_borel_fixed
 from ginlab.orders import Lex, Revlex
 from ginlab.partial_elim import partial_elim_ideals, pei_oracle
@@ -163,7 +163,7 @@ def test_criterion_7_sylvester_equalities():
         f, g = sample_monic_pair(ring, a, b, random.Random(seed))
         minors = maximal_minors_ideal(build_sylp(f, g, 1))
         k1 = partial_elim_ideals(Ideal([f, g]), 1, Revlex()).levels[1]
-        equal = ideal_equal(minors, k1, Revlex())
+        equal = minors.equals(k1, Revlex())
         codim = codimension(minors)
         ok = ok and equal and codim == 2
         details.append(f"({a},{b}): minors==K1 {equal}, codim {codim}")

@@ -6,7 +6,9 @@ import sys
 
 import pytest
 
+from ginlab import cli
 from ginlab.cli import run
+from ginlab.experiments import ExperimentReport
 
 
 def test_points_subcommand_writes_deterministic_report(tmp_path):
@@ -21,9 +23,14 @@ def test_points_subcommand_writes_deterministic_report(tmp_path):
     assert "gin_lex" in report["outputs"]
 
 
-def test_exit_code_2_on_expectation_mismatch(tmp_path):
-    code = run(["points", "--s", "3", "--r", "2", "--seed", "4",
-                "--expect-regularity", "5"])
+def test_exit_code_2_on_expectation_mismatch(monkeypatch):
+    def points_with_failed_check(*args, **kwargs):
+        report = ExperimentReport("points", {})
+        report.check("regularity", 5, 3)
+        return report
+
+    monkeypatch.setattr(cli, "experiment_points", points_with_failed_check)
+    code = run(["points", "--s", "3", "--r", "2", "--seed", "4"])
     assert code == 2
 
 

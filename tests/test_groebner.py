@@ -7,13 +7,13 @@ import pytest
 
 from oracles import macaulay_contains, macaulay_dimension
 
+from ginlab import groebner
 from ginlab.fields import FP_DEFAULT, QQ
 from ginlab.gin import apply_change, random_coordinate_change
 from ginlab.groebner import (
     DegreeCapExceeded,
     Ideal,
     buchberger,
-    ideal_equal,
     normal_form,
 )
 from ginlab.monomial_ideals import MonomialIdeal
@@ -88,6 +88,22 @@ def test_reduced_basis_is_monic_and_sorted():
                     assert not all(a <= b for a, b in zip(lt, m))
                 elif m != lt:
                     assert not all(a <= b for a, b in zip(lt, m))
+
+
+def test_normal_form_inhomogeneous_fp_input_takes_sparse_path(monkeypatch):
+    R = ring(3)
+    make_engine = groebner._make_engine
+    engines = []
+
+    def spy(*args):
+        engines.append(make_engine(*args))
+        return engines[-1]
+
+    monkeypatch.setattr(groebner, "_make_engine", spy)
+    f = parse_polynomial("x0^2 + 3*x0 + x1", R)
+    g = parse_polynomial("x0^2 - x1*x2", R)
+    assert normal_form(f, [g], Lex()) == parse_polynomial("x1*x2 + 3*x0 + x1", R)
+    assert [type(e) for e in engines] == [groebner._SparseEngine]
 
 
 def test_normal_form_result_irreducible():
@@ -224,10 +240,8 @@ def test_hilbert_function_unit_ideal():
 
 def test_ideal_equal():
     R = ring(2)
-    assert ideal_equal(
-        Ideal(polys(R, "x0", "x1")), Ideal(polys(R, "x0 + x1", "x1")), Lex()
-    )
-    assert not ideal_equal(Ideal(polys(R, "x0^2")), Ideal(polys(R, "x0")), Lex())
+    assert Ideal(polys(R, "x0", "x1")).equals(Ideal(polys(R, "x0 + x1", "x1")), Lex())
+    assert not Ideal(polys(R, "x0^2")).equals(Ideal(polys(R, "x0")), Lex())
 
 
 def test_gb_cache_regenerates_identically():

@@ -12,9 +12,8 @@ from ginlab.monomial_ideals import (
     hilbert_data,
     is_borel_fixed,
     minimalize_monomials,
-    monomial_hilbert,
     saturate_borel,
-    saturate_monomial,
+    saturate_variable,
 )
 from ginlab.rings import RingContext
 
@@ -44,41 +43,41 @@ def test_contains_and_degree_slices():
 
 
 def test_hilbert_principal_variable():
-    hf, dim, deg, numer = monomial_hilbert(J(2, "x0"), 5)
-    assert hf.dims == (1, 1, 1, 1, 1, 1)
-    assert (dim, deg) == (1, 1)
+    data = hilbert_data(J(2, "x0"), 5)
+    assert data.hf.dims == (1, 1, 1, 1, 1, 1)
+    assert (data.dimension, data.degree) == (1, 1)
 
 
 def test_hilbert_gin_of_ci22():
     ideal = J(4, "x0^2", "x0*x1", "x0*x2^2", "x1^4")
-    hf, dim, deg, _ = monomial_hilbert(ideal, 6)
-    assert hf.dims == (1, 4, 8, 12, 16, 20, 24)
-    assert dim == 2
-    assert deg == 4
+    data = hilbert_data(ideal, 6)
+    assert data.hf.dims == (1, 4, 8, 12, 16, 20, 24)
+    assert data.dimension == 2
+    assert data.degree == 4
 
 
 def test_hilbert_artinian_and_unit():
-    hf, dim, deg, _ = monomial_hilbert(J(2, "x0", "x1"), 3)
-    assert hf.dims == (1, 0, 0, 0)
-    assert dim == 0 and deg == 1
-    hfu, dimu, degu, _ = monomial_hilbert(J(2, "1"), 3)
-    assert hfu.dims == (0, 0, 0, 0)
-    assert degu == 0
+    data = hilbert_data(J(2, "x0", "x1"), 3)
+    assert data.hf.dims == (1, 0, 0, 0)
+    assert data.dimension == 0 and data.degree == 1
+    unit = hilbert_data(J(2, "1"), 3)
+    assert unit.hf.dims == (0, 0, 0, 0)
+    assert unit.degree == 0
 
 
 def test_hilbert_zero_ideal_is_free():
-    hf, dim, deg, _ = monomial_hilbert(MonomialIdeal(ring(3), []), 4)
-    assert hf.dims == (1, 3, 6, 10, 15)
-    assert (dim, deg) == (3, 1)
+    data = hilbert_data(MonomialIdeal(ring(3), []), 4)
+    assert data.hf.dims == (1, 3, 6, 10, 15)
+    assert (data.dimension, data.degree) == (3, 1)
 
 
 def test_hilbert_census_function():
     ideal = J(3, "x0^3", "x0^2*x1", "x0^2*x2", "x0*x1^3", "x0*x1^2*x2",
               "x0*x1*x2^3", "x0*x2^5", "x1^7")
-    hf, dim, deg, _ = monomial_hilbert(ideal, 8)
-    assert hf.dims == (1, 3, 6, 7, 7, 7, 7, 7, 7)
-    assert dim == 1 and deg == 7
-    assert hf.stable_value == 7
+    data = hilbert_data(ideal, 8)
+    assert data.hf.dims == (1, 3, 6, 7, 7, 7, 7, 7, 7)
+    assert data.dimension == 1 and data.degree == 7
+    assert data.hf.stable_value == 7
 
 
 # ----------------------------------------------------------------------
@@ -163,7 +162,7 @@ def test_ek_betti_euler_characteristic_gives_hilbert_numerator():
 
 def test_saturation_strips_last_variable():
     ideal = J(4, "x0^2", "x0*x1", "x0*x2", "x0*x3")
-    sat, d = saturate_monomial(ideal, 3)
+    sat, d = saturate_variable(ideal, 3)
     assert sat == J(4, "x0")
     assert d == 2
 
@@ -180,7 +179,7 @@ def test_gin_ci22_already_saturated():
     sat, d = saturate_borel(ideal)
     assert sat == ideal and d == 0
     # regularity bound max{e, c} from the dimension-1 Hilbert data
-    _, dim, deg, _ = monomial_hilbert(ideal, 8)
+    hilbert_data(ideal, 8)
 
 
 def test_borel_saturation_requires_borel():
@@ -191,6 +190,6 @@ def test_borel_saturation_requires_borel():
 def test_saturation_degree_positive_case():
     # x1-saturation of (x0^2, x0*x1^3): strips to (x0^2, x0) = (x0)
     ideal = J(2, "x0^2", "x0*x1^3")
-    sat, d = saturate_monomial(ideal, 1)
+    sat, d = saturate_variable(ideal, 1)
     assert sat == J(2, "x0")
     assert d == 4  # pieces differ up to degree 3 = deg(x0*x1^3) - 1

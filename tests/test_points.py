@@ -18,7 +18,6 @@ from ginlab.points import (
     evaluation_matrix,
     explicit_points,
     genericity_spot_check,
-    load_points,
     random_points,
     vanishing_ideal,
 )
@@ -47,13 +46,6 @@ def test_fixtures_load():
     assert ten.size == 10 and ten.r == 3
 
 
-def test_point_file_round_trip():
-    text = "1,2,1\n0,1,1\n# comment\n3,0,1\n"
-    pts = load_points(text, FP_DEFAULT)
-    assert pts.size == 3
-    assert pts.points[0] == (1, 2, 1)
-
-
 def test_evaluation_matrix_on_coordinate_points():
     pts = explicit_points(FP_DEFAULT, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
     rows = evaluation_matrix(pts, 1)
@@ -78,7 +70,8 @@ def test_evaluation_matrix_rank_is_generic():
         ring = pts.ring()
         for d in range(1, s + 1):
             expect = min(s, ring.monomial_count(d))
-            assert linalg.rank(FP_DEFAULT, evaluation_matrix(pts, d)) == expect
+            _, pivots = linalg.rref(FP_DEFAULT, evaluation_matrix(pts, d))
+            assert len(pivots) == expect
 
 
 def test_vanishing_ideal_hilbert_function():

@@ -8,17 +8,12 @@ import pytest
 
 from ginlab.fields import FP_DEFAULT, QQ, PrimeField, field_from_spec
 from ginlab.orders import (
-    EQ,
-    GT,
-    LT,
     Lex,
     ProductOrder,
     Revlex,
     WeightOrder,
     canonical,
-    cmp_monomials,
     elimination_order,
-    sort_monomials,
 )
 from ginlab.poly import (
     Polynomial,
@@ -71,27 +66,34 @@ def test_prime_field_matches_rationals_mod_p():
 # orders
 
 
+def greater(m, n, order):
+    """m > n under ``order`` (sort keys ascend from the greatest monomial)."""
+    return order.sort_key(m) < order.sort_key(n)
+
+
 def test_lex_compares_first_variable():
     # x0 vs x1 in 4 variables
-    assert cmp_monomials((1, 0, 0, 0), (0, 1, 0, 0), Lex()) == GT
+    assert greater((1, 0, 0, 0), (0, 1, 0, 0), Lex())
 
 
 def test_revlex_paper_example():
     # x1^2 vs x0*x2 in 3 variables: difference (-1, 2, -1) has negative
     # rightmost entry, so x1^2 is the larger monomial
-    assert cmp_monomials((0, 2, 0), (1, 0, 1), Revlex()) == GT
-    assert cmp_monomials((1, 0, 1), (0, 2, 0), Revlex()) == LT
+    assert greater((0, 2, 0), (1, 0, 1), Revlex())
+    assert not greater((1, 0, 1), (0, 2, 0), Revlex())
 
 
 def test_degree_compared_first():
     for order in (Lex(), Revlex(), WeightOrder((1, 5, 9), Lex())):
-        assert cmp_monomials((3, 0, 0), (0, 0, 2), order) == GT
+        assert greater((3, 0, 0), (0, 0, 2), order)
 
 
 def test_cmp_eq_only_on_equal():
-    assert cmp_monomials((1, 2, 0), (1, 2, 0), Lex()) == EQ
+    mons = ring(3).monomials_of_degree(4)
+    for order in (Lex(), Revlex(), WeightOrder((1, 5, 9), Lex())):
+        assert len({order.sort_key(m) for m in mons}) == len(mons)
     with pytest.raises(ValueError):
-        cmp_monomials((1, 2), (1, 2, 0), Lex())
+        WeightOrder((1, 5, 9), Lex()).sort_key((1, 2))
 
 
 ALL_ORDERS = [
@@ -108,11 +110,10 @@ ALL_ORDERS = [
 def test_sorting_is_strict_total_order(order):
     R = ring(4)
     for d in range(1, 9):
-        mons = R.monomials_of_degree(d)
-        ranked = sort_monomials(mons, order)
-        assert len(ranked) == len(set(ranked))
+        ranked = R.graded_piece(d, order).monomials
+        assert sorted(ranked) == sorted(R.monomials_of_degree(d))
         for a, b in zip(ranked, ranked[1:]):
-            assert cmp_monomials(a, b, order) == GT
+            assert greater(a, b, order)
 
 
 @pytest.mark.parametrize("order", ALL_ORDERS, ids=str)
@@ -121,16 +122,16 @@ def test_order_axioms_on_random_triples(order):
     mons = ring(4).monomials_of_degree(5)
     for _ in range(300):
         m, n, q = (rng.choice(mons) for _ in range(3))
-        c_mn = cmp_monomials(m, n, order)
-        assert c_mn == -cmp_monomials(n, m, order)
-        if c_mn == GT and cmp_monomials(n, q, order) == GT:
-            assert cmp_monomials(m, q, order) == GT
+        c_mn = greater(m, n, order)
+        assert c_mn != greater(n, m, order) or m == n
+        if c_mn and greater(n, q, order):
+            assert greater(m, q, order)
         shift = rng.choice(mons)
         scaled = (
             tuple(a + b for a, b in zip(m, shift)),
             tuple(a + b for a, b in zip(n, shift)),
         )
-        assert cmp_monomials(*scaled, order) == c_mn
+        assert greater(*scaled, order) == c_mn
 
 
 def test_weight_order_requires_positive_weights_and_tiebreak():
@@ -149,8 +150,8 @@ def test_canonicalization_merges_equivalent_descriptors():
 def test_elimination_order_pulls_x0_terms_first():
     order = elimination_order(3, Revlex())
     # within degree 2: anything with x0 beats anything without
-    assert cmp_monomials((1, 0, 1), (0, 2, 0), order) == GT
-    assert cmp_monomials((2, 0, 0), (1, 1, 0), order) == GT
+    assert greater((1, 0, 1), (0, 2, 0), order)
+    assert greater((2, 0, 0), (1, 1, 0), order)
 
 
 # ----------------------------------------------------------------------

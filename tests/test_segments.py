@@ -7,6 +7,7 @@ from math import comb
 
 import pytest
 
+from ginlab import segments
 from ginlab.fields import FP_DEFAULT
 from ginlab.fourier_motzkin import feasible_point
 from ginlab.monomial_ideals import (
@@ -256,6 +257,13 @@ def test_witness_weights_strictly_positive():
     witness = segment_witness(J)
     assert witness is not None
     assert all(w > 0 for w in witness.weights)
+
+
+def test_witness_that_fails_its_recheck_raises(monkeypatch):
+    J = census_ideal(["x0^3", "x0^2*x1", "x0*x1^2", "x1^4"])
+    monkeypatch.setattr(segments, "verify_weight_witness", lambda *args: False)
+    with pytest.raises(RuntimeError):
+        segment_witness(J)
 
 
 def test_verify_rejects_wrong_weights():
