@@ -4,8 +4,11 @@ Subcommands: gin, pei, sylvester, segment, borel-census, curve, points,
 nonsmooth.  Every run produces one structured JSON report (deterministic
 for fixed inputs and seeds) plus a human-readable summary on stdout.
 
-Exit codes: 0 = success and every expectation matched; 2 = computation
-succeeded but an expectation failed; 3 = degree-cap or agreement failure.
+Exit codes: 0 = success and every expectation matched (or --help);
+2 = computation succeeded but an expectation failed; 3 = computation failed
+(degree cap, resource guard, gin trials disagree, degenerate points, point
+counts disagree); 4 = bad input or usage; 5 = a result failed its own
+re-check, which is a defect in ginlab.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ from .experiments import (
 )
 from .fields import field_from_spec
 from .gin import GinDisagreement, gin
-from .groebner import DegreeCapExceeded, Ideal
-from .monomial_ideals import MonomialIdeal, hilbert_data, HilbertFunction
+from .groebner import DegreeCapExceeded, Ideal, ResourceLimitExceeded
+from .monomial_ideals import HilbertFunction, MonomialIdeal, SelfCheckFailed, hilbert_data
 from .orders import order_from_spec
 from .partial_elim import PointCountError, partial_elim_ideals
 from .points import DegeneratePointsError
@@ -220,7 +223,10 @@ def _cmd_segment(args):
 
 
 def run(argv=None):
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the help or the usage error
+        return 0 if exc.code in (0, None) else 4
     try:
         if args.command == "gin":
             report = _cmd_gin(args)
@@ -253,13 +259,16 @@ def run(argv=None):
             )
         else:  # pragma: no cover
             raise ValueError(f"unknown command {args.command}")
-    except (DegreeCapExceeded, GinDisagreement, PointCountError,
-            DegeneratePointsError) as exc:
+    except (DegreeCapExceeded, ResourceLimitExceeded, GinDisagreement,
+            PointCountError, DegeneratePointsError) as exc:
         print(f"computation failed: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:
         print(f"bad input: {exc}", file=sys.stderr)
-        return 2
+        return 4
+    except SelfCheckFailed as exc:
+        print(f"self-check failed: {exc}", file=sys.stderr)
+        return 5
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(report.to_json())

@@ -109,7 +109,7 @@ def _choose_value(stage, var, point):
             for i, c in enumerate(coeffs)
             if i != var and c
         )
-        bound = -rest / a
+        bound = -Fraction(rest) / a
         if a > 0:
             if lower is None or bound > lower[0] or (bound == lower[0] and strict):
                 lower = (bound, strict)

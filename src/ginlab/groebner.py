@@ -39,6 +39,11 @@ class DegreeCapExceeded(Exception):
         self.cap = cap
 
 
+class ResourceLimitExceeded(Exception):
+    """Raised by a resource guard: an input within the mathematics but
+    beyond the size an exhaustive routine is allowed to attempt."""
+
+
 # ----------------------------------------------------------------------
 # reduction engines
 
@@ -74,14 +79,14 @@ class _DenseEngine:
         return Polynomial(self.ring, {mons[i]: int(v[i]) for i in nz})
 
     def _mulmap(self, src_deg, delta):
+        """Positions in the degree src_deg + |delta| piece of the degree
+        src_deg monomials multiplied by x^delta."""
         key = (src_deg, delta)
         cached = self._maps.get(key)
         if cached is None:
-            idx = self.ring.graded_piece(src_deg + sum(delta), self.order).index
-            src = self.ring.graded_piece(src_deg, self.order).monomials
-            cached = np.fromiter(
-                (idx[mono_mul(m, delta)] for m in src), dtype=np.int64, count=len(src)
-            )
+            src = self.ring.graded_piece(src_deg, self.order).exponents
+            dst = self.ring.graded_piece(src_deg + sum(delta), self.order)
+            cached = dst.positions(src + np.array(delta, dtype=np.int64))
             self._maps[key] = cached
         return cached
 

@@ -299,6 +299,11 @@ def _series_values(numer, nvars, bound):
 # saturation
 
 
+class SelfCheckFailed(RuntimeError):
+    """Raised when a computed result fails the re-check that certifies it:
+    a defect in the computation, never in its input."""
+
+
 def saturate_variable(J: MonomialIdeal, var_index: int):
     """Saturation J : x_i^infinity (strip all powers of x_i from the
     generators) together with the saturation degree: the least d from which
@@ -315,7 +320,7 @@ def saturate_variable(J: MonomialIdeal, var_index: int):
     for _ in range(J.ring.nvars):
         nxt = _divide_one_minus_t(diff)
         if nxt is None:
-            raise RuntimeError("saturation series difference is not finitely supported")
+            raise SelfCheckFailed("saturation series difference is not finitely supported")
         diff = nxt
     support = [d for d, c in enumerate(diff) if c]
     sat_degree = (max(support) + 1) if support else 0

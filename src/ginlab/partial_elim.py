@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from . import linalg
 from .gin import apply_change, random_coordinate_change
-from .groebner import DEFAULT_DEGREE_CAP, Ideal, reduce_groebner_basis
+from .groebner import DEFAULT_DEGREE_CAP, Ideal, ResourceLimitExceeded, reduce_groebner_basis
 from .monomial_ideals import MonomialIdeal, minimalize_monomials
 from .orders import Revlex, canonical, elimination_order
 from .poly import Polynomial
@@ -107,7 +107,9 @@ def pei_oracle(I, p, degree_bound, inner_order=None):
     """
     ring = I.ring
     if ring.nvars > 4 or degree_bound > 10:
-        raise ValueError("oracle is restricted to small instances (<= 4 vars, bound <= 10)")
+        raise ResourceLimitExceeded(
+            "oracle is restricted to small instances (<= 4 vars, bound <= 10)"
+        )
     inner = inner_order if inner_order is not None else Revlex()
     elim = elimination_order(ring.nvars, inner)
     small = ring.drop_first_variable()
@@ -115,7 +117,8 @@ def pei_oracle(I, p, degree_bound, inner_order=None):
     out = {}
     for d in range(degree_bound + 1):
         total = d + p
-        columns, col_index, _ = ring.graded_piece(total, elim)
+        piece = ring.graded_piece(total, elim)
+        columns, col_index = piece.monomials, piece.index
         rows = []
         for g in I.generators:
             gdeg = g.homogeneous_degree()

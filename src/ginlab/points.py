@@ -2,8 +2,10 @@
 
 Vanishing ideals are assembled from per-degree kernels of the evaluation
 matrix X_d (rows = points, columns = degree-d monomials in descending lex
-order): exact, simple, and independently checkable; the regularity bound
-reg <= s keeps the needed degrees small.
+order): exact, simple, and independently checkable.  The pieces stop at
+the regularity reg = d0 + 1, where d0 is the first degree in which the
+Hilbert function reaches the point count s (so d0 < s); past it every
+graded piece is S_1 times the one below.
 """
 
 from __future__ import annotations
@@ -128,11 +130,16 @@ class DegeneratePointsError(Exception):
 
 def vanishing_ideal(P: PointSet, degree_bound=None, ring=None):
     """The homogeneous ideal of the point set, generated by a minimal basis
-    of its graded pieces up to ``degree_bound`` (default s, which covers all
-    generators since reg <= s).
+    of its graded pieces.
 
-    Raises DegeneratePointsError if the Hilbert function fails to stabilize
-    at the number of points by the bound."""
+    The Hilbert function of s reduced points rises strictly until it first
+    equals s in some degree d0, and reg I = d0 + 1, so every minimal
+    generator has degree at most d0 + 1 and the pieces stop there.
+    ``degree_bound`` (default s; smaller values raise ValueError) only caps
+    the search.
+
+    Raises DegeneratePointsError if degree d0 + 1 lies beyond the cap or the
+    Hilbert function fails to stay at s there."""
     ring = ring if ring is not None else P.ring()
     s = P.size
     bound = degree_bound if degree_bound is not None else s
@@ -143,7 +150,8 @@ def vanishing_ideal(P: PointSet, degree_bound=None, ring=None):
     prev_kernel = []
     hf = [1]
     for d in range(1, bound + 1):
-        mons, index, _ = ring.graded_piece(d)
+        piece = ring.graded_piece(d)
+        mons, index = piece.monomials, piece.index
         x_d = evaluation_matrix(P, d, ring)
         kernel = linalg.kernel_basis(field, x_d, len(mons))
         hf.append(len(mons) - len(kernel))
@@ -162,9 +170,11 @@ def vanishing_ideal(P: PointSet, degree_bound=None, ring=None):
             if echelon.add(vec):
                 gens.append(_vector_to_poly(ring, mons, vec))
         prev_kernel = kernel
-    if hf[min(s - 1, bound)] != s or hf[bound] != s:
+        if hf[d - 1] == s:  # d - 1 = d0, so d is the regularity
+            break
+    if hf[-2:] != [s, s]:
         raise DegeneratePointsError(
-            f"Hilbert function {hf} fails to stabilize at {s} points"
+            f"Hilbert function {hf} fails to stabilize at {s} points by degree {bound}"
         )
     return Ideal(gens, ring=ring)
 

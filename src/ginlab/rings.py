@@ -3,7 +3,8 @@
 Monomials are bare tuples of non-negative ints of length ``ring.nvars``; the
 degree is the tuple sum.  The ring context owns the one table per (degree,
 order) of each graded piece -- its monomials greatest first, their positions
-and their exponents -- which every dense computation indexes into.
+and their exponents, plus a vectorised position lookup -- which every dense
+computation indexes into.
 """
 
 from __future__ import annotations
@@ -56,6 +57,22 @@ def _enumerate_degree(nvars, d):
     return out
 
 
+def _lex_rank_table(nvars, d):
+    """table[T, t-1] = C(T + t - 1, t), for T <= d and 1 <= t < nvars.
+
+    A degree-d monomial whose last t exponents sum to T_t has descending-lex
+    rank sum_t C(T_t + t - 1, t) (the combinatorial number system), and
+    every entry is below the piece size C(d + nvars - 1, nvars - 1), so the
+    ranks are exact in int64 wherever the piece itself fits in memory."""
+    table = [[comb(T + t - 1, t) for t in range(1, nvars)] for T in range(d + 1)]
+    return np.array(table, dtype=np.int64).reshape(d + 1, nvars - 1)
+
+
+def _lex_ranks(exps, table):
+    suffix = np.cumsum(exps[:, :0:-1], axis=1)  # sums of the last 1, 2, ... exponents
+    return table[suffix, np.arange(suffix.shape[1])].sum(axis=1)
+
+
 class GradedPiece(NamedTuple):
     """The degree-d monomials of a ring, greatest first under one order.
     Shared by every caller on the ring, so read-only."""
@@ -63,6 +80,12 @@ class GradedPiece(NamedTuple):
     monomials: tuple
     index: dict  # monomial -> position in ``monomials``
     exponents: np.ndarray  # int64, one row per monomial
+    rank_table: np.ndarray  # _lex_rank_table(nvars, d)
+    by_lex_rank: np.ndarray  # position in ``monomials`` of the k-th lex monomial
+
+    def positions(self, exps):
+        """``index`` over the rows of an int64 array of degree-d exponents."""
+        return self.by_lex_rank[_lex_ranks(exps, self.rank_table)]
 
 
 class RingContext:
@@ -116,7 +139,12 @@ class RingContext:
             mons = tuple(mons)
             exps = np.array(mons, dtype=np.int64)
             exps.setflags(write=False)
-            piece = GradedPiece(mons, {m: i for i, m in enumerate(mons)}, exps)
+            table = _lex_rank_table(self.nvars, d)
+            by_lex = np.empty(len(mons), dtype=np.int64)
+            by_lex[_lex_ranks(exps, table)] = np.arange(len(mons))
+            by_lex.setflags(write=False)
+            index = {m: i for i, m in enumerate(mons)}
+            piece = GradedPiece(mons, index, exps, table, by_lex)
             self._graded[key] = piece
         return piece
 

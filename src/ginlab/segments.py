@@ -15,7 +15,11 @@ from fractions import Fraction
 from math import gcd
 
 from .fourier_motzkin import feasible_point
-from .monomial_ideals import HilbertFunction, MonomialIdeal, hilbert_data, is_borel_fixed, minimalize_monomials
+from .groebner import ResourceLimitExceeded
+from .monomial_ideals import (
+    HilbertFunction, MonomialIdeal, SelfCheckFailed, hilbert_data, is_borel_fixed,
+    minimalize_monomials,
+)
 from .orders import Lex
 
 
@@ -103,10 +107,11 @@ def enumerate_borel_by_hf(hf: HilbertFunction, ring, bound):
     found by exhaustive degree-by-degree search over Borel-closed monomial
     sets of the required dimension.
 
-    Small instances only (guarded); every returned ideal is verified to be
-    Borel-fixed and to reproduce the Hilbert function exactly."""
+    Small instances only (ResourceLimitExceeded beyond them); every
+    returned ideal is verified to be Borel-fixed and to reproduce the
+    Hilbert function exactly."""
     if ring.nvars > 3 or bound > 10:
-        raise ValueError("enumeration is restricted to <= 3 variables, bound <= 10")
+        raise ResourceLimitExceeded("enumeration is restricted to <= 3 variables, bound <= 10")
     # branches: (frozen degree-d monomial set, generators found so far)
     branches = [(frozenset(), ())]
     for d in range(1, bound + 1):
@@ -194,7 +199,7 @@ def segment_witness(J: MonomialIdeal, degree_range=None):
 
     The witness satisfies w . (m - n) > 0 for every in/out monomial pair
     (m, n) per degree, with strictly positive entries; a vector that fails
-    that re-check raises RuntimeError."""
+    that re-check raises SelfCheckFailed."""
     if degree_range is None:
         degree_range = (1, J.max_generator_degree() + 1)
     lo, hi = degree_range
@@ -217,7 +222,7 @@ def segment_witness(J: MonomialIdeal, degree_range=None):
         return None
     weights = _scale_to_integers(point)
     if not verify_weight_witness(J, weights, (lo, hi)):
-        raise RuntimeError(f"weight vector {weights} fails its own segment re-check")
+        raise SelfCheckFailed(f"weight vector {weights} fails its own segment re-check")
     return WeightWitness(weights, (lo, hi))
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .groebner import DEFAULT_DEGREE_CAP, Ideal
+from .groebner import DEFAULT_DEGREE_CAP, Ideal, ResourceLimitExceeded
 from .orders import Revlex
 from .partial_elim import x0_profile
 from .poly import Polynomial
@@ -114,7 +114,7 @@ def maximal_minors(M: PolyMatrix):
     if rows > cols:
         raise ValueError("maximal minors expect rows <= cols")
     if cols > MAX_MINOR_COLUMNS:
-        raise ValueError(f"resource guard: more than {MAX_MINOR_COLUMNS} columns")
+        raise ResourceLimitExceeded(f"resource guard: more than {MAX_MINOR_COLUMNS} columns")
     ring = M.ring
     one = Polynomial.constant(ring, 1)
     memo = {(): one}

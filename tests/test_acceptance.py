@@ -118,6 +118,17 @@ def test_criterion_4_points_grid():
              f"{len(GRID)} instances, {elapsed:.1f}s")
 
 
+def test_criterion_4_twenty_points_in_p3():
+    # h = 1, 4, 10, 20: the vanishing ideal stops at its regularity 4, not
+    # at degree 20, which keeps this shape near one second
+    start = time.perf_counter()
+    report = experiment_points(20, 3, seed=1)
+    elapsed = time.perf_counter() - start
+    failed = [c.name for c in report.checks if not c.passed]
+    announce(4, "gin = segment ideal for 20 points in P^3", not failed,
+             f"failed checks {failed}, {elapsed:.1f}s")
+
+
 def test_criterion_5_counterexample_fixtures():
     field = FP_DEFAULT
     seven = vanishing_ideal(explicit_points(field, SEVEN_POINTS_SHARED_FACTOR))

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from ginlab import cli
+from ginlab import cli, segments
 from ginlab.cli import run
 from ginlab.experiments import ExperimentReport
 
@@ -38,6 +38,43 @@ def test_exit_code_3_on_degree_cap(tmp_path):
     code = run(["points", "--s", "5", "--r", "2", "--seed", "4",
                 "--degree-cap", "3"])
     assert code == 3
+
+
+def test_exit_code_3_on_resource_guard(capsys):
+    # Syl_1 of a (2, 12) pair has more columns than the minors guard allows
+    assert run(["sylvester", "--a", "2", "--b", "12", "--p", "1"]) == 3
+    assert "computation failed: resource guard" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["points", "--s", "3", "--r", "2", "--bogus"],  # unknown flag
+    ["points", "--s", "three", "--r", "2"],  # not an int
+    [],  # no subcommand
+])
+def test_exit_code_4_on_usage_error(argv, capsys):
+    assert run(argv) == 4
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_exit_code_4_on_bad_input(capsys):
+    assert run(["points", "--s", "3", "--r", "2", "--field", "fp:4"]) == 4
+    assert "bad input: modulus 4 is not prime" in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    assert run(["--help"]) == 0
+    assert run(["points", "--help"]) == 0
+    assert "usage:" in capsys.readouterr().out
+
+
+def test_exit_code_5_on_failed_self_check(tmp_path, monkeypatch, capsys):
+    ideal = tmp_path / "J.txt"
+    ideal.write_text("x0^3\nx0^2*x1\nx0*x1^2\nx1^4\n")  # a revlex segment
+    monkeypatch.setattr(segments, "verify_weight_witness", lambda *args: False)
+    assert run(["segment", "--witness-in", str(ideal), "--nvars", "3"]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("self-check failed: weight vector")
+    assert err.count("\n") == 1  # one line, no traceback
 
 
 def test_curve_subcommand(tmp_path):

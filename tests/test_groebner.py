@@ -17,9 +17,9 @@ from ginlab.groebner import (
     normal_form,
 )
 from ginlab.monomial_ideals import MonomialIdeal
-from ginlab.orders import Lex, Revlex
+from ginlab.orders import Lex, Revlex, WeightOrder
 from ginlab.poly import Polynomial, parse_polynomial, random_form
-from ginlab.rings import RingContext
+from ginlab.rings import RingContext, mono_mul
 from ginlab.sylvester import sample_monic_pair
 
 
@@ -294,3 +294,39 @@ def test_hilbert_invariant_under_coordinate_change():
     for seed in range(5):
         moved = apply_change(I, random_coordinate_change(R, seed))
         assert moved.hilbert_function(Revlex(), bound=5).dims == hf.dims
+
+
+# ----------------------------------------------------------------------
+# dense multiplication maps
+
+
+def _mulmap_orders(nvars):
+    weights = tuple(1 + (3 * i) % (nvars + 1) for i in range(nvars))  # not constant
+    return [Lex(), Revlex(), WeightOrder(weights, Revlex())]
+
+
+def _check_mulmaps(R, order, shapes):
+    engine = groebner._DenseEngine(R, order)
+    for src_deg, delta_deg in shapes:
+        src = R.graded_piece(src_deg, order).monomials
+        index = R.graded_piece(src_deg + delta_deg, order).index
+        for delta in R.monomials_of_degree(delta_deg):
+            got = engine._mulmap(src_deg, delta)
+            assert got.dtype.name == "int64"
+            assert got.tolist() == [index[mono_mul(m, delta)] for m in src]
+
+
+@pytest.mark.parametrize("nvars", [2, 3, 4, 5])
+def test_mulmap_matches_index_oracle(nvars):
+    R = ring(nvars)
+    shapes = [(src_deg, delta_deg) for src_deg in range(6) for delta_deg in range(3)]
+    for order in _mulmap_orders(nvars):
+        _check_mulmaps(R, order, shapes)
+
+
+def test_mulmap_matches_index_oracle_on_a_wide_ring():
+    # 3**40 > 2**63: a mixed-radix key of the degree-2 monomials would wrap
+    R = ring(40)
+    shapes = [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]
+    for order in _mulmap_orders(40):
+        _check_mulmaps(R, order, shapes)

@@ -7,7 +7,7 @@ import pytest
 
 from ginlab.fields import FP_DEFAULT
 from ginlab.gin import apply_change, random_coordinate_change
-from ginlab.groebner import Ideal
+from ginlab.groebner import Ideal, ResourceLimitExceeded
 from ginlab.monomial_ideals import is_borel_fixed
 from ginlab.orders import Lex, Revlex
 from ginlab.partial_elim import (
@@ -194,7 +194,7 @@ def test_oracle_k0_equals_intersection_with_small_ring():
 def test_oracle_guards_resources():
     R = ring(4)
     I = Ideal(polys(R, "x0^2"))
-    with pytest.raises(ValueError):
+    with pytest.raises(ResourceLimitExceeded):
         pei_oracle(I, 0, 11)
 
 

@@ -6,7 +6,7 @@ from math import comb
 import pytest
 
 from ginlab import linalg
-from ginlab.fields import FP_DEFAULT
+from ginlab.fields import FP_DEFAULT, QQ
 from ginlab.gin import gin
 from ginlab.monomial_ideals import MonomialIdeal
 from ginlab.orders import Lex, Revlex
@@ -95,6 +95,41 @@ def test_vanishing_ideal_detects_coincident_points():
     pts = random_points(4, 2, 13, FP_DEFAULT)
     with pytest.raises(ValueError):
         vanishing_ideal(pts, degree_bound=2)
+
+
+CUTOFF_CASES = {
+    "fp-P2": lambda: random_points(9, 2, 41, FP_DEFAULT),
+    "fp-P3": lambda: random_points(12, 3, 42, FP_DEFAULT),
+    "fp-P4": lambda: random_points(8, 4, 43, FP_DEFAULT),
+    "qq-P2": lambda: random_points(6, 2, 44, QQ),
+    "seven-point-fixture": lambda: explicit_points(FP_DEFAULT, SEVEN_POINTS_SHARED_FACTOR),
+    "ten-point-fixture": lambda: explicit_points(FP_DEFAULT, TEN_POINTS_LATTICE_SIMPLEX),
+    "one-point": lambda: explicit_points(FP_DEFAULT, [(3, 5, 1)]),
+    # s points on the line x2 = 0: h = 1, 2, ..., s, so reg = s and the
+    # cut-off falls at the old bound
+    "collinear": lambda: explicit_points(FP_DEFAULT, [(i, 1, 0) for i in range(6)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CUTOFF_CASES))
+def test_vanishing_ideal_cutoff_matches_evaluation_ranks(case):
+    pts = CUTOFF_CASES[case]()
+    s = pts.size
+    I = vanishing_ideal(pts)
+    ranks = tuple(
+        len(linalg.rref(pts.field, evaluation_matrix(pts, d))[1]) for d in range(s + 2)
+    )
+    assert I.hilbert_function(Revlex(), bound=s + 1).dims == ranks
+    for g in I.generators:
+        for pt in pts.points:
+            assert g.evaluate(pt) == pts.field.zero
+    assert vanishing_ideal(pts, degree_bound=s + 3).generators == I.generators
+
+
+def test_vanishing_ideal_of_collinear_points_needs_degree_s():
+    s = 6
+    I = vanishing_ideal(explicit_points(FP_DEFAULT, [(i, 1, 0) for i in range(s)]))
+    assert sorted(g.homogeneous_degree() for g in I.generators) == [1, s]
 
 
 def test_seven_point_fixture_quadrics_share_a_factor():

@@ -10,9 +10,11 @@ import pytest
 from ginlab import segments
 from ginlab.fields import FP_DEFAULT
 from ginlab.fourier_motzkin import feasible_point
+from ginlab.groebner import ResourceLimitExceeded
 from ginlab.monomial_ideals import (
     HilbertFunction,
     MonomialIdeal,
+    SelfCheckFailed,
     hilbert_data,
     is_borel_fixed,
 )
@@ -70,6 +72,29 @@ def test_fm_weak_constraints_allow_equality():
 
 def test_fm_zero_strict_is_infeasible():
     assert feasible_point([((0, 0), True)], 2) is None
+
+
+def test_fm_back_substitution_stays_exact():
+    # the last variable's bounds involve no fixed coordinate, so its bound is
+    # an empty sum; it must stay a Fraction rather than become a float
+    systems = [
+        ([((1, -1, 0), True), ((0, 1, -1), True), ((0, 0, 1), True)], 3),
+        ([((1, -1), False), ((-1, 1), False)], 2),
+        ([((2, -3), True), ((0, 1), True)], 2),
+        ([((1, 0, 0), True), ((0, 1, 0), True), ((0, 0, 1), True), ((1, -3, 2), True)], 3),
+    ]
+    for constraints, nvars in systems:
+        point = feasible_point(constraints, nvars)
+        assert point is not None
+        assert all(type(x) is Fraction for x in point), point
+
+
+@pytest.mark.parametrize("s, weights", [(12, (6, 5, 4, 1)), (10, (36, 39, 40, 14))])
+def test_revlex_point_segment_witness_is_small(s, weights):
+    seg = segment_ideal_of(points_hf(s, 3, 6), Revlex(), ring(4), 6)
+    witness = segment_witness(seg.monomial_ideal())
+    assert witness is not None
+    assert witness.weights == weights
 
 
 # ----------------------------------------------------------------------
@@ -219,7 +244,7 @@ def test_enumerate_borel_census_of_seven_plane_points():
 
 
 def test_enumerate_borel_resource_guard():
-    with pytest.raises(ValueError):
+    with pytest.raises(ResourceLimitExceeded):
         enumerate_borel_by_hf(constant_hf((1,), 1, 12), ring(2), bound=12)
 
 
@@ -262,7 +287,7 @@ def test_witness_weights_strictly_positive():
 def test_witness_that_fails_its_recheck_raises(monkeypatch):
     J = census_ideal(["x0^3", "x0^2*x1", "x0*x1^2", "x1^4"])
     monkeypatch.setattr(segments, "verify_weight_witness", lambda *args: False)
-    with pytest.raises(RuntimeError):
+    with pytest.raises(SelfCheckFailed):
         segment_witness(J)
 
 

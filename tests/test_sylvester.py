@@ -6,7 +6,7 @@ import random
 import pytest
 
 from ginlab.fields import FP_DEFAULT
-from ginlab.groebner import Ideal
+from ginlab.groebner import Ideal, ResourceLimitExceeded
 from ginlab.orders import Revlex
 from ginlab.partial_elim import partial_elim_ideals
 from ginlab.poly import Polynomial, parse_polynomial
@@ -113,7 +113,7 @@ def test_minors_resource_guard():
     small = ring().drop_first_variable()
     one = Polynomial.constant(small, 1)
     M = PolyMatrix(small, [[one] * 13])
-    with pytest.raises(ValueError):
+    with pytest.raises(ResourceLimitExceeded):
         maximal_minors(M)
 
 

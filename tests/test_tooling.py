@@ -1,6 +1,9 @@
 """Repository-wide guards on the library source."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ginlab"
@@ -17,3 +20,17 @@ def test_library_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_points_run_is_the_same_under_python_O(tmp_path):
+    # end to end: no check the CLI reports needs an assert to run
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    argv = ["-m", "ginlab.cli", "points", "--s", "12", "--r", "3", "--seed", "2"]
+    outputs = []
+    for flags in ([], ["-O"]):
+        out = tmp_path / f"points{''.join(flags)}.json"
+        proc = subprocess.run([sys.executable, *flags, *argv, "--out", str(out)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
