@@ -6,8 +6,8 @@ for fixed inputs and seeds) plus a human-readable summary on stdout.
 
 Exit codes: 0 = success and every expectation matched (or --help);
 2 = computation succeeded but an expectation failed; 3 = computation failed
-(degree cap, resource guard, gin trials disagree, degenerate points, point
-counts disagree); 4 = bad input or usage; 5 = a result failed its own
+(degree cap, resource guard, gin trials disagree, gin over a prime too small
+to be Borel-fixed, degenerate points, point counts disagree); 4 = bad input or usage; 5 = a result failed its own
 re-check, which is a defect in ginlab.
 """
 
@@ -25,7 +25,7 @@ from .experiments import (
     experiment_sylvester,
 )
 from .fields import field_from_spec
-from .gin import GinDisagreement, gin
+from .gin import CharacteristicTooSmall, GinDisagreement, gin
 from .groebner import DegreeCapExceeded, Ideal, ResourceLimitExceeded
 from .monomial_ideals import HilbertFunction, MonomialIdeal, SelfCheckFailed, hilbert_data
 from .orders import order_from_spec
@@ -260,7 +260,7 @@ def run(argv=None):
         else:  # pragma: no cover
             raise ValueError(f"unknown command {args.command}")
     except (DegreeCapExceeded, ResourceLimitExceeded, GinDisagreement,
-            PointCountError, DegeneratePointsError) as exc:
+            CharacteristicTooSmall, PointCountError, DegeneratePointsError) as exc:
         print(f"computation failed: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:

@@ -41,7 +41,13 @@ def is_prime(n: int) -> bool:
 
 
 class PrimeField:
-    """Arithmetic in F_p for a prime p < 2**31."""
+    """Arithmetic in F_p for a prime p < 2**31.
+
+    Generic initial ideals need p above the degrees of their generators:
+    otherwise a gin is only p-Borel, and ``gin`` raises
+    ``CharacteristicTooSmall`` when its result is not Borel-fixed with p at
+    most its largest generator degree.  The default prime lies far above
+    any degree a computation here reaches."""
 
     __slots__ = ("p",)
 

@@ -22,6 +22,11 @@ class GinDisagreement(Exception):
     """All trials produced distinct initial ideals: no generic consensus."""
 
 
+class CharacteristicTooSmall(Exception):
+    """The gin over F_p is not Borel-fixed and p does not exceed its largest
+    generator degree: in that characteristic gins are only p-Borel."""
+
+
 @dataclass(frozen=True)
 class CoordinateChange:
     """An invertible (r+1)x(r+1) matrix of field scalars plus the seed that
@@ -89,7 +94,9 @@ def gin(I, order, trials=2, seed=0, degree_cap=DEFAULT_DEGREE_CAP):
     ``seed + t``).  If all initial ideals coincide the common one is returned
     with ``agreed=True``; otherwise one extra trial is run and a majority
     ideal is returned with ``agreed=False``; with no majority the computation
-    fails loudly.
+    fails loudly.  Over F_p a result that is not Borel-fixed raises
+    :class:`CharacteristicTooSmall` when p is at most its largest generator
+    degree, instead of returning ``borel=False``.
     """
     if trials < 2:
         raise ValueError("the agreement protocol needs at least 2 trials")
@@ -110,6 +117,12 @@ def gin(I, order, trials=2, seed=0, degree_cap=DEFAULT_DEGREE_CAP):
         )
     agreed = all(J == winner for J in results)
     borel = is_borel_fixed(winner)
+    field = I.ring.field
+    if not borel and field.is_prime_field and field.p <= winner.max_generator_degree():
+        raise CharacteristicTooSmall(
+            f"gin over F_{field.p} is only p-Borel: p = {field.p} does not exceed "
+            f"its largest generator degree {winner.max_generator_degree()}"
+        )
     regularity = borel_regularity(winner) if borel else None
     return GinResult(
         gin=winner,

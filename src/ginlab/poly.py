@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import re
 
+import numpy as np
+
 from .orders import Lex
 from .rings import mono_degree, mono_mul
 
@@ -203,10 +205,30 @@ class Polynomial:
 
     def substitute(self, images):
         """Substitute x_i -> images[i] (a ring homomorphism on choosing
-        polynomial images in a common ring)."""
+        polynomial images in a common ring).
+
+        When the target field is a prime field, ``self`` is homogeneous and
+        every image is a linear form in the target ring -- a linear
+        coordinate change -- the result is built on dense descending-lex
+        vectors of the target's graded pieces (see ``_substitute_linear``);
+        otherwise by sparse dict expansion.  Both are exact and give equal
+        results: the dense path works on int64 residues and reduces mod p
+        after every product, so with p < 2**31 each product stays below
+        2**62 and each sum of reduced terms (one per target variable, or one
+        per term of ``self``) far below 2**63."""
         if len(images) != self.ring.nvars:
             raise ValueError("need one image per variable")
         target = images[0].ring
+        d = self.homogeneous_degree()
+        if (
+            target.field.is_prime_field
+            and d is not None
+            and all(
+                g.ring == target and all(mono_degree(m) == 1 for m in g.terms)
+                for g in images
+            )
+        ):
+            return self._substitute_linear(images, d)
         powers = [{0: Polynomial.constant(target, 1)} for _ in images]
 
         def power(i, e):
@@ -223,6 +245,43 @@ class Polynomial:
                     prod = prod * power(i, e)
             out = out + prod
         return out
+
+    def _substitute_linear(self, images, d):
+        """The dense path of ``substitute`` for a form of degree d: l^m for
+        every support monomial m and each of its prefixes, as
+        l^(m - e_i) * l_i with i the last variable of m, one degree at a
+        time; then the coefficient-weighted sum of the top degree."""
+        target = images[0].ring
+        p = target.field.p
+        lin = np.array(
+            [[g.terms.get(e, 0) for e in target.monomials_of_degree(1)] for g in images],
+            dtype=np.int64,
+        )
+        # links[k]: per degree-(k+1) prefix, its parent's row among the
+        # degree-k prefixes and the variable that leads from one to the other
+        links = []
+        rows = {m: r for r, m in enumerate(self.terms)}
+        for _ in range(d):
+            parents, step = {}, []
+            for m in rows:
+                i = max(j for j, e in enumerate(m) if e)
+                parent = m[:i] + (m[i] - 1,) + m[i + 1:]
+                step.append((parents.setdefault(parent, len(parents)), i))
+            links.append(np.array(step, dtype=np.int64))
+            rows = parents
+        # column r of ``powers``: l^q for the r-th prefix q of the current degree
+        powers = np.ones((1, 1), dtype=np.int64)  # l^0 = 1
+        for k, step in enumerate(reversed(links)):
+            src = powers[:, step[:, 0]]
+            coeffs = lin[step[:, 1]].T
+            powers = np.zeros((target.monomial_count(k + 1), len(step)), dtype=np.int64)
+            for j, dst in enumerate(target.variable_shifts(k)):
+                powers[dst] += src * coeffs[j] % p
+            powers %= p
+        c = np.array([target.field.of(c) for c in self.terms.values()], dtype=np.int64)
+        total = (powers * c % p).sum(axis=1) % p
+        mons = target.monomials_of_degree(d)
+        return Polynomial(target, {mons[i]: int(total[i]) for i in np.flatnonzero(total)})
 
     def evaluate(self, point):
         """Evaluate at a tuple of field scalars."""

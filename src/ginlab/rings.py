@@ -4,7 +4,8 @@ Monomials are bare tuples of non-negative ints of length ``ring.nvars``; the
 degree is the tuple sum.  The ring context owns the one table per (degree,
 order) of each graded piece -- its monomials greatest first, their positions
 and their exponents, plus a vectorised position lookup -- which every dense
-computation indexes into.
+computation indexes into, and the lex multiply-by-variable maps between
+consecutive degrees built from it.
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ class RingContext:
     coefficient field.  Immutable after creation; every polynomial refers to
     exactly one context."""
 
-    __slots__ = ("nvars", "field", "names", "_graded", "_small")
+    __slots__ = ("nvars", "field", "names", "_graded", "_shifts", "_small")
 
     def __init__(self, nvars, field, names=None):
         if nvars < 1:
@@ -108,6 +109,7 @@ class RingContext:
         self.field = field
         self.names = names
         self._graded = {}
+        self._shifts = {}
         self._small = None
 
     def __eq__(self, other):
@@ -147,6 +149,20 @@ class RingContext:
             piece = GradedPiece(mons, index, exps, table, by_lex)
             self._graded[key] = piece
         return piece
+
+    def variable_shifts(self, d):
+        """Row j: the lex positions in degree d + 1 of the degree-d monomials
+        times x_j, an int64 array of shape (nvars, monomial_count(d));
+        cached on the ring per degree."""
+        shifts = self._shifts.get(d)
+        if shifts is None:
+            exps = self.graded_piece(d).exponents
+            dst = self.graded_piece(d + 1)
+            unit = np.eye(self.nvars, dtype=np.int64)
+            shifts = np.stack([dst.positions(exps + e) for e in unit])
+            shifts.setflags(write=False)
+            self._shifts[d] = shifts
+        return shifts
 
     def monomials_of_degree(self, d):
         """All degree-d monomials in descending lex order (cached)."""

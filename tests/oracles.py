@@ -1,8 +1,13 @@
 """Independent test oracles based on per-degree (Macaulay matrix) linear
 algebra.  These deliberately avoid the Groebner code paths they are used to
-verify."""
+verify.  Also a hypothesis strategy for the small homogeneous generator
+lists the property tests draw."""
+
+from hypothesis import assume, strategies as st
 
 from ginlab import linalg
+from ginlab.poly import Polynomial
+from ginlab.rings import RingContext
 
 
 def graded_piece_rows(generators, ring, d, column_order):
@@ -42,3 +47,21 @@ def macaulay_contains(I, f, column_order):
     for m, c in f.terms.items():
         frow[index[m]] = c
     return _rank(I.ring.field, rows + [frow]) == _rank(I.ring.field, rows)
+
+
+@st.composite
+def homogeneous_generators(draw, fields, max_vars=3, max_degree=3, max_gens=3):
+    """Nonzero homogeneous forms of a few terms each, with small integer
+    coefficients, in a ring of 2..max_vars variables over one of ``fields``."""
+    ring = RingContext(draw(st.integers(2, max_vars)), draw(st.sampled_from(fields)))
+    gens = []
+    for _ in range(draw(st.integers(1, max_gens))):
+        mons = ring.monomials_of_degree(draw(st.integers(1, max_degree)))
+        terms = draw(st.lists(
+            st.tuples(st.sampled_from(mons), st.integers(-5, 5)), min_size=1, max_size=4
+        ))
+        f = Polynomial.from_terms(ring, terms)
+        if f:
+            gens.append(f)
+    assume(gens)
+    return gens

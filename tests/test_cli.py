@@ -154,3 +154,14 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "PASS" in proc.stdout
+
+
+def test_exit_code_3_on_too_small_characteristic(tmp_path, capsys):
+    ideal = tmp_path / "squares.txt"
+    ideal.write_text("x0^2\nx1^2\n")  # over F_2 its gin is 2-Borel, not Borel-fixed
+    assert run(["gin", "--in", str(ideal), "--order", "revlex", "--field", "fp:2"]) == 3
+    err = capsys.readouterr().err
+    assert err == (
+        "computation failed: gin over F_2 is only p-Borel: "
+        "p = 2 does not exceed its largest generator degree 2\n"
+    )

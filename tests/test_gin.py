@@ -3,10 +3,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from oracles import homogeneous_generators, macaulay_dimension
 
 from ginlab import linalg
-from ginlab.fields import FP_DEFAULT, QQ
+from ginlab.fields import FP_DEFAULT, QQ, PrimeField
 from ginlab.gin import (
+    CharacteristicTooSmall,
     apply_change,
     gin,
     random_coordinate_change,
@@ -141,3 +145,25 @@ def test_gin_keeps_transformed_ideal_with_cache():
     moved = result.trial_ideals[0]
     assert moved.gb_cache  # the expensive basis is reusable
     assert moved.initial_ideal(Lex()) == result.gin
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    homogeneous_generators([FP_DEFAULT], max_vars=4, max_degree=2),
+    st.sampled_from([Lex(), Revlex()]),
+    st.integers(0, 10**6),
+)
+def test_gin_keeps_the_hilbert_function(gens, order, seed):
+    I = Ideal(gens)
+    result = gin(I, order, trials=2, seed=seed)
+    for d in range(6):
+        assert len(result.gin.monomials_of_degree(d)) == macaulay_dimension(I, d, Revlex())
+
+
+def test_gin_in_too_small_characteristic_raises():
+    # over F_2 every change maps span(x0^2, x1^2) to itself (Frobenius), so the
+    # gin is (x0^2, x1^2): 2-Borel but not Borel-fixed, and p = 2 <= degree 2
+    R = ring(2, PrimeField(2))
+    I = Ideal([parse_polynomial("x0^2", R), parse_polynomial("x1^2", R)])
+    with pytest.raises(CharacteristicTooSmall, match="p = 2 does not exceed .* degree 2"):
+        gin(I, Revlex(), trials=2, seed=0)

@@ -4,11 +4,12 @@ Macaulay-matrix cross-checks."""
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import macaulay_contains, macaulay_dimension
+from oracles import homogeneous_generators, macaulay_contains, macaulay_dimension
 
 from ginlab import groebner
-from ginlab.fields import FP_DEFAULT, QQ
+from ginlab.fields import FP_DEFAULT, QQ, PrimeField
 from ginlab.gin import apply_change, random_coordinate_change
 from ginlab.groebner import (
     DegreeCapExceeded,
@@ -173,6 +174,22 @@ def test_reduced_basis_unique_under_shuffles():
         shuffled = list(gens)
         random.Random(s).shuffle(shuffled)
         assert buchberger(shuffled, Revlex()) == reference
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    homogeneous_generators([PrimeField(101), FP_DEFAULT, QQ]),
+    st.sampled_from([Lex(), Revlex()]),
+    st.data(),
+)
+def test_reduced_basis_ignores_generator_order_and_scale(gens, order, data):
+    reference = buchberger(gens, order)
+    perm = data.draw(st.permutations(range(len(gens))))
+    # nonzero in every field drawn: |c| < 101
+    scales = data.draw(st.lists(
+        st.integers(-100, 100).filter(bool), min_size=len(gens), max_size=len(gens)
+    ))
+    assert buchberger([gens[i].scale(c) for i, c in zip(perm, scales)], order) == reference
 
 
 def test_ci22_revlex_initial_ideal_in_generic_coordinates():

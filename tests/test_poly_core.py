@@ -5,6 +5,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ginlab.fields import FP_DEFAULT, QQ, PrimeField, field_from_spec
 from ginlab.orders import (
@@ -244,3 +245,103 @@ def test_homogeneous_degree_and_zero():
     assert parse_polynomial("x0^2 + x0*x1", R).homogeneous_degree() == 2
     assert parse_polynomial("x0^2 + x1", R).homogeneous_degree() is None
     assert Polynomial.zero(R).is_zero
+
+
+# ----------------------------------------------------------------------
+# substitution: the dense linear path against the sparse expansion
+
+
+def expand(f, images):
+    """f(images) by plain sparse products: sum of c * prod images[i]^e."""
+    target = images[0].ring
+    out = Polynomial.zero(target)
+    for m, c in f.terms.items():
+        prod = Polynomial.constant(target, c)
+        for img, e in zip(images, m):
+            prod = prod * img**e
+        out = out + prod
+    return out
+
+
+def linear_images(R, matrix):
+    return [
+        Polynomial.from_terms(R, ((tuple(int(k == j) for k in range(R.nvars)), c)
+                                  for j, c in enumerate(row)))
+        for row in matrix
+    ]
+
+
+@st.composite
+def linear_change_instances(draw):
+    """A homogeneous form with few terms and a square matrix over F_p, with
+    entries biased towards 0, 1 and p - 1."""
+    p = draw(st.sampled_from([2, 3, 101, 2147483647]))
+    n = draw(st.integers(1, 5))
+    d = draw(st.integers(0, 10))
+    R = ring(n, PrimeField(p))
+    entry = st.one_of(st.sampled_from([0, 1, p - 1]), st.integers(0, p - 1))
+    matrix = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    mons = R.monomials_of_degree(d)
+    support = draw(st.lists(st.integers(0, len(mons) - 1), min_size=1, max_size=5))
+    f = Polynomial.from_terms(R, ((mons[i], draw(entry)) for i in support))
+    return f, linear_images(R, matrix)
+
+
+def spy_dense_path(monkeypatch):
+    calls = []
+    dense = Polynomial._substitute_linear
+
+    def spy(self, images, d):
+        calls.append(self)
+        return dense(self, images, d)
+
+    monkeypatch.setattr(Polynomial, "_substitute_linear", spy)
+    return calls
+
+
+@settings(max_examples=60, deadline=None)
+@given(linear_change_instances())
+def test_dense_substitute_equals_sparse_expansion(instance):
+    f, images = instance
+    assert f.substitute(images) == expand(f, images)
+
+
+def test_dense_substitute_at_the_int64_edge():
+    # every image coefficient is p - 1 or p - 2 with p = 2**31 - 1, so the
+    # products of the dense path sit just below 2**62 and five of them would
+    # overflow int64 unless each is reduced before it is added
+    p = 2147483647
+    R = ring(5, PrimeField(p))
+    matrix = [[p - 1 - (i == j) for j in range(5)] for i in range(5)]
+    f = Polynomial.from_terms(R, [((4, 3, 3, 0, 0), p - 1), ((0, 1, 2, 3, 4), 2)])
+    images = linear_images(R, matrix)
+    assert f.substitute(images) == expand(f, images)
+
+
+def test_dense_path_runs_for_linear_change_over_fp(monkeypatch):
+    calls = spy_dense_path(monkeypatch)
+    R = ring(3)
+    rng = random.Random(5)
+    f = random_form(R, 6, rng)
+    images = [random_form(R, 1, rng) for _ in range(3)]
+    assert f.substitute(images) == expand(f, images)
+    assert calls == [f]
+
+
+def test_sparse_path_for_qq_inhomogeneous_and_nonlinear(monkeypatch):
+    calls = spy_dense_path(monkeypatch)
+    Rq = ring(2, QQ)
+    f = parse_polynomial("x0^2 - 1/2*x1^2", Rq)
+    images = [parse_polynomial("x0 + x1", Rq), parse_polynomial("2*x1", Rq)]
+    assert f.substitute(images) == parse_polynomial("x0^2 + 2*x0*x1 - x1^2", Rq)
+    R = ring(2)
+    inhomogeneous = parse_polynomial("x0^2 + x1", R)
+    images = [parse_polynomial("x0 + x1", R), Polynomial.variable(R, 1)]
+    assert inhomogeneous.substitute(images) == parse_polynomial(
+        "x0^2 + 2*x0*x1 + x1^2 + x1", R
+    )
+    square = parse_polynomial("x0*x1", R)
+    assert square.substitute([parse_polynomial("x1^2", R), parse_polynomial("x0 + 1", R)]) == (
+        parse_polynomial("x0*x1^2 + x1^2", R)
+    )
+    assert calls == []
