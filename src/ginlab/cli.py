@@ -6,8 +6,9 @@ for fixed inputs and seeds) plus a human-readable summary on stdout.
 
 Exit codes: 0 = success and every expectation matched (or --help);
 2 = computation succeeded but an expectation failed; 3 = computation failed
-(degree cap, resource guard, gin trials disagree, gin over a prime too small
-to be Borel-fixed, degenerate points, point counts disagree); 4 = bad input or usage; 5 = a result failed its own
+(degree cap, resource guard, gin trials disagree or agree on a non-Borel
+ideal, gin over a prime too small to be Borel-fixed, degenerate points,
+point counts disagree); 4 = bad input or usage; 5 = a result failed its own
 re-check, which is a defect in ginlab.
 """
 

@@ -4,7 +4,10 @@ A dense open subset of GL gives the same initial ideal, so two independent
 random changes agreeing is overwhelming evidence of genericity over a large
 field; a Borel-fixedness check certifies the outcome's shape independently.
 Disagreement escalates to a third trial and then fails loudly rather than
-silently reporting a non-generic result.
+silently reporting a non-generic result, and so does agreement on an ideal
+that is not Borel-fixed where gins must be.  Every trial is a linear change
+of the same ideal, so all of them share one Hilbert witness: the first
+trial's basis prunes the Buchberger runs of the later ones.
 """
 
 from __future__ import annotations
@@ -19,7 +22,9 @@ from .poly import Polynomial
 
 
 class GinDisagreement(Exception):
-    """All trials produced distinct initial ideals: no generic consensus."""
+    """The trials were not generic: they produced distinct initial ideals
+    with no majority, or agreed on one that is not Borel-fixed in a
+    characteristic where gins are."""
 
 
 class CharacteristicTooSmall(Exception):
@@ -52,7 +57,8 @@ def random_coordinate_change(ring, seed):
 
 def apply_change(I, change):
     """The ideal generated by the generators with x_i replaced by the i-th
-    row's linear form.  Homogeneity and Hilbert function are preserved."""
+    row's linear form.  Homogeneity and Hilbert function are preserved, so
+    the image shares the Hilbert witness of ``I`` (see :class:`Ideal`)."""
     ring = I.ring
     matrix = change.matrix if isinstance(change, CoordinateChange) else tuple(change)
     if len(matrix) != ring.nvars or any(len(row) != ring.nvars for row in matrix):
@@ -69,15 +75,17 @@ def apply_change(I, change):
         )
         for row in matrix
     ]
-    return Ideal([g.substitute(images) for g in I.generators], ring=ring)
+    moved = Ideal([g.substitute(images) for g in I.generators], ring=ring)
+    moved.hilbert_witness = I.hilbert_witness
+    return moved
 
 
 @dataclass
 class GinResult:
-    """Outcome of a gin computation.  ``regularity`` is only populated when
-    the result is Borel-fixed (the generator-degree shortcut is invalid
-    otherwise); ``trial_ideals`` keeps the transformed ideals so callers can
-    reuse their Groebner caches."""
+    """Outcome of a gin computation.  ``gin`` returns only Borel-fixed
+    results, so ``regularity`` is the largest generator degree;
+    ``trial_ideals`` keeps the transformed ideals so callers can reuse
+    their Groebner caches."""
 
     gin: MonomialIdeal
     trials_used: int
@@ -94,9 +102,12 @@ def gin(I, order, trials=2, seed=0, degree_cap=DEFAULT_DEGREE_CAP):
     ``seed + t``).  If all initial ideals coincide the common one is returned
     with ``agreed=True``; otherwise one extra trial is run and a majority
     ideal is returned with ``agreed=False``; with no majority the computation
-    fails loudly.  Over F_p a result that is not Borel-fixed raises
-    :class:`CharacteristicTooSmall` when p is at most its largest generator
-    degree, instead of returning ``borel=False``.
+    fails loudly.  A result that is not Borel-fixed also fails loudly: over
+    F_p with p at most its largest generator degree it raises
+    :class:`CharacteristicTooSmall`, since gins there are only p-Borel;
+    over QQ, or over F_p with p above that degree, a gin is Borel-fixed, so
+    the trials were not generic and it raises :class:`GinDisagreement`.
+    A returned result therefore always has ``borel=True``.
     """
     if trials < 2:
         raise ValueError("the agreement protocol needs at least 2 trials")
@@ -123,13 +134,18 @@ def gin(I, order, trials=2, seed=0, degree_cap=DEFAULT_DEGREE_CAP):
             f"gin over F_{field.p} is only p-Borel: p = {field.p} does not exceed "
             f"its largest generator degree {winner.max_generator_degree()}"
         )
-    regularity = borel_regularity(winner) if borel else None
+    if not borel:
+        name = f"F_{field.p}" if field.is_prime_field else "QQ"
+        raise GinDisagreement(
+            f"gin trials over {name} agreed on an ideal that is not Borel-fixed, "
+            f"so their coordinate changes were not generic"
+        )
     return GinResult(
         gin=winner,
         trials_used=len(results),
         agreed=agreed,
         borel=borel,
-        regularity=regularity,
+        regularity=borel_regularity(winner),
         trial_ideals=[h for h, J in zip(handles, results) if J == winner],
     )
 

@@ -6,10 +6,24 @@ criterion, installed Gebauer-Moeller style).  Since all input is homogeneous
 and the order is degree compatible, pairs are processed by increasing degree
 and a degree cap aborts runaway runs soundly.
 
+A third, Hilbert-driven criterion (Traverso, "Hilbert functions and the
+Buchberger algorithm", 1996) runs when the caller knows the Hilbert function
+of the ideal I: a *witness*, the leading monomials of a reduced basis of I
+or of a linear change of I, under any order.  When the pairs of degree d
+come up, every pair of lower degree is done, so the current basis G is a
+Groebner basis of I up to degree d - 1, and in(G)_d lies in in(I)_d.  Once the
+leading monomials of G cover as many degree-d monomials as the witness,
+dim in(I)_d, the two are equal; then every element of I_d, each degree-d
+S-polynomial included, reduces to zero, and the pending degree-d pairs are
+dropped unreduced.  The witness must come from a computed or installed
+basis, never from a closed formula that a check is meant to test.
+
 Reductions dominate the cost, so over a prime field they run on dense
 per-degree coefficient vectors (numpy int64, entries < 2**31, products safe
-in int64); the structural algorithm is identical to the exact sparse path
-used for rational coefficients.
+in int64), with a per-degree table of the first listed divisor of each
+monomial; the structural algorithm is identical to the exact sparse path
+used for rational coefficients.  A dense run hands its basis to the sparse
+engine if it reaches a degree whose piece exceeds ``_DENSE_PIECE_LIMIT``.
 """
 
 from __future__ import annotations
@@ -18,7 +32,7 @@ import heapq
 
 import numpy as np
 
-from .monomial_ideals import MonomialIdeal, hilbert_data
+from .monomial_ideals import MonomialIdeal, hilbert_data, hilbert_numerator, series_value
 from .orders import Revlex, canonical
 from .poly import Polynomial
 from .rings import mono_div, mono_divides, mono_lcm, mono_mul
@@ -56,9 +70,9 @@ class _DenseEngine:
         self.order = order
         self.p = ring.field.p
         self._maps = {}
+        self._divisors = {}  # degree -> (divisor table, basis elements entered)
         self.basis = []  # (degree, vector) with monic leading coefficient
         self.lts = []  # leading exponent tuples
-        self._lt_mat = None
 
     def prepare(self, f):
         """Polynomial -> (degree, vector), or None for zero."""
@@ -84,9 +98,9 @@ class _DenseEngine:
         key = (src_deg, delta)
         cached = self._maps.get(key)
         if cached is None:
-            src = self.ring.graded_piece(src_deg, self.order).exponents
+            src = self.ring.graded_piece(src_deg, self.order)
             dst = self.ring.graded_piece(src_deg + sum(delta), self.order)
-            cached = dst.positions(src + np.array(delta, dtype=np.int64))
+            cached = dst.positions_times(src, delta)
             self._maps[key] = cached
         return cached
 
@@ -96,45 +110,71 @@ class _DenseEngine:
         v = v * inv % self.p
         self.basis.append((d, v))
         self.lts.append(self.ring.graded_piece(d, self.order).monomials[lead])
-        self._lt_mat = None
         return len(self.basis) - 1
 
-    def _lt_matrix(self):
-        if self._lt_mat is None or len(self._lt_mat) != len(self.lts):
-            self._lt_mat = np.array(self.lts, dtype=np.int64)
-        return self._lt_mat
+    def keep(self, indices):
+        """Drop every basis element but ``indices``, kept in that order."""
+        self.basis = [self.basis[i] for i in indices]
+        self.lts = [self.lts[i] for i in indices]
+        self._divisors.clear()
 
-    def reduce(self, d, v, full=True, mask=None):
+    def _divisor_table(self, d):
+        """For each position of the degree-d piece, the first listed basis
+        element whose leading monomial divides the monomial there, or -1.
+        Kept per degree and extended by the elements added since."""
+        table, entered = self._divisors.get(d, (None, 0))
+        if table is None:
+            table = np.full(self.ring.monomial_count(d), -1, dtype=np.int64)
+        dst = self.ring.graded_piece(d, self.order)
+        for g in range(entered, len(self.lts)):
+            gd = self.basis[g][0]
+            if gd <= d:
+                src = self.ring.graded_piece(d - gd, self.order)
+                multiples = dst.positions_times(src, self.lts[g])
+                table[multiples[table[multiples] < 0]] = g
+        self._divisors[d] = (table, len(self.lts))
+        return table
+
+    def covered(self, d):
+        """Number of degree-d monomials divisible by a leading monomial."""
+        return int(np.count_nonzero(self._divisor_table(d) >= 0))
+
+    def reduce(self, d, v, full=True):
         """Reduce v against the basis, greatest monomial first, first listed
         divisor.  ``full=False`` stops once the leading monomial is
         irreducible.  Returns None when the result is zero."""
-        if not self.basis:
-            return None if not v.any() else v
         p = self.p
-        lt_mat = self._lt_matrix()
-        piece = self.ring.graded_piece(d, self.order)
-        exps, mons = piece.exponents, piece.monomials
+        table = self._divisor_table(d)
+        mons = self.ring.graded_piece(d, self.order).monomials
         v = v % p
-        n = len(v)
         i = 0
-        while i < n:
-            if v[i] == 0:
-                i += 1
-                continue
-            hits = np.flatnonzero((lt_mat <= exps[i]).all(axis=1))
-            if mask is not None and hits.size:
-                hits = hits[mask[hits]]
-            if hits.size == 0:
-                if not full:
-                    break
-                i += 1
-                continue
-            g = int(hits[0])
+        while True:
+            ahead = v[i:] != 0
+            if full:
+                ahead &= table[i:] >= 0
+            k = int(ahead.argmax())
+            if not ahead[k]:
+                break
+            i += k
+            g = int(table[i])
+            if g < 0:
+                break  # only when not full: the leading monomial is irreducible
             gd, gv = self.basis[g]
-            delta = mono_div(mons[i], self.lts[g])
-            mp = self._mulmap(gd, delta)
+            mp = self._mulmap(gd, mono_div(mons[i], self.lts[g]))
             v[mp] = (v[mp] - int(v[i]) * gv) % p
         return v if v.any() else None
+
+    def tail_reduced(self, k):
+        """Basis element k with its tail fully reduced, as a polynomial."""
+        d, v = self.basis[k]
+        lead = int(np.flatnonzero(v)[0])
+        tail = v.copy()
+        tail[lead] = 0
+        out = self.reduce(d, tail, full=True)
+        if out is None:
+            out = np.zeros_like(v)
+        out[lead] = 1
+        return self.to_polynomial(d, out)
 
     def spair(self, i, j):
         """S-polynomial vector of two (monic) basis elements."""
@@ -147,6 +187,14 @@ class _DenseEngine:
         out[self._mulmap(dj, mono_div(lcm, self.lts[j]))] -= vj
         return d, out % self.p
 
+    def to_sparse(self):
+        """A sparse engine holding the same basis in the same order, so pair
+        keys (basis indices) stay valid."""
+        sparse = _SparseEngine(self.ring, self.order)
+        for d, v in self.basis:
+            sparse.add_basis(d, dict(self.to_polynomial(d, v).terms))
+        return sparse
+
 
 class _SparseEngine:
     """Exact dict-based reduction; handles any field and inhomogeneous input."""
@@ -158,6 +206,7 @@ class _SparseEngine:
         self.key = order.sort_key
         self.basis = []  # monic term dicts
         self.lts = []
+        self._numerator = ((), [1])  # (leading monomials, their Hilbert numerator)
 
     def prepare(self, f):
         if f.is_zero:
@@ -175,15 +224,26 @@ class _SparseEngine:
         self.lts.append(lt)
         return len(self.basis) - 1
 
-    def _divisor(self, m, mask):
+    def keep(self, indices):
+        """Drop every basis element but ``indices``, kept in that order."""
+        self.basis = [self.basis[i] for i in indices]
+        self.lts = [self.lts[i] for i in indices]
+
+    def covered(self, d):
+        """Number of degree-d monomials divisible by a leading monomial, from
+        the Hilbert numerator of the leading monomials."""
+        lts = tuple(self.lts)
+        if self._numerator[0] != lts:
+            self._numerator = (lts, hilbert_numerator(MonomialIdeal(self.ring, lts)))
+        return self.ring.monomial_count(d) - series_value(self._numerator[1], self.ring.nvars, d)
+
+    def _divisor(self, m):
         for g, lt in enumerate(self.lts):
-            if mask is not None and not mask[g]:
-                continue
             if mono_divides(lt, m):
                 return g
         return None
 
-    def reduce(self, d, terms, full=True, mask=None):
+    def reduce(self, d, terms, full=True):
         field = self.field
         work = dict(terms)
         out = {}
@@ -194,7 +254,7 @@ class _SparseEngine:
             c = work.pop(m, field.zero)
             if c == field.zero:
                 continue
-            g = self._divisor(m, mask)
+            g = self._divisor(m)
             if g is None:
                 if not full:
                     out[m] = c
@@ -217,6 +277,14 @@ class _SparseEngine:
                         heapq.heappush(heap, (self.key(mm), mm))
         return out if out else None
 
+    def tail_reduced(self, k):
+        """Basis element k with its tail fully reduced, as a polynomial."""
+        d, terms = self.basis[k]
+        lt = self.lts[k]
+        out = self.reduce(d, {m: c for m, c in terms.items() if m != lt}, full=True) or {}
+        out[lt] = self.field.one
+        return Polynomial(self.ring, out)
+
     def spair(self, i, j):
         field = self.field
         lcm = mono_lcm(self.lts[i], self.lts[j])
@@ -234,14 +302,15 @@ class _SparseEngine:
         return sum(lcm), terms
 
 
-def _make_engine(ring, order, max_degree, polys):
+def _make_engine(ring, order, polys):
     """The dense engine over a prime field when every input is homogeneous
-    and the degree-``max_degree`` piece fits the limit; the sparse one
-    otherwise."""
+    and the piece of the largest input degree fits the limit; the sparse one
+    otherwise.  ``buchberger`` hands a dense basis over to the sparse engine
+    once a pair needs a larger piece, so the degree cap plays no part."""
     if (
         ring.field.is_prime_field
         and all(f.is_homogeneous for f in polys)
-        and ring.monomial_count(max_degree) <= _DENSE_PIECE_LIMIT
+        and ring.monomial_count(max(f.total_degree() for f in polys)) <= _DENSE_PIECE_LIMIT
     ):
         return _DenseEngine(ring, order)
     return _SparseEngine(ring, order)
@@ -294,12 +363,17 @@ def _validate_input(gens, ring):
     return polys
 
 
-def buchberger(gens, order, degree_cap=DEFAULT_DEGREE_CAP):
+def buchberger(gens, order, degree_cap=DEFAULT_DEGREE_CAP, *, witness=None):
     """Reduced Groebner basis of homogeneous generators.
 
     Raises :class:`DegreeCapExceeded` if any surviving S-polynomial would
     exceed ``degree_cap``.  The result is monic, interreduced, and sorted by
     (degree, order), so it is canonical for the ideal and order.
+
+    ``witness``, when given, holds the leading monomials of a reduced basis,
+    under any order, of the same ideal or of a linear change of it.  Its
+    Hilbert function prunes the pairs that must reduce to zero (see the
+    module docstring); the result does not depend on it.
     """
     gens = list(gens)
     if not gens:
@@ -310,16 +384,27 @@ def buchberger(gens, order, degree_cap=DEFAULT_DEGREE_CAP):
         return []
     if max(f.homogeneous_degree() for f in polys) > degree_cap:
         raise ValueError("degree_cap is below a generator degree")
-    engine = _make_engine(ring, order, degree_cap, polys)
+    engine = _make_engine(ring, order, polys)
     pairs = {}
     for f in polys:
         d, v = engine.prepare(f)
         _gm_add(engine, pairs, d, v, order)
+    if witness is not None:
+        numerator = hilbert_numerator(MonomialIdeal(ring, witness))
+        target = {}  # degree -> dim in(I)_d
     while pairs:
         (i, j), lcm = _select(pairs, order)
         d = sum(lcm)
         if d > degree_cap:
             raise DegreeCapExceeded(d, degree_cap)
+        if isinstance(engine, _DenseEngine) and ring.monomial_count(d) > _DENSE_PIECE_LIMIT:
+            engine = engine.to_sparse()
+        if witness is not None:
+            if d not in target:
+                target[d] = ring.monomial_count(d) - series_value(numerator, ring.nvars, d)
+            if engine.covered(d) == target[d]:  # in(G)_d = in(I)_d
+                pairs = {ij: m for ij, m in pairs.items() if sum(m) > d}
+                continue
         del pairs[(i, j)]
         sd, sv = engine.spair(i, j)
         red = engine.reduce(sd, sv, full=False)
@@ -329,7 +414,9 @@ def buchberger(gens, order, degree_cap=DEFAULT_DEGREE_CAP):
 
 
 def _finalize(engine, order):
-    """Minimalize and tail-reduce the engine basis; canonical output order."""
+    """Minimalize and tail-reduce the engine basis; canonical output order.
+    The minimal elements keep their relative order, so each tail is reduced
+    by the first listed of the others."""
     picked = []
     for i in sorted(
         range(len(engine.basis)),
@@ -337,18 +424,10 @@ def _finalize(engine, order):
     ):
         if not any(mono_divides(engine.lts[j], engine.lts[i]) for j in picked):
             picked.append(i)
-    mask = np.zeros(len(engine.basis), dtype=bool)
-    mask[picked] = True
-    out = []
-    for i in picked:
-        mask[i] = False
-        d, v = engine.basis[i]
-        red = engine.reduce(d, v.copy(), full=True, mask=mask)
-        mask[i] = True
-        f = engine.to_polynomial(d, red)
-        out.append(f.monic(order))
-    out.sort(key=lambda f: (f.homogeneous_degree(), order.sort_key(f.leading_monomial(order))))
-    return out
+    kept = sorted(picked)
+    engine.keep(kept)
+    slot = {i: k for k, i in enumerate(kept)}
+    return [engine.tail_reduced(slot[i]) for i in picked]
 
 
 def reduce_groebner_basis(basis, order):
@@ -358,8 +437,7 @@ def reduce_groebner_basis(basis, order):
     if not basis:
         return []
     ring = basis[0].ring
-    maxdeg = max(g.total_degree() for g in basis)
-    engine = _make_engine(ring, order, maxdeg, basis)
+    engine = _make_engine(ring, order, basis)
     for g in basis:
         d, v = engine.prepare(g)
         engine.add_basis(d, v)
@@ -378,7 +456,7 @@ def normal_form(f, basis, order):
     if not basis:
         return f
     ring = f.ring
-    engine = _make_engine(ring, order, f.total_degree(), [f, *basis])
+    engine = _make_engine(ring, order, [f, *basis])
     for g in basis:
         d, v = engine.prepare(g)
         engine.add_basis(d, v)
@@ -396,9 +474,18 @@ def normal_form(f, basis, order):
 class Ideal:
     """A homogeneous ideal: generator list plus per-order reduced Groebner
     caches.  Cache insertion is a single atomic dict store, so concurrent
-    readers are safe; computations themselves run single-threaded."""
+    readers are safe; computations themselves run single-threaded.
 
-    __slots__ = ("ring", "generators", "gb_cache")
+    ``hilbert_witness`` is a list that holds at most one tuple: the leading
+    monomials of the first reduced basis computed for the ideal or installed
+    by :meth:`set_groebner_basis`, under whichever order came first.
+    ``apply_change`` hands the same list to the image, because a linear
+    change keeps the Hilbert function; so the first basis of an ideal or of
+    any of its images prunes the Buchberger runs of all the others.  The
+    tuple is appended in one atomic step, so a reader never sees part of
+    it."""
+
+    __slots__ = ("ring", "generators", "gb_cache", "hilbert_witness")
 
     def __init__(self, generators, ring=None):
         generators = tuple(generators)
@@ -416,6 +503,7 @@ class Ideal:
         self.ring = ring
         self.generators = generators
         self.gb_cache = {}
+        self.hilbert_witness = []
 
     def __repr__(self):
         inside = ", ".join(str(g) for g in self.generators) or "0"
@@ -429,14 +517,20 @@ class Ideal:
         key = canonical(order)
         hit = self.gb_cache.get(key)
         if hit is None:
-            hit = tuple(buchberger(self.generators, key, degree_cap))
-            self.gb_cache[key] = hit
+            witness = self.hilbert_witness[0] if self.hilbert_witness else None
+            hit = tuple(buchberger(self.generators, key, degree_cap, witness=witness))
+            self._store(key, hit)
         return hit
 
     def set_groebner_basis(self, order, reduced_basis):
         """Install a known reduced basis (e.g. harvested from an elimination
         run certified by the Groebner property of initial coefficients)."""
-        self.gb_cache[canonical(order)] = tuple(reduced_basis)
+        self._store(canonical(order), tuple(reduced_basis))
+
+    def _store(self, order, basis):
+        self.gb_cache[order] = basis
+        if not self.hilbert_witness:
+            self.hilbert_witness.append(tuple(g.leading_monomial(order) for g in basis))
 
     def initial_ideal(self, order, degree_cap=DEFAULT_DEGREE_CAP):
         gb = self.groebner_basis(order, degree_cap)

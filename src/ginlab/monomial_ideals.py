@@ -279,7 +279,7 @@ def hilbert_data(J: MonomialIdeal, bound: int) -> HilbertData:
     else:
         dimension = n - poles
         degree = sum(reduced)
-    dims = _series_values(numer, n, bound)
+    dims = [series_value(numer, n, d) for d in range(bound + 1)]
     stable = None
     if dimension <= 0:
         stable = 0
@@ -288,11 +288,12 @@ def hilbert_data(J: MonomialIdeal, bound: int) -> HilbertData:
     return HilbertData(HilbertFunction(tuple(dims), bound, stable), dimension, degree, tuple(numer))
 
 
-def _series_values(numer, nvars, bound):
-    return [
-        sum(numer[j] * comb(nvars - 1 + d - j, nvars - 1) for j in range(min(d, len(numer) - 1) + 1))
-        for d in range(bound + 1)
-    ]
+def series_value(numer, nvars, d):
+    """Coefficient of t^d in numer(t) / (1-t)^nvars: dim (S/J)_d when numer
+    is the Hilbert numerator of S/J."""
+    return sum(
+        numer[j] * comb(nvars - 1 + d - j, nvars - 1) for j in range(min(d, len(numer) - 1) + 1)
+    )
 
 
 # ----------------------------------------------------------------------

@@ -3,13 +3,14 @@
 Monomials are bare tuples of non-negative ints of length ``ring.nvars``; the
 degree is the tuple sum.  The ring context owns the one table per (degree,
 order) of each graded piece -- its monomials greatest first, their positions
-and their exponents, plus a vectorised position lookup -- which every dense
+and their exponents, plus the suffix sums that rank their multiples -- which every dense
 computation indexes into, and the lex multiply-by-variable maps between
 consecutive degrees built from it.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import comb
 from typing import NamedTuple
 
@@ -59,19 +60,26 @@ def _enumerate_degree(nvars, d):
 
 
 def _lex_rank_table(nvars, d):
-    """table[T, t-1] = C(T + t - 1, t), for T <= d and 1 <= t < nvars.
+    """table[t - 1, T] = C(T + t - 1, t), for 1 <= t < nvars and T <= d.
 
     A degree-d monomial whose last t exponents sum to T_t has descending-lex
     rank sum_t C(T_t + t - 1, t) (the combinatorial number system), and
     every entry is below the piece size C(d + nvars - 1, nvars - 1), so the
     ranks are exact in int64 wherever the piece itself fits in memory."""
-    table = [[comb(T + t - 1, t) for t in range(1, nvars)] for T in range(d + 1)]
-    return np.array(table, dtype=np.int64).reshape(d + 1, nvars - 1)
+    table = [[comb(T + t - 1, t) for T in range(d + 1)] for t in range(1, nvars)]
+    return np.array(table, dtype=np.int64).reshape(nvars - 1, d + 1)
 
 
-def _lex_ranks(exps, table):
-    suffix = np.cumsum(exps[:, :0:-1], axis=1)  # sums of the last 1, 2, ... exponents
-    return table[suffix, np.arange(suffix.shape[1])].sum(axis=1)
+def _lex_ranks(table, suffix_sums, delta):
+    """Lex ranks of the monomials with these suffix sums times x^delta.
+
+    The last t exponents of m*x^delta sum to T_t(m) + D_t, so its rank is
+    sum_t C(T_t(m) + D_t + t - 1, t): one table column per t, read at the
+    suffix sums of m shifted by those of delta."""
+    rank = np.zeros(suffix_sums.shape[1], dtype=np.int64)
+    for column, sums, shift in zip(table, suffix_sums, accumulate(reversed(delta[1:]))):
+        rank += column[sums + shift]
+    return rank
 
 
 class GradedPiece(NamedTuple):
@@ -81,12 +89,13 @@ class GradedPiece(NamedTuple):
     monomials: tuple
     index: dict  # monomial -> position in ``monomials``
     exponents: np.ndarray  # int64, one row per monomial
+    suffix_sums: np.ndarray  # row t - 1: sum of the last t exponents of each monomial
     rank_table: np.ndarray  # _lex_rank_table(nvars, d)
     by_lex_rank: np.ndarray  # position in ``monomials`` of the k-th lex monomial
 
-    def positions(self, exps):
-        """``index`` over the rows of an int64 array of degree-d exponents."""
-        return self.by_lex_rank[_lex_ranks(exps, self.rank_table)]
+    def positions_times(self, src, delta):
+        """``index`` of each monomial of the piece ``src`` times x^delta."""
+        return self.by_lex_rank[_lex_ranks(self.rank_table, src.suffix_sums, delta)]
 
 
 class RingContext:
@@ -140,13 +149,14 @@ class RingContext:
                 mons.sort(key=order.sort_key)
             mons = tuple(mons)
             exps = np.array(mons, dtype=np.int64)
-            exps.setflags(write=False)
+            suffix = np.ascontiguousarray(np.cumsum(exps[:, :0:-1], axis=1).T)
             table = _lex_rank_table(self.nvars, d)
             by_lex = np.empty(len(mons), dtype=np.int64)
-            by_lex[_lex_ranks(exps, table)] = np.arange(len(mons))
-            by_lex.setflags(write=False)
+            by_lex[_lex_ranks(table, suffix, (0,) * self.nvars)] = np.arange(len(mons))
+            for array in (exps, suffix, by_lex):
+                array.setflags(write=False)
             index = {m: i for i, m in enumerate(mons)}
-            piece = GradedPiece(mons, index, exps, table, by_lex)
+            piece = GradedPiece(mons, index, exps, suffix, table, by_lex)
             self._graded[key] = piece
         return piece
 
@@ -156,10 +166,9 @@ class RingContext:
         cached on the ring per degree."""
         shifts = self._shifts.get(d)
         if shifts is None:
-            exps = self.graded_piece(d).exponents
-            dst = self.graded_piece(d + 1)
+            src, dst = self.graded_piece(d), self.graded_piece(d + 1)
             unit = np.eye(self.nvars, dtype=np.int64)
-            shifts = np.stack([dst.positions(exps + e) for e in unit])
+            shifts = np.stack([dst.positions_times(src, e) for e in unit])
             shifts.setflags(write=False)
             self._shifts[d] = shifts
         return shifts

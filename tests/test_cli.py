@@ -165,3 +165,14 @@ def test_exit_code_3_on_too_small_characteristic(tmp_path, capsys):
         "computation failed: gin over F_2 is only p-Borel: "
         "p = 2 does not exceed its largest generator degree 2\n"
     )
+
+
+def test_exit_code_3_on_non_generic_gin_trials(tmp_path, capsys):
+    ideal = tmp_path / "squares.txt"
+    ideal.write_text("x0^2\nx1^2\n")  # over F_3 both seeded changes keep span(x0^2, x1^2)
+    assert run(["gin", "--in", str(ideal), "--order", "revlex", "--field", "fp:3"]) == 3
+    err = capsys.readouterr().err
+    assert err == (
+        "computation failed: gin trials over F_3 agreed on an ideal that is not "
+        "Borel-fixed, so their coordinate changes were not generic\n"
+    )

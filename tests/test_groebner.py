@@ -18,7 +18,7 @@ from ginlab.groebner import (
     normal_form,
 )
 from ginlab.monomial_ideals import MonomialIdeal
-from ginlab.orders import Lex, Revlex, WeightOrder
+from ginlab.orders import Lex, Revlex, WeightOrder, elimination_order
 from ginlab.poly import Polynomial, parse_polynomial, random_form
 from ginlab.rings import RingContext, mono_mul
 from ginlab.sylvester import sample_monic_pair
@@ -190,6 +190,130 @@ def test_reduced_basis_ignores_generator_order_and_scale(gens, order, data):
         st.integers(-100, 100).filter(bool), min_size=len(gens), max_size=len(gens)
     ))
     assert buchberger([gens[i].scale(c) for i, c in zip(perm, scales)], order) == reference
+
+
+# ----------------------------------------------------------------------
+# Hilbert-driven pair pruning and the engine choice
+
+
+def _orders(nvars):
+    return [Lex(), Revlex(), elimination_order(nvars)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    homogeneous_generators([PrimeField(101), FP_DEFAULT, QQ]),
+    st.integers(0, 2),
+    st.integers(0, 2),
+    st.booleans(),
+    st.integers(0, 10**6),
+)
+def test_witness_leaves_the_reduced_basis_unchanged(gens, which, other, moved, seed):
+    R = gens[0].ring
+    order, witness_order = _orders(R.nvars)[which], _orders(R.nvars)[other]
+    source = gens
+    if moved:
+        source = apply_change(Ideal(gens), random_coordinate_change(R, seed)).generators
+    witness = [g.leading_monomial(witness_order) for g in buchberger(source, witness_order)]
+    assert buchberger(gens, order, witness=witness) == buchberger(gens, order)
+
+
+def _spair_degrees(monkeypatch):
+    degrees = []
+    for engine in (groebner._DenseEngine, groebner._SparseEngine):
+        def spy(self, i, j, _spair=engine.spair):
+            d, v = _spair(self, i, j)
+            degrees.append(d)
+            return d, v
+        monkeypatch.setattr(engine, "spair", spy)
+    return degrees
+
+
+def test_witness_never_suppresses_the_degree_cap(monkeypatch):
+    from ginlab.points import random_points, vanishing_ideal
+
+    gens = list(vanishing_ideal(random_points(4, 2, 3, FP_DEFAULT)).generators)
+    witness = [g.leading_monomial(Revlex()) for g in buchberger(gens, Revlex())]
+    degrees = _spair_degrees(monkeypatch)
+    expected = buchberger(gens, Lex())
+    assert max(degrees) == 5  # without the witness, pairs of degree 5 reduce to zero
+    degrees.clear()
+    assert buchberger(gens, Lex(), witness=witness) == expected
+    assert max(degrees) == 4  # the witness prunes every pair of degree 5 ...
+    with pytest.raises(DegreeCapExceeded) as err:  # ... but the cap still sees them
+        buchberger(gens, Lex(), degree_cap=4, witness=witness)
+    assert (err.value.degree, err.value.cap) == (5, 4)
+
+
+def test_second_gin_trial_reduces_fewer_pairs(monkeypatch):
+    from ginlab.gin import gin
+
+    def per_run_counts():
+        counts = []
+        run = groebner.buchberger
+
+        def counting(*args, **kwargs):
+            counts.append(0)
+            return run(*args, **kwargs)
+
+        spair = groebner._DenseEngine.spair
+
+        def spy(self, i, j):
+            counts[-1] += 1
+            return spair(self, i, j)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(groebner, "buchberger", counting)
+            patch.setattr(groebner._DenseEngine, "spair", spy)
+            R = ring(4)
+            f, g = sample_monic_pair(R, 3, 3, random.Random(5))  # curve (3,3), seed 5
+            gin(Ideal([f, g]), Lex(), trials=2, seed=5)
+        return counts
+
+    first = per_run_counts()
+    assert len(first) == 2
+    assert first[1] < first[0]
+    assert per_run_counts() == first
+
+
+def test_seven_points_in_p4_run_dense_at_the_default_cap(monkeypatch):
+    from ginlab.points import random_points, vanishing_ideal
+
+    make_engine = groebner._make_engine
+    engines = []
+
+    def spy(*args):
+        engines.append(make_engine(*args))
+        return engines[-1]
+
+    I = vanishing_ideal(random_points(7, 4, 1, FP_DEFAULT))
+    monkeypatch.setattr(groebner, "_make_engine", spy)
+    I.groebner_basis(Revlex())
+    assert [type(e) for e in engines] == [groebner._DenseEngine]
+
+
+def test_dense_run_hands_over_to_the_sparse_engine(monkeypatch):
+    R = ring(3)
+    rng = random.Random(12)
+    gens = [random_form(R, 2, rng) for _ in range(2)]
+    expected = buchberger(gens, Lex())  # four points: the lex basis reaches degree 4
+    assert max(g.homogeneous_degree() for g in expected) == 4
+    finalize = groebner._finalize
+    engines = []
+
+    def spy(engine, order):
+        engines.append(type(engine))
+        return finalize(engine, order)
+
+    monkeypatch.setattr(groebner, "_finalize", spy)
+    monkeypatch.setattr(groebner, "_DENSE_PIECE_LIMIT", R.monomial_count(3))
+    assert type(groebner._make_engine(R, Lex(), gens)) is groebner._DenseEngine
+    assert buchberger(gens, Lex()) == expected
+    witness = [g.leading_monomial(Lex()) for g in expected]
+    degrees = _spair_degrees(monkeypatch)
+    assert buchberger(gens, Lex(), witness=witness) == expected
+    assert max(degrees) == 4  # the sparse engine prunes the degree-5 pair
+    assert engines == [groebner._SparseEngine] * 2
 
 
 def test_ci22_revlex_initial_ideal_in_generic_coordinates():

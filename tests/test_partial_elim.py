@@ -4,12 +4,15 @@ point counts."""
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ginlab.fields import FP_DEFAULT
+from oracles import homogeneous_generators
+
+from ginlab.fields import FP_DEFAULT, PrimeField
 from ginlab.gin import apply_change, random_coordinate_change
 from ginlab.groebner import Ideal, ResourceLimitExceeded
 from ginlab.monomial_ideals import is_borel_fixed
-from ginlab.orders import Lex, Revlex
+from ginlab.orders import Lex, Revlex, elimination_order
 from ginlab.partial_elim import (
     PointCountError,
     count_distinct_points,
@@ -242,3 +245,18 @@ def test_count_rejects_wrong_dimension():
     R4 = ring(4)
     with pytest.raises(PointCountError):
         count_distinct_points(Ideal([parse_polynomial("x0^2", R4)]), seed=5)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    homogeneous_generators([PrimeField(101), FP_DEFAULT], max_vars=4),
+    st.sampled_from([Lex(), Revlex()]),
+    st.integers(0, 10**6),
+)
+def test_tower_decomposition_is_the_elimination_initial_ideal(gens, inner, seed):
+    R = gens[0].ring
+    moved = apply_change(Ideal(gens), random_coordinate_change(R, seed))
+    elim = elimination_order(R.nvars, inner)
+    p_max = max(x0_profile(g).x0_degree for g in moved.groebner_basis(elim))
+    tower = partial_elim_ideals(moved, p_max, inner)
+    assert tower_decomposition(tower) == moved.initial_ideal(elim)
