@@ -52,7 +52,6 @@ class PrimeField:
     __slots__ = ("p",)
 
     is_prime_field = True
-    characteristic_zero = False
     zero = 0
     one = 1
 
@@ -118,7 +117,6 @@ class RationalField:
     __slots__ = ()
 
     is_prime_field = False
-    characteristic_zero = True
     zero = Fraction(0)
     one = Fraction(1)
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field as dc_field
 
 from . import linalg
 from .groebner import DEFAULT_DEGREE_CAP, Ideal
-from .monomial_ideals import MonomialIdeal, borel_regularity, is_borel_fixed
+from .monomial_ideals import MonomialIdeal, is_borel_fixed
 from .poly import Polynomial
 
 
@@ -83,15 +83,15 @@ def apply_change(I, change):
 @dataclass
 class GinResult:
     """Outcome of a gin computation.  ``gin`` returns only Borel-fixed
-    results, so ``regularity`` is the largest generator degree;
+    results, so ``regularity`` is the largest generator degree and a
+    Borel-fixedness check reads ``is_borel_fixed(result.gin)``;
     ``trial_ideals`` keeps the transformed ideals so callers can reuse
     their Groebner caches."""
 
     gin: MonomialIdeal
     trials_used: int
     agreed: bool
-    borel: bool
-    regularity: object
+    regularity: int
     trial_ideals: list = dc_field(default_factory=list, repr=False)
 
 
@@ -107,7 +107,7 @@ def gin(I, order, trials=2, seed=0, degree_cap=DEFAULT_DEGREE_CAP):
     :class:`CharacteristicTooSmall`, since gins there are only p-Borel;
     over QQ, or over F_p with p above that degree, a gin is Borel-fixed, so
     the trials were not generic and it raises :class:`GinDisagreement`.
-    A returned result therefore always has ``borel=True``.
+    A returned gin is therefore always Borel-fixed.
     """
     if trials < 2:
         raise ValueError("the agreement protocol needs at least 2 trials")
@@ -126,15 +126,13 @@ def gin(I, order, trials=2, seed=0, degree_cap=DEFAULT_DEGREE_CAP):
         raise GinDisagreement(
             f"{len(results)} gin trials produced no majority initial ideal"
         )
-    agreed = all(J == winner for J in results)
-    borel = is_borel_fixed(winner)
     field = I.ring.field
-    if not borel and field.is_prime_field and field.p <= winner.max_generator_degree():
-        raise CharacteristicTooSmall(
-            f"gin over F_{field.p} is only p-Borel: p = {field.p} does not exceed "
-            f"its largest generator degree {winner.max_generator_degree()}"
-        )
-    if not borel:
+    if not is_borel_fixed(winner):
+        if field.is_prime_field and field.p <= winner.max_generator_degree():
+            raise CharacteristicTooSmall(
+                f"gin over F_{field.p} is only p-Borel: p = {field.p} does not exceed "
+                f"its largest generator degree {winner.max_generator_degree()}"
+            )
         name = f"F_{field.p}" if field.is_prime_field else "QQ"
         raise GinDisagreement(
             f"gin trials over {name} agreed on an ideal that is not Borel-fixed, "
@@ -143,9 +141,8 @@ def gin(I, order, trials=2, seed=0, degree_cap=DEFAULT_DEGREE_CAP):
     return GinResult(
         gin=winner,
         trials_used=len(results),
-        agreed=agreed,
-        borel=borel,
-        regularity=borel_regularity(winner),
+        agreed=all(J == winner for J in results),
+        regularity=winner.max_generator_degree(),
         trial_ideals=[h for h, J in zip(handles, results) if J == winner],
     )
 

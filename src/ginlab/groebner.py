@@ -8,15 +8,16 @@ and a degree cap aborts runaway runs soundly.
 
 A third, Hilbert-driven criterion (Traverso, "Hilbert functions and the
 Buchberger algorithm", 1996) runs when the caller knows the Hilbert function
-of the ideal I: a *witness*, the leading monomials of a reduced basis of I
-or of a linear change of I, under any order.  When the pairs of degree d
-come up, every pair of lower degree is done, so the current basis G is a
-Groebner basis of I up to degree d - 1, and in(G)_d lies in in(I)_d.  Once the
-leading monomials of G cover as many degree-d monomials as the witness,
-dim in(I)_d, the two are equal; then every element of I_d, each degree-d
-S-polynomial included, reduces to zero, and the pending degree-d pairs are
-dropped unreduced.  The witness must come from a computed or installed
-basis, never from a closed formula that a check is meant to test.
+of the ideal I: a *witness*, the monomial ideal of the leading monomials of
+a reduced basis of I or of a linear change of I, under any order.  When the
+pairs of degree d come up, every pair of lower degree is done, so the
+current basis G is a Groebner basis of I up to degree d - 1, and in(G)_d
+lies in in(I)_d.  Once the leading monomials of G cover as many degree-d
+monomials as the witness, dim in(I)_d, the two are equal; then every
+element of I_d, each degree-d S-polynomial included, reduces to zero, and
+the pending degree-d pairs are dropped unreduced.  The witness must come
+from a computed or installed basis, never from a closed formula that a
+check is meant to test.
 
 Reductions dominate the cost, so over a prime field they run on dense
 per-degree coefficient vectors (numpy int64, entries < 2**31, products safe
@@ -206,7 +207,7 @@ class _SparseEngine:
         self.key = order.sort_key
         self.basis = []  # monic term dicts
         self.lts = []
-        self._numerator = ((), [1])  # (leading monomials, their Hilbert numerator)
+        self._lead_ideal = None  # MonomialIdeal of ``lts``, built when needed
 
     def prepare(self, f):
         if f.is_zero:
@@ -222,20 +223,21 @@ class _SparseEngine:
         monic = {m: self.field.mul(c, inv) for m, c in terms.items()}
         self.basis.append((d, monic))
         self.lts.append(lt)
+        self._lead_ideal = None
         return len(self.basis) - 1
 
     def keep(self, indices):
         """Drop every basis element but ``indices``, kept in that order."""
         self.basis = [self.basis[i] for i in indices]
         self.lts = [self.lts[i] for i in indices]
+        self._lead_ideal = None
 
     def covered(self, d):
         """Number of degree-d monomials divisible by a leading monomial, from
         the Hilbert numerator of the leading monomials."""
-        lts = tuple(self.lts)
-        if self._numerator[0] != lts:
-            self._numerator = (lts, hilbert_numerator(MonomialIdeal(self.ring, lts)))
-        return self.ring.monomial_count(d) - series_value(self._numerator[1], self.ring.nvars, d)
+        if self._lead_ideal is None:
+            self._lead_ideal = MonomialIdeal(self.ring, self.lts)
+        return _ideal_dimension(self._lead_ideal, d)
 
     def _divisor(self, m):
         for g, lt in enumerate(self.lts):
@@ -300,6 +302,11 @@ class _SparseEngine:
                 else:
                     terms[mm] = acc
         return sum(lcm), terms
+
+
+def _ideal_dimension(J, d):
+    """dim J_d of a monomial ideal J, from its Hilbert numerator."""
+    return J.ring.monomial_count(d) - series_value(hilbert_numerator(J), J.ring.nvars, d)
 
 
 def _make_engine(ring, order, polys):
@@ -370,10 +377,10 @@ def buchberger(gens, order, degree_cap=DEFAULT_DEGREE_CAP, *, witness=None):
     exceed ``degree_cap``.  The result is monic, interreduced, and sorted by
     (degree, order), so it is canonical for the ideal and order.
 
-    ``witness``, when given, holds the leading monomials of a reduced basis,
-    under any order, of the same ideal or of a linear change of it.  Its
-    Hilbert function prunes the pairs that must reduce to zero (see the
-    module docstring); the result does not depend on it.
+    ``witness``, when given, is the monomial ideal of the leading monomials
+    of a reduced basis, under any order, of the same ideal or of a linear
+    change of it.  Its Hilbert function prunes the pairs that must reduce to
+    zero (see the module docstring); the result does not depend on it.
     """
     gens = list(gens)
     if not gens:
@@ -389,9 +396,7 @@ def buchberger(gens, order, degree_cap=DEFAULT_DEGREE_CAP, *, witness=None):
     for f in polys:
         d, v = engine.prepare(f)
         _gm_add(engine, pairs, d, v, order)
-    if witness is not None:
-        numerator = hilbert_numerator(MonomialIdeal(ring, witness))
-        target = {}  # degree -> dim in(I)_d
+    target = {}  # degree -> dim in(I)_d, read off the witness
     while pairs:
         (i, j), lcm = _select(pairs, order)
         d = sum(lcm)
@@ -401,7 +406,7 @@ def buchberger(gens, order, degree_cap=DEFAULT_DEGREE_CAP, *, witness=None):
             engine = engine.to_sparse()
         if witness is not None:
             if d not in target:
-                target[d] = ring.monomial_count(d) - series_value(numerator, ring.nvars, d)
+                target[d] = _ideal_dimension(witness, d)
             if engine.covered(d) == target[d]:  # in(G)_d = in(I)_d
                 pairs = {ij: m for ij, m in pairs.items() if sum(m) > d}
                 continue
@@ -476,14 +481,15 @@ class Ideal:
     caches.  Cache insertion is a single atomic dict store, so concurrent
     readers are safe; computations themselves run single-threaded.
 
-    ``hilbert_witness`` is a list that holds at most one tuple: the leading
-    monomials of the first reduced basis computed for the ideal or installed
-    by :meth:`set_groebner_basis`, under whichever order came first.
-    ``apply_change`` hands the same list to the image, because a linear
-    change keeps the Hilbert function; so the first basis of an ideal or of
-    any of its images prunes the Buchberger runs of all the others.  The
-    tuple is appended in one atomic step, so a reader never sees part of
-    it."""
+    ``hilbert_witness`` is a list that holds at most one
+    :class:`MonomialIdeal`: the leading monomials of the first reduced basis
+    computed for the ideal or installed by :meth:`set_groebner_basis`, under
+    whichever order came first.  ``apply_change`` hands the same list to the
+    image, because a linear change keeps the Hilbert function; so the first
+    basis of an ideal or of any of its images prunes the Buchberger runs of
+    all the others, and the witness's Hilbert numerator is computed once for
+    all of them.  The witness is appended in one atomic step, so a reader
+    never sees part of it."""
 
     __slots__ = ("ring", "generators", "gb_cache", "hilbert_witness")
 
@@ -530,7 +536,9 @@ class Ideal:
     def _store(self, order, basis):
         self.gb_cache[order] = basis
         if not self.hilbert_witness:
-            self.hilbert_witness.append(tuple(g.leading_monomial(order) for g in basis))
+            self.hilbert_witness.append(
+                MonomialIdeal(self.ring, [g.leading_monomial(order) for g in basis])
+            )
 
     def initial_ideal(self, order, degree_cap=DEFAULT_DEGREE_CAP):
         gb = self.groebner_basis(order, degree_cap)

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .poly import Polynomial
 from .rings import mono_degree, mono_divides
 
 
@@ -31,13 +30,15 @@ def _canon_key(m):
 
 class MonomialIdeal:
     """A monomial ideal held by its minimal generators, canonically sorted
-    (degree, then descending lex)."""
+    (degree, then descending lex).  Immutable, so :func:`hilbert_numerator`
+    keeps its result in the ``_numerator`` slot."""
 
-    __slots__ = ("ring", "gens")
+    __slots__ = ("ring", "gens", "_numerator")
 
     def __init__(self, ring, gens, *, _trusted=False):
         self.ring = ring
         self.gens = tuple(gens) if _trusted else minimalize_monomials(gens)
+        self._numerator = None
         for g in self.gens:
             if len(g) != ring.nvars:
                 raise ValueError("generator length does not match ring")
@@ -76,10 +77,6 @@ class MonomialIdeal:
     def is_zero(self):
         return not self.gens
 
-    @property
-    def is_unit(self):
-        return bool(self.gens) and not any(self.gens[0])
-
     def contains(self, m):
         return any(mono_divides(g, m) for g in self.gens)
 
@@ -94,9 +91,6 @@ class MonomialIdeal:
 
     def generator_strings(self):
         return tuple(self.ring.monomial_str(g) for g in self.gens)
-
-    def generators_as_polynomials(self):
-        return tuple(Polynomial.monomial(self.ring, g) for g in self.gens)
 
 
 # ----------------------------------------------------------------------
@@ -158,15 +152,15 @@ def betti_regularity(table) -> int:
 
 def hilbert_numerator(J: MonomialIdeal):
     """Numerator N(t) of the Hilbert series N(t)/(1-t)^n of S/J, as a
-    coefficient list over the integers."""
-    acc = {}
-    _hs_recurse(list(J.gens), 0, 1, acc, J.ring.nvars)
-    if not acc:
-        return [0]
-    out = [0] * (max(acc) + 1)
-    for k, v in acc.items():
-        out[k] = v
-    return out
+    coefficient tuple over the integers; computed once per ideal."""
+    if J._numerator is None:
+        acc = {}
+        _hs_recurse(list(J.gens), 0, 1, acc, J.ring.nvars)
+        out = [0] * (max(acc, default=0) + 1)
+        for k, v in acc.items():
+            out[k] = v
+        J._numerator = tuple(out)
+    return J._numerator
 
 
 def _hs_recurse(gens, shift, sign, acc, nvars):

@@ -47,7 +47,6 @@ class PartialElimTower:
     levels: list
     inner_order: object
     source_basis: tuple
-    ring: object
 
 
 def partial_elim_ideals(I, p_max, inner_order=None, degree_cap=DEFAULT_DEGREE_CAP):
@@ -65,7 +64,7 @@ def partial_elim_ideals(I, p_max, inner_order=None, degree_cap=DEFAULT_DEGREE_CA
         # the reduced form avoids ever rerunning Buchberger on a level
         level.set_groebner_basis(inner, reduce_groebner_basis(gens, canonical(inner)))
         levels.append(level)
-    return PartialElimTower(levels, inner, G, small)
+    return PartialElimTower(levels, inner, G)
 
 
 def monomial_partial_elim(J: MonomialIdeal, p: int) -> MonomialIdeal:

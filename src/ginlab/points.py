@@ -150,21 +150,20 @@ def vanishing_ideal(P: PointSet, degree_bound=None, ring=None):
     prev_kernel = []
     hf = [1]
     for d in range(1, bound + 1):
-        piece = ring.graded_piece(d)
-        mons, index = piece.monomials, piece.index
+        mons = ring.monomials_of_degree(d)
         x_d = evaluation_matrix(P, d, ring)
         kernel = linalg.kernel_basis(field, x_d, len(mons))
         hf.append(len(mons) - len(kernel))
-        # seed an echelon with the span of S_1 * I_{d-1}; kernel vectors that
-        # still enlarge it are the new minimal generators in degree d
+        # seed an echelon with the span of S_1 * I_{d-1}, each x_i * f
+        # scattered through the ring's shift map; kernel vectors that still
+        # enlarge it are the new minimal generators in degree d
         echelon = linalg.Echelon(field, len(mons))
+        shifts = ring.variable_shifts(d - 1).tolist()
         for vec in prev_kernel:
-            poly = _vector_to_poly(ring, ring.monomials_of_degree(d - 1), vec)
-            for i in range(ring.nvars):
-                shifted = poly.term_mul(tuple(1 if k == i else 0 for k in range(ring.nvars)))
+            for shift in shifts:
                 row = [field.zero] * len(mons)
-                for m, c in shifted.terms.items():
-                    row[index[m]] = c
+                for k, c in zip(shift, vec):
+                    row[k] = c
                 echelon.add(row)
         for vec in kernel:
             if echelon.add(vec):

@@ -61,6 +61,12 @@ def test_exit_code_4_on_bad_input(capsys):
     assert "bad input: modulus 4 is not prime" in capsys.readouterr().err
 
 
+def test_exit_code_4_on_unknown_point_order(capsys):
+    # an unknown name must not run under another order's label
+    assert run(["points", "--s", "6", "--r", "2", "--orders", "lex,foo", "--seed", "1"]) == 4
+    assert "bad input: unknown order 'foo'" in capsys.readouterr().err
+
+
 def test_help_exits_0(capsys):
     assert run(["--help"]) == 0
     assert run(["points", "--help"]) == 0

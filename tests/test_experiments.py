@@ -55,6 +55,12 @@ def test_points_experiment_passes_and_reports_both_orders():
     assert "gin_lex" in report.outputs and "gin_revlex" in report.outputs
 
 
+def test_points_experiment_runs_the_lex_checks_for_any_spelling_of_lex():
+    report = experiment_points(6, 2, orders=("LEX",), seed=1)
+    names = [c.name for c in report.checks]
+    assert "lex_regularity_is_point_count" in names and report.passed
+
+
 def test_sylvester_experiment_covers_equality_range():
     # p = r - 2 = 1 keeps the minors equal to the partial elimination ideal
     for (a, b, p) in [(2, 2, 1), (2, 3, 1), (3, 3, 1)]:

@@ -214,7 +214,8 @@ def test_witness_leaves_the_reduced_basis_unchanged(gens, which, other, moved, s
     source = gens
     if moved:
         source = apply_change(Ideal(gens), random_coordinate_change(R, seed)).generators
-    witness = [g.leading_monomial(witness_order) for g in buchberger(source, witness_order)]
+    basis = buchberger(source, witness_order)
+    witness = MonomialIdeal(R, [g.leading_monomial(witness_order) for g in basis])
     assert buchberger(gens, order, witness=witness) == buchberger(gens, order)
 
 
@@ -233,7 +234,8 @@ def test_witness_never_suppresses_the_degree_cap(monkeypatch):
     from ginlab.points import random_points, vanishing_ideal
 
     gens = list(vanishing_ideal(random_points(4, 2, 3, FP_DEFAULT)).generators)
-    witness = [g.leading_monomial(Revlex()) for g in buchberger(gens, Revlex())]
+    basis = buchberger(gens, Revlex())
+    witness = MonomialIdeal(gens[0].ring, [g.leading_monomial(Revlex()) for g in basis])
     degrees = _spair_degrees(monkeypatch)
     expected = buchberger(gens, Lex())
     assert max(degrees) == 5  # without the witness, pairs of degree 5 reduce to zero
@@ -276,6 +278,41 @@ def test_second_gin_trial_reduces_fewer_pairs(monkeypatch):
     assert per_run_counts() == first
 
 
+def test_each_shared_witness_numerator_is_computed_once(monkeypatch):
+    from ginlab import monomial_ideals
+    from ginlab.experiments import experiment_curve
+
+    witnesses = []  # the witness of every witnessed run, kept alive so ids stay distinct
+    computed = []  # Hilbert numerators computed while a run is active
+    depth = {"runs": 0, "recursion": 0}
+    run, recurse = groebner.buchberger, monomial_ideals._hs_recurse
+
+    def counting_run(*args, witness=None, **kwargs):
+        if witness is not None:
+            witnesses.append(witness)
+        depth["runs"] += 1
+        try:
+            return run(*args, witness=witness, **kwargs)
+        finally:
+            depth["runs"] -= 1
+
+    def counting_recurse(gens, *rest):
+        if depth["runs"] and not depth["recursion"]:
+            computed.append(tuple(gens))
+        depth["recursion"] += 1
+        try:
+            return recurse(gens, *rest)
+        finally:
+            depth["recursion"] -= 1
+
+    monkeypatch.setattr(groebner, "buchberger", counting_run)
+    monkeypatch.setattr(monomial_ideals, "_hs_recurse", counting_recurse)
+    assert experiment_curve(3, 3, seed=5).passed
+    distinct = {id(w) for w in witnesses}
+    assert len(witnesses) > len(distinct)  # the witnesses really are shared
+    assert len(computed) == len(distinct)
+
+
 def test_seven_points_in_p4_run_dense_at_the_default_cap(monkeypatch):
     from ginlab.points import random_points, vanishing_ideal
 
@@ -309,7 +346,7 @@ def test_dense_run_hands_over_to_the_sparse_engine(monkeypatch):
     monkeypatch.setattr(groebner, "_DENSE_PIECE_LIMIT", R.monomial_count(3))
     assert type(groebner._make_engine(R, Lex(), gens)) is groebner._DenseEngine
     assert buchberger(gens, Lex()) == expected
-    witness = [g.leading_monomial(Lex()) for g in expected]
+    witness = MonomialIdeal(R, [g.leading_monomial(Lex()) for g in expected])
     degrees = _spair_degrees(monkeypatch)
     assert buchberger(gens, Lex(), witness=witness) == expected
     assert max(degrees) == 4  # the sparse engine prunes the degree-5 pair

@@ -1,12 +1,14 @@
 """Repository-wide guards on the library source."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ginlab"
+TRACING = SRC.parent.parent / "bench" / "tracing.py"
 
 
 def test_library_has_no_assert_statements():
@@ -34,3 +36,25 @@ def test_points_run_is_the_same_under_python_O(tmp_path):
         assert proc.returncode == 0, proc.stderr
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def test_every_traced_layer_resolves():
+    # the traced benchmark wraps these by name; a layer deleted or renamed in
+    # the library must fail here, not in a traced run. bench/ is only parsed.
+    tree = ast.parse(TRACING.read_text(), filename=str(TRACING))
+    targets = next(
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]
+    )
+    names = [(entry.elts[0].value, entry.elts[1].value) for entry in targets.elts]
+    assert len(names) > 20
+    missing = []
+    for module, attr in names:
+        *path, leaf = attr.split(".")
+        owner = importlib.import_module(module)
+        for part in path:
+            owner = getattr(owner, part, None)
+        if leaf not in getattr(owner, "__dict__", {}):
+            missing.append(f"{module}.{attr}")
+    assert missing == []
