@@ -11,6 +11,7 @@ ascending tower: the initial coefficients of basis elements of x0-degree
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, lcm
 
 from . import linalg
 from .gin import apply_change, random_coordinate_change
@@ -210,35 +211,43 @@ def _squarefree_degree_binary(forms):
         u = coeffs[: dprime + 1]
         gcd_u = u if gcd_u is None else _poly_gcd(field, gcd_u, u)
         min_inf = inf_mult if min_inf is None else min(min_inf, inf_mult)
-    du = [field.mul(field.of(i), gcd_u[i]) for i in range(1, len(gcd_u))]
+    du = [i * c for i, c in enumerate(gcd_u)][1:]
     g = _poly_gcd(field, gcd_u, du)
     return (1 if min_inf > 0 else 0) + (len(gcd_u) - 1) - (len(g) - 1)
 
 
 def _poly_gcd(field, a, b):
-    a, b = list(a), list(b)
-    while any(c != field.zero for c in b):
-        a = _poly_mod(field, a, b)
-        a, b = b, a
-    while a and a[-1] == field.zero:
-        a.pop()
-    return a or [field.zero]
-
-
-def _poly_mod(field, a, b):
-    a = list(a)
-    while a and a[-1] == field.zero:
-        a.pop()
-    db = len(b) - 1
-    while len(b) and b[-1] == field.zero:
-        b = b[:-1]
-        db -= 1
-    lead_inv = field.inv(b[-1])
-    while len(a) - 1 >= db and any(c != field.zero for c in a):
-        shift = len(a) - 1 - db
-        q = field.mul(a[-1], lead_inv)
-        for i in range(db + 1):
-            a[shift + i] = field.sub(a[shift + i], field.mul(q, b[i]))
-        while a and a[-1] == field.zero:
-            a.pop()
+    """A gcd, up to a unit, of two univariate coefficient lists (constant
+    term first), by primitive pseudo-remainders on integers (Collins 1967):
+    over F_p every coefficient is reduced mod p; over QQ the denominators
+    are cleared and the content is divided out after each remainder.
+    Returns integer coefficients without trailing zeros."""
+    p = field.p if field.is_prime_field else 0  # 0: exact integers, no modulus
+    a, b = _primitive(a, p), _primitive(b, p)
+    while b:
+        while len(a) >= len(b):  # a <- (lb/k)*a - (la/k)*x^shift*b
+            k = gcd(a[-1], b[-1])
+            la, lb = a[-1] // k, b[-1] // k
+            shift = len(a) - len(b)
+            a = [lb * c for c in a[:shift]] + [lb * c - la * d for c, d in zip(a[shift:], b)]
+            a = _trim([c % p for c in a] if p else a)
+        a, b = b, _primitive(a, p)
     return a
+
+
+def _primitive(coeffs, p):
+    """Integer coefficients of field values without trailing zeros: reduced
+    mod p over F_p, with denominators cleared and content divided out over
+    QQ."""
+    den = lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in coeffs]
+    if p:
+        return _trim([c % p for c in ints])
+    content = gcd(*ints) or 1
+    return _trim([c // content for c in ints])
+
+
+def _trim(coeffs):
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs

@@ -12,6 +12,8 @@ exponents, coefficient optional (default 1).  Example: ``x0^2*x1 - 3*x2^3``.
 from __future__ import annotations
 
 import re
+from fractions import Fraction
+from math import lcm, prod
 
 import numpy as np
 
@@ -207,26 +209,23 @@ class Polynomial:
         """Substitute x_i -> images[i] (a ring homomorphism on choosing
         polynomial images in a common ring).
 
-        When the target field is a prime field, ``self`` is homogeneous and
-        every image is a linear form in the target ring -- a linear
-        coordinate change -- the result is built on dense descending-lex
-        vectors of the target's graded pieces (see ``_substitute_linear``);
-        otherwise by sparse dict expansion.  Both are exact and give equal
-        results: the dense path works on int64 residues and reduces mod p
-        after every product, so with p < 2**31 each product stays below
-        2**62 and each sum of reduced terms (one per target variable, or one
-        per term of ``self``) far below 2**63."""
+        When ``self`` is homogeneous and every image is a linear form in the
+        target ring -- a linear coordinate change -- the result is built on
+        dense descending-lex vectors of the target's graded pieces (see
+        ``_substitute_linear``); otherwise by sparse dict expansion.  Both
+        are exact and give equal results.  Over F_p the dense path works on
+        int64 residues and reduces mod p after every product, so with
+        p < 2**31 each product stays below 2**62 and each sum of reduced
+        terms (one per target variable, or one per term of ``self``) far
+        below 2**63.  Over QQ it works on Python ints in object arrays: the
+        denominators of the images and of the coefficients are cleared
+        first, and each output coefficient becomes one ``Fraction``."""
         if len(images) != self.ring.nvars:
             raise ValueError("need one image per variable")
         target = images[0].ring
         d = self.homogeneous_degree()
-        if (
-            target.field.is_prime_field
-            and d is not None
-            and all(
-                g.ring == target and all(mono_degree(m) == 1 for m in g.terms)
-                for g in images
-            )
+        if d is not None and all(
+            g.ring == target and all(mono_degree(m) == 1 for m in g.terms) for g in images
         ):
             return self._substitute_linear(images, d)
         powers = [{0: Polynomial.constant(target, 1)} for _ in images]
@@ -250,12 +249,18 @@ class Polynomial:
         """The dense path of ``substitute`` for a form of degree d: l^m for
         every support monomial m and each of its prefixes, as
         l^(m - e_i) * l_i with i the last variable of m, one degree at a
-        time; then the coefficient-weighted sum of the top degree."""
+        time; then the weighted sum of the top degree.  Over QQ, l_i is the
+        image times the lcm den_i of its denominators, and the weight of m
+        is its coefficient over prod den_i^m_i, brought to the common
+        denominator ``scale``; over F_p both are 1."""
         target = images[0].ring
-        p = target.field.p
+        field = target.field
+        p = field.p if field.is_prime_field else 0  # 0: exact integers, no modulus
+        entries = [[g.terms.get(e, 0) for e in target.monomials_of_degree(1)] for g in images]
+        dens = [lcm(*(c.denominator for c in row)) for row in entries]
         lin = np.array(
-            [[g.terms.get(e, 0) for e in target.monomials_of_degree(1)] for g in images],
-            dtype=np.int64,
+            [[c.numerator * (den // c.denominator) for c in row] for row, den in zip(entries, dens)],
+            dtype=np.int64 if p else object,
         )
         # links[k]: per degree-(k+1) prefix, its parent's row among the
         # degree-k prefixes and the variable that leads from one to the other
@@ -270,18 +275,28 @@ class Polynomial:
             links.append(np.array(step, dtype=np.int64))
             rows = parents
         # column r of ``powers``: l^q for the r-th prefix q of the current degree
-        powers = np.ones((1, 1), dtype=np.int64)  # l^0 = 1
+        powers = np.ones((1, 1), dtype=lin.dtype)  # l^0 = 1
         for k, step in enumerate(reversed(links)):
             src = powers[:, step[:, 0]]
             coeffs = lin[step[:, 1]].T
-            powers = np.zeros((target.monomial_count(k + 1), len(step)), dtype=np.int64)
+            powers = np.zeros((target.monomial_count(k + 1), len(step)), dtype=lin.dtype)
             for j, dst in enumerate(target.variable_shifts(k)):
-                powers[dst] += src * coeffs[j] % p
-            powers %= p
-        c = np.array([target.field.of(c) for c in self.terms.values()], dtype=np.int64)
-        total = (powers * c % p).sum(axis=1) % p
+                powers[dst] += src * coeffs[j] % p if p else src * coeffs[j]
+            if p:
+                powers %= p
+        weights = []
+        for m, c in self.terms.items():
+            c = field.of(c)
+            weights.append((c.numerator, c.denominator * prod(den**e for den, e in zip(dens, m))))
+        scale = lcm(*(den for _, den in weights))
+        c = np.array([num * (scale // den) for num, den in weights], dtype=lin.dtype)
+        total = (powers * c % p).sum(axis=1) % p if p else (powers * c).sum(axis=1)
         mons = target.monomials_of_degree(d)
-        return Polynomial(target, {mons[i]: int(total[i]) for i in np.flatnonzero(total)})
+        if p:
+            return Polynomial(target, {mons[i]: int(total[i]) for i in np.flatnonzero(total)})
+        return Polynomial(
+            target, {mons[i]: Fraction(total[i], scale) for i in np.flatnonzero(total)}
+        )
 
     def evaluate(self, point):
         """Evaluate at a tuple of field scalars."""

@@ -12,6 +12,7 @@ from ginlab.experiments import (
     experiment_points,
     experiment_sylvester,
 )
+from ginlab.fields import QQ
 
 
 def test_expected_value_formulas():
@@ -96,4 +97,12 @@ def test_census_report_matches_golden_file():
 def test_points_report_matches_golden_file():
     assert experiment_points(3, 2, seed=4).to_json() == (
         GOLDEN / "golden_points_s3_r2_seed4.json"
+    ).read_text()
+
+
+def test_qq_curve_report_matches_golden_file():
+    # the one exact end-to-end run: sparse integer Buchberger, the QQ
+    # coordinate change and the point-count gcd
+    assert experiment_curve(2, 3, seed=1, field=QQ).to_json() == (
+        GOLDEN / "golden_curve_a2_b3_qq_seed1.json"
     ).read_text()

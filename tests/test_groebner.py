@@ -69,6 +69,14 @@ def test_normal_form_uses_first_listed_divisor():
     assert normal_form(f, [g2, g1], Lex()) == parse_polynomial("x2^2", R)
 
 
+def test_normal_form_over_qq_rescales_the_terms_already_moved_out():
+    R = ring(3, QQ)
+    f, g = polys(R, "x0 + x1", "2*x1 - x2")
+    # x0 is irreducible and leaves the working terms before x1 is reduced by
+    # a leading coefficient 2; a fraction-free step must rescale it too
+    assert normal_form(f, [g], Lex()) == parse_polynomial("x0 + 1/2*x2", R)
+
+
 def test_reduced_basis_is_monic_and_sorted():
     R = ring(4)
     rng = random.Random(51)
@@ -283,21 +291,38 @@ def test_each_shared_witness_numerator_is_computed_once(monkeypatch):
     from ginlab.experiments import experiment_curve
 
     witnesses = []  # the witness of every witnessed run, kept alive so ids stay distinct
-    computed = []  # Hilbert numerators computed while a run is active
-    depth = {"runs": 0, "recursion": 0}
-    run, recurse = groebner.buchberger, monomial_ideals._hs_recurse
+    computed = []  # the monomial ideal of every Hilbert numerator computed
+    run, numerator = groebner.buchberger, monomial_ideals.hilbert_numerator
 
     def counting_run(*args, witness=None, **kwargs):
         if witness is not None:
             witnesses.append(witness)
-        depth["runs"] += 1
-        try:
-            return run(*args, witness=witness, **kwargs)
-        finally:
-            depth["runs"] -= 1
+        return run(*args, witness=witness, **kwargs)
+
+    def counting_numerator(J):
+        if J._numerator is None:
+            computed.append(J)
+        return numerator(J)
+
+    monkeypatch.setattr(groebner, "buchberger", counting_run)
+    for module in (groebner, monomial_ideals):
+        monkeypatch.setattr(module, "hilbert_numerator", counting_numerator)
+    assert experiment_curve(3, 3, seed=5).passed
+    distinct = list({id(w): w for w in witnesses}.values())
+    assert len(witnesses) > len(distinct)  # the witnesses really are shared
+    assert [sum(J is w for J in computed) for w in distinct] == [1] * len(distinct)
+
+
+def test_each_initial_ideal_and_its_numerator_are_computed_once(monkeypatch):
+    from ginlab import monomial_ideals
+
+    computed = []  # top-level Hilbert numerator computations
+    passed = []  # the monomial ideal behind every hilbert_data call
+    depth = {"recursion": 0}
+    recurse, data = monomial_ideals._hs_recurse, groebner.hilbert_data
 
     def counting_recurse(gens, *rest):
-        if depth["runs"] and not depth["recursion"]:
+        if not depth["recursion"]:
             computed.append(tuple(gens))
         depth["recursion"] += 1
         try:
@@ -305,12 +330,23 @@ def test_each_shared_witness_numerator_is_computed_once(monkeypatch):
         finally:
             depth["recursion"] -= 1
 
-    monkeypatch.setattr(groebner, "buchberger", counting_run)
+    def spy_data(J, bound):
+        passed.append(J)
+        return data(J, bound)
+
     monkeypatch.setattr(monomial_ideals, "_hs_recurse", counting_recurse)
-    assert experiment_curve(3, 3, seed=5).passed
-    distinct = {id(w) for w in witnesses}
-    assert len(witnesses) > len(distinct)  # the witnesses really are shared
-    assert len(computed) == len(distinct)
+    monkeypatch.setattr(groebner, "hilbert_data", spy_data)
+    R = ring(3)
+    rng = random.Random(17)
+    I = Ideal([random_form(R, 2, rng) for _ in range(2)])
+    for order in (Lex(), Revlex()):
+        first = I.initial_ideal(order)
+        for bound in (4, 6, 8):
+            assert I.initial_ideal(order) is first
+            assert I.hilbert_data(order, bound=bound).hf.dims[:4] == (1, 3, 4, 4)
+        assert passed == [first] * 3
+        passed.clear()
+    assert len(computed) == 2  # one numerator per order
 
 
 def test_seven_points_in_p4_run_dense_at_the_default_cap(monkeypatch):

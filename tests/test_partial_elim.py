@@ -8,13 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import homogeneous_generators
 
-from ginlab.fields import FP_DEFAULT, PrimeField
+from ginlab.fields import FP_DEFAULT, QQ, PrimeField
 from ginlab.gin import apply_change, random_coordinate_change
 from ginlab.groebner import Ideal, ResourceLimitExceeded
 from ginlab.monomial_ideals import is_borel_fixed
 from ginlab.orders import Lex, Revlex, elimination_order
 from ginlab.partial_elim import (
     PointCountError,
+    _squarefree_degree_binary,
     count_distinct_points,
     monomial_partial_elim,
     partial_elim_ideals,
@@ -245,6 +246,33 @@ def test_count_rejects_wrong_dimension():
     R4 = ring(4)
     with pytest.raises(PointCountError):
         count_distinct_points(Ideal([parse_polynomial("x0^2", R4)]), seed=5)
+
+
+def binary_form(R, factors):
+    """The product of (text, power) factors, each a form in x1 and x2."""
+    out = Polynomial.constant(R, 1)
+    for text, power in factors:
+        out = out * parse_polynomial(text, R) ** power
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(101), FP_DEFAULT], ids=repr)
+def test_squarefree_degree_with_repeated_roots_and_the_root_at_infinity(field):
+    R = ring(3, field)
+    # a root at [1:0] is a factor x2; the shared roots are [1:0] (multiplicity
+    # at least 1), [1/2:1] (at least 2) and [-1:1] (at least 1)
+    f = binary_form(R, [("x2", 1), ("x1 - 1/2*x2", 2), ("x1 + x2", 1), ("2*x1 + 3*x2", 1)])
+    g = binary_form(R, [("x2", 2), ("x1 - 1/2*x2", 3), ("x1 + x2", 2), ("3*x1 - 5*x2", 3)])
+    assert _squarefree_degree_binary([f]) == 4
+    assert _squarefree_degree_binary([g]) == 4
+    assert _squarefree_degree_binary([f, g]) == 3
+    assert _squarefree_degree_binary([g, f, f]) == 3
+    # without the factor x2 the point [1:0] is not a root
+    h = binary_form(R, [("x1 - 1/2*x2", 4), ("x1 + x2", 1)])
+    assert _squarefree_degree_binary([h]) == 2
+    assert _squarefree_degree_binary([h, g]) == 2
+    # a lone repeated root at [1:0]
+    assert _squarefree_degree_binary([binary_form(R, [("x2", 3)])]) == 1
 
 
 @settings(max_examples=25, deadline=None)

@@ -273,13 +273,20 @@ def linear_images(R, matrix):
 
 @st.composite
 def linear_change_instances(draw):
-    """A homogeneous form with few terms and a square matrix over F_p, with
-    entries biased towards 0, 1 and p - 1."""
-    p = draw(st.sampled_from([2, 3, 101, 2147483647]))
+    """A homogeneous form with few terms and a square matrix, over F_p with
+    entries biased towards 0, 1 and p - 1, or over QQ with fractional
+    entries biased towards 0, 1 and -1."""
+    p = draw(st.sampled_from([2, 3, 101, 2147483647, "qq"]))
     n = draw(st.integers(1, 5))
     d = draw(st.integers(0, 10))
-    R = ring(n, PrimeField(p))
-    entry = st.one_of(st.sampled_from([0, 1, p - 1]), st.integers(0, p - 1))
+    if p == "qq":
+        R = ring(n, QQ)
+        entry = st.one_of(
+            st.sampled_from([0, 1, -1]), st.fractions(-10**6, 10**6, max_denominator=60)
+        )
+    else:
+        R = ring(n, PrimeField(p))
+        entry = st.one_of(st.sampled_from([0, 1, p - 1]), st.integers(0, p - 1))
     matrix = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
     mons = R.monomials_of_degree(d)
     support = draw(st.lists(st.integers(0, len(mons) - 1), min_size=1, max_size=5))
@@ -328,12 +335,14 @@ def test_dense_path_runs_for_linear_change_over_fp(monkeypatch):
     assert calls == [f]
 
 
-def test_sparse_path_for_qq_inhomogeneous_and_nonlinear(monkeypatch):
+def test_dense_path_for_qq_and_sparse_for_inhomogeneous_and_nonlinear(monkeypatch):
     calls = spy_dense_path(monkeypatch)
     Rq = ring(2, QQ)
     f = parse_polynomial("x0^2 - 1/2*x1^2", Rq)
     images = [parse_polynomial("x0 + x1", Rq), parse_polynomial("2*x1", Rq)]
     assert f.substitute(images) == parse_polynomial("x0^2 + 2*x0*x1 - x1^2", Rq)
+    assert calls == [f]  # a linear change over QQ runs on the dense path
+    calls.clear()
     R = ring(2)
     inhomogeneous = parse_polynomial("x0^2 + x1", R)
     images = [parse_polynomial("x0 + x1", R), Polynomial.variable(R, 1)]
