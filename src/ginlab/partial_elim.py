@@ -195,7 +195,11 @@ def _projected_distinct_count(J, seed, degree_cap):
 
 def _squarefree_degree_binary(forms):
     """Distinct roots in P^1 cut out by binary forms in the last two
-    variables of their ring (the squarefree degree of their gcd)."""
+    variables of their ring (the squarefree degree of their gcd).
+
+    Over F_p a root whose multiplicity is a multiple of p stays whole in
+    gcd(u, u') and goes uncounted, so a gcd u of degree at least p raises
+    PointCountError rather than return a count that may be short."""
     field = forms[0].ring.field
     gcd_u = None
     min_inf = None
@@ -211,6 +215,9 @@ def _squarefree_degree_binary(forms):
         u = coeffs[: dprime + 1]
         gcd_u = u if gcd_u is None else _poly_gcd(field, gcd_u, u)
         min_inf = inf_mult if min_inf is None else min(min_inf, inf_mult)
+    if field.is_prime_field and field.p <= len(gcd_u) - 1:
+        raise PointCountError(
+            f"gcd of degree {len(gcd_u) - 1} may hide a root of multiplicity p = {field.p}")
     du = [i * c for i, c in enumerate(gcd_u)][1:]
     g = _poly_gcd(field, gcd_u, du)
     return (1 if min_inf > 0 else 0) + (len(gcd_u) - 1) - (len(g) - 1)

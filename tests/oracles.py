@@ -1,7 +1,11 @@
 """Independent test oracles based on per-degree (Macaulay matrix) linear
 algebra.  These deliberately avoid the Groebner code paths they are used to
 verify.  Also a hypothesis strategy for the small homogeneous generator
-lists the property tests draw."""
+lists the property tests draw, and a naive all-pairs Fourier-Motzkin
+elimination."""
+
+from fractions import Fraction
+from math import gcd, lcm
 
 from hypothesis import assume, strategies as st
 
@@ -65,3 +69,53 @@ def homogeneous_generators(draw, fields, max_vars=3, max_degree=3, max_gens=3):
             gens.append(f)
     assume(gens)
     return gens
+
+
+def naive_feasible_point(constraints, nvars):
+    """Fourier-Motzkin on sets of primitive integer half-spaces (coeffs,
+    strict), meaning coeffs . w > 0 (strict) or >= 0: eliminate the last
+    variable first by combining every lower with every upper bound; None
+    once a strict constraint reduces to 0 > 0.  Then fix the variables in
+    index order: the midpoint of the tightest bounds, the bound itself when
+    both meet, one past a lone bound, 1 when there is none."""
+
+    def primitive(coeffs):
+        coeffs = [Fraction(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in coeffs))
+        ints = [int(c * den) for c in coeffs]
+        g = gcd(*ints) or 1
+        return tuple(c // g for c in ints)
+
+    system = set()
+    for coeffs, strict in constraints:
+        coeffs = primitive(coeffs)
+        if any(coeffs):
+            system.add((coeffs, strict))
+        elif strict:
+            return None
+    stages = []
+    for var in reversed(range(nvars)):
+        stages.append(system)
+        system = {(c, s) for c, s in system if c[var] == 0}
+        for lc, ls in stages[-1]:
+            for uc, us in stages[-1]:
+                if lc[var] > 0 > uc[var]:
+                    combo = primitive([-uc[var] * l + lc[var] * u for l, u in zip(lc, uc)])
+                    if any(combo):
+                        system.add((combo, ls or us))
+                    elif ls or us:
+                        return None
+    point = []
+    for var, stage in enumerate(reversed(stages)):
+        lows, ups = [], []
+        for coeffs, _ in stage:
+            if coeffs[var]:
+                bound = -sum(c * x for c, x in zip(coeffs, point)) / Fraction(coeffs[var])
+                (lows if coeffs[var] > 0 else ups).append(bound)
+        if lows and ups:
+            point.append((max(lows) + min(ups)) / 2)
+        elif lows or ups:
+            point.append(max(lows) + 1 if lows else min(ups) - 1)
+        else:
+            point.append(Fraction(1))
+    return point

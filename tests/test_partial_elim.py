@@ -275,6 +275,18 @@ def test_squarefree_degree_with_repeated_roots_and_the_root_at_infinity(field):
     assert _squarefree_degree_binary([binary_form(R, [("x2", 3)])]) == 1
 
 
+def test_squarefree_degree_fails_loudly_once_a_root_may_have_multiplicity_p():
+    # over F_7 the derivative of (x1 - 2*x2)^7 vanishes, so gcd(u, u') would
+    # drop that root: the counts would read 0 and 1 instead of 1 and 2
+    R = ring(3, PrimeField(7))
+    for factors in ([("x1 - 2*x2", 7)], [("x1 - 2*x2", 7), ("x1 + x2", 1)]):
+        with pytest.raises(PointCountError, match="root of multiplicity p = 7"):
+            _squarefree_degree_binary([binary_form(R, factors)])
+    # below degree p every multiplicity is less than p and the count holds
+    assert _squarefree_degree_binary([binary_form(R, [("x1 - 2*x2", 6)])]) == 1
+    assert _squarefree_degree_binary([binary_form(R, [("x2", 9), ("x1 + x2", 2)])]) == 2
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     homogeneous_generators([PrimeField(101), FP_DEFAULT], max_vars=4),

@@ -24,18 +24,29 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
-def test_points_run_is_the_same_under_python_O(tmp_path):
+def _same_under_python_O(tmp_path, argv):
     # end to end: no check the CLI reports needs an assert to run
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    argv = ["-m", "ginlab.cli", "points", "--s", "12", "--r", "3", "--seed", "2"]
     outputs = []
     for flags in ([], ["-O"]):
-        out = tmp_path / f"points{''.join(flags)}.json"
-        proc = subprocess.run([sys.executable, *flags, *argv, "--out", str(out)],
+        out = tmp_path / f"out{''.join(flags)}.json"
+        proc = subprocess.run([sys.executable, *flags, "-m", "ginlab.cli", *argv, "--out", str(out)],
                               capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def test_points_run_is_the_same_under_python_O(tmp_path):
+    _same_under_python_O(tmp_path, ["points", "--s", "12", "--r", "3", "--seed", "2"])
+
+
+def test_segment_witness_is_the_same_under_python_O(tmp_path):
+    # the 12-point revlex segment of P^3; its witness runs Fourier-Motzkin
+    ideal = tmp_path / "J.txt"
+    ideal.write_text("x0^3\nx0^2*x1\nx0^2*x2\nx0*x1^2\nx0*x1*x2\nx0*x2^2\n"
+                     "x1^3\nx1^2*x2\nx1*x2^3\nx2^4\n")
+    _same_under_python_O(tmp_path, ["segment", "--witness-in", str(ideal), "--nvars", "4"])
 
 
 def test_every_traced_layer_resolves():
