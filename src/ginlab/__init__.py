@@ -3,7 +3,7 @@ ideals, truncated Sylvester minors, and segment/Borel-fixed monomial ideal
 invariants."""
 
 from .fields import DEFAULT_PRIME, FP_DEFAULT, QQ, PrimeField, RationalField, field_from_spec
-from .gin import CoordinateChange, GinDisagreement, GinResult, apply_change, gin, random_coordinate_change
+from .gin import GinDisagreement, GinResult, apply_change, gin, random_coordinate_change
 from .groebner import (
     DEFAULT_DEGREE_CAP,
     DegreeCapExceeded,

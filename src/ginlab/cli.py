@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 
 from .experiments import (
     ExperimentReport,
@@ -25,9 +26,9 @@ from .experiments import (
     experiment_points,
     experiment_sylvester,
 )
-from .fields import field_from_spec
+from .fields import DEFAULT_PRIME, field_from_spec
 from .gin import CharacteristicTooSmall, GinDisagreement, gin
-from .groebner import DegreeCapExceeded, Ideal, ResourceLimitExceeded
+from .groebner import DEFAULT_DEGREE_CAP, DegreeCapExceeded, Ideal, ResourceLimitExceeded
 from .monomial_ideals import HilbertFunction, MonomialIdeal, SelfCheckFailed, hilbert_data, is_borel_fixed
 from .orders import order_from_spec
 from .partial_elim import PointCountError, partial_elim_ideals
@@ -42,11 +43,11 @@ def _common(parser, *, seed=True, field=True, cap=True, out=True):
         parser.add_argument("--seed", type=int, default=0, help="random seed")
     if field:
         parser.add_argument(
-            "--field", default="fp:2147483647", help="coefficient field: fp:<p> or qq"
+            "--field", default=f"fp:{DEFAULT_PRIME}", help="coefficient field: fp:<p> or qq"
         )
     if cap:
         parser.add_argument(
-            "--degree-cap", type=int, default=60,
+            "--degree-cap", type=int, default=DEFAULT_DEGREE_CAP,
             help="abort if an S-polynomial exceeds this degree",
         )
     if out:
@@ -229,6 +230,7 @@ def run(argv=None):
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse has printed the help or the usage error
         return 0 if exc.code in (0, None) else 4
+    start = time.perf_counter()
     try:
         if args.command == "gin":
             report = _cmd_gin(args)
@@ -271,6 +273,7 @@ def run(argv=None):
     except SelfCheckFailed as exc:
         print(f"self-check failed: {exc}", file=sys.stderr)
         return 5
+    report.elapsed_seconds = time.perf_counter() - start  # not part of the JSON
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(report.to_json())

@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 
-def _normalize(coeffs):
+def primitive_integers(coeffs):
     """Scale integer or Fraction coefficients to a primitive integer tuple
     (sign preserved)."""
     den = lcm(*(c.denominator for c in coeffs))
@@ -47,7 +47,7 @@ def feasible_point(constraints, nvars):
     system = []
     seen = set()
     for coeffs, strict in constraints:
-        coeffs = _normalize(coeffs)
+        coeffs = primitive_integers(coeffs)
         if len(coeffs) != nvars:
             raise ValueError("constraint arity mismatch")
         if not any(coeffs):

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field as dc_field
 from . import linalg
 from .groebner import DEFAULT_DEGREE_CAP, Ideal
 from .monomial_ideals import MonomialIdeal, is_borel_fixed
-from .poly import Polynomial
 
 
 class GinDisagreement(Exception):
@@ -32,19 +31,10 @@ class CharacteristicTooSmall(Exception):
     generator degree: in that characteristic gins are only p-Borel."""
 
 
-@dataclass(frozen=True)
-class CoordinateChange:
-    """An invertible (r+1)x(r+1) matrix of field scalars plus the seed that
-    produced it."""
-
-    ring: object
-    matrix: tuple
-    seed: int
-
-
 def random_coordinate_change(ring, seed):
-    """Draw an invertible matrix with uniform entries, deterministically from
-    the seed (redrawn until the determinant is nonzero)."""
+    """An invertible nvars x nvars matrix, as a tuple of rows, with uniform
+    entries drawn deterministically from the seed (redrawn until the
+    determinant is nonzero)."""
     rng = random.Random(seed)
     n = ring.nvars
     while True:
@@ -52,30 +42,20 @@ def random_coordinate_change(ring, seed):
             tuple(ring.field.random(rng) for _ in range(n)) for _ in range(n)
         )
         if linalg.det(ring.field, [list(r) for r in rows]) != ring.field.zero:
-            return CoordinateChange(ring, rows, seed)
+            return rows
 
 
-def apply_change(I, change):
-    """The ideal generated by the generators with x_i replaced by the i-th
-    row's linear form.  Homogeneity and Hilbert function are preserved, so
-    the image shares the Hilbert witness of ``I`` (see :class:`Ideal`)."""
+def apply_change(I, matrix):
+    """The ideal generated by the generators with x_i replaced by
+    sum_j matrix[i][j]*x_j (see :meth:`Polynomial.substitute`).
+    Homogeneity and Hilbert function are preserved, so the image shares the
+    Hilbert witness of ``I`` (see :class:`Ideal`)."""
     ring = I.ring
-    matrix = change.matrix if isinstance(change, CoordinateChange) else tuple(change)
     if len(matrix) != ring.nvars or any(len(row) != ring.nvars for row in matrix):
         raise ValueError("coordinate change shape does not match ring")
     if linalg.det(ring.field, [list(r) for r in matrix]) == ring.field.zero:
         raise ValueError("singular matrix is not a coordinate change")
-    images = [
-        Polynomial.from_terms(
-            ring,
-            (
-                (tuple(1 if k == j else 0 for k in range(ring.nvars)), c)
-                for j, c in enumerate(row)
-            ),
-        )
-        for row in matrix
-    ]
-    moved = Ideal([g.substitute(images) for g in I.generators], ring=ring)
+    moved = Ideal([g.substitute(matrix) for g in I.generators], ring=ring)
     moved.hilbert_witness = I.hilbert_witness
     return moved
 
@@ -148,8 +128,7 @@ def gin(I, order, trials=2, seed=0, degree_cap=DEFAULT_DEGREE_CAP):
 
 
 def _one_trial(I, order, trial_seed, degree_cap):
-    change = random_coordinate_change(I.ring, trial_seed)
-    moved = apply_change(I, change)
+    moved = apply_change(I, random_coordinate_change(I.ring, trial_seed))
     return moved.initial_ideal(order, degree_cap), moved
 
 

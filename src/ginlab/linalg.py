@@ -127,10 +127,6 @@ class Echelon:
         self.ncols = ncols
         self.rows = {}  # pivot column -> normalized row
 
-    @property
-    def rank(self):
-        return len(self.rows)
-
     def add(self, vec):
         """Reduce ``vec`` against the current rows; returns True (and keeps
         the reduced vector) if it is independent of them."""

@@ -35,9 +35,9 @@ class MonomialIdeal:
 
     __slots__ = ("ring", "gens", "_numerator")
 
-    def __init__(self, ring, gens, *, _trusted=False):
+    def __init__(self, ring, gens):
         self.ring = ring
-        self.gens = tuple(gens) if _trusted else minimalize_monomials(gens)
+        self.gens = minimalize_monomials(gens)
         self._numerator = None
         for g in self.gens:
             if len(g) != ring.nvars:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import lcm, prod
+from math import lcm
 
 import numpy as np
 
@@ -205,63 +205,42 @@ class Polynomial:
     # ------------------------------------------------------------------
     # ring maps
 
-    def substitute(self, images):
-        """Substitute x_i -> images[i] (a ring homomorphism on choosing
-        polynomial images in a common ring).
+    def substitute(self, matrix):
+        """f(A*x) for a form f and a square matrix A of field scalars: each
+        x_i becomes sum_j A[i][j]*x_j.  Entries are coerced with
+        ``field.of``; the zero polynomial maps to zero, and an inhomogeneous
+        form or a matrix that is not nvars x nvars raises ``ValueError``.
 
-        When ``self`` is homogeneous and every image is a linear form in the
-        target ring -- a linear coordinate change -- the result is built on
-        dense descending-lex vectors of the target's graded pieces (see
-        ``_substitute_linear``); otherwise by sparse dict expansion.  Both
-        are exact and give equal results.  Over F_p the dense path works on
-        int64 residues and reduces mod p after every product, so with
+        The result is built on dense descending-lex vectors of the graded
+        pieces: l^m for every support monomial m and each of its prefixes,
+        as l^(m - e_i) * l_i with i the last variable of m, one degree at a
+        time; then the weighted sum of the top degree.  Over F_p this works
+        on int64 residues and reduces mod p after every product, so with
         p < 2**31 each product stays below 2**62 and each sum of reduced
-        terms (one per target variable, or one per term of ``self``) far
-        below 2**63.  Over QQ it works on Python ints in object arrays: the
-        denominators of the images and of the coefficients are cleared
-        first, and each output coefficient becomes one ``Fraction``."""
-        if len(images) != self.ring.nvars:
-            raise ValueError("need one image per variable")
-        target = images[0].ring
+        terms (one per variable, or one per term of f) far below 2**63.
+        Over QQ it works on Python ints in object arrays: the rows are
+        scaled by the lcm D of all matrix denominators and the coefficients
+        by the lcm C of f's denominators, so each output coefficient is one
+        ``Fraction(total, C * D**d)`` for f of degree d."""
+        ring = self.ring
+        field = ring.field
+        n = ring.nvars
+        if len(matrix) != n or any(len(row) != n for row in matrix):
+            raise ValueError(f"substitution needs a {n}x{n} matrix")
+        if not self.terms:
+            return self
         d = self.homogeneous_degree()
-        if d is not None and all(
-            g.ring == target and all(mono_degree(m) == 1 for m in g.terms) for g in images
-        ):
-            return self._substitute_linear(images, d)
-        powers = [{0: Polynomial.constant(target, 1)} for _ in images]
-
-        def power(i, e):
-            cache = powers[i]
-            if e not in cache:
-                cache[e] = power(i, e - 1) * images[i]
-            return cache[e]
-
-        out = Polynomial.zero(target)
-        for m, c in self.terms.items():
-            prod = Polynomial.constant(target, c)
-            for i, e in enumerate(m):
-                if e:
-                    prod = prod * power(i, e)
-            out = out + prod
-        return out
-
-    def _substitute_linear(self, images, d):
-        """The dense path of ``substitute`` for a form of degree d: l^m for
-        every support monomial m and each of its prefixes, as
-        l^(m - e_i) * l_i with i the last variable of m, one degree at a
-        time; then the weighted sum of the top degree.  Over QQ, l_i is the
-        image times the lcm den_i of its denominators, and the weight of m
-        is its coefficient over prod den_i^m_i, brought to the common
-        denominator ``scale``; over F_p both are 1."""
-        target = images[0].ring
-        field = target.field
+        if d is None:
+            raise ValueError("substitution needs a homogeneous form")
         p = field.p if field.is_prime_field else 0  # 0: exact integers, no modulus
-        entries = [[g.terms.get(e, 0) for e in target.monomials_of_degree(1)] for g in images]
-        dens = [lcm(*(c.denominator for c in row)) for row in entries]
-        lin = np.array(
-            [[c.numerator * (den // c.denominator) for c in row] for row, den in zip(entries, dens)],
-            dtype=np.int64 if p else object,
-        )
+        lin = [[field.of(a) for a in row] for row in matrix]
+        weights = list(self.terms.values())
+        if not p:
+            D = lcm(*(a.denominator for row in lin for a in row))
+            C = lcm(*(c.denominator for c in weights))
+            lin = [[a.numerator * (D // a.denominator) for a in row] for row in lin]
+            weights = [c.numerator * (C // c.denominator) for c in weights]
+        lin = np.array(lin, dtype=np.int64 if p else object)
         # links[k]: per degree-(k+1) prefix, its parent's row among the
         # degree-k prefixes and the variable that leads from one to the other
         links = []
@@ -279,24 +258,18 @@ class Polynomial:
         for k, step in enumerate(reversed(links)):
             src = powers[:, step[:, 0]]
             coeffs = lin[step[:, 1]].T
-            powers = np.zeros((target.monomial_count(k + 1), len(step)), dtype=lin.dtype)
-            for j, dst in enumerate(target.variable_shifts(k)):
+            powers = np.zeros((ring.monomial_count(k + 1), len(step)), dtype=lin.dtype)
+            for j, dst in enumerate(ring.variable_shifts(k)):
                 powers[dst] += src * coeffs[j] % p if p else src * coeffs[j]
             if p:
                 powers %= p
-        weights = []
-        for m, c in self.terms.items():
-            c = field.of(c)
-            weights.append((c.numerator, c.denominator * prod(den**e for den, e in zip(dens, m))))
-        scale = lcm(*(den for _, den in weights))
-        c = np.array([num * (scale // den) for num, den in weights], dtype=lin.dtype)
+        c = np.array(weights, dtype=lin.dtype)
         total = (powers * c % p).sum(axis=1) % p if p else (powers * c).sum(axis=1)
-        mons = target.monomials_of_degree(d)
+        mons = ring.monomials_of_degree(d)
         if p:
-            return Polynomial(target, {mons[i]: int(total[i]) for i in np.flatnonzero(total)})
-        return Polynomial(
-            target, {mons[i]: Fraction(total[i], scale) for i in np.flatnonzero(total)}
-        )
+            return Polynomial(ring, {mons[i]: int(total[i]) for i in np.flatnonzero(total)})
+        scale = C * D**d
+        return Polynomial(ring, {mons[i]: Fraction(total[i], scale) for i in np.flatnonzero(total)})
 
     def evaluate(self, point):
         """Evaluate at a tuple of field scalars."""

@@ -3,8 +3,8 @@
 Monomials are bare tuples of non-negative ints of length ``ring.nvars``; the
 degree is the tuple sum.  The ring context owns the one table per (degree,
 order) of each graded piece -- its monomials greatest first, their positions
-and their exponents, plus the suffix sums that rank their multiples -- which every dense
-computation indexes into, and the lex multiply-by-variable maps between
+and the suffix sums of their exponents that rank their multiples -- which every
+dense computation indexes into, and the lex multiply-by-variable maps between
 consecutive degrees built from it.
 """
 
@@ -88,7 +88,6 @@ class GradedPiece(NamedTuple):
 
     monomials: tuple
     index: dict  # monomial -> position in ``monomials``
-    exponents: np.ndarray  # int64, one row per monomial
     suffix_sums: np.ndarray  # row t - 1: sum of the last t exponents of each monomial
     rank_table: np.ndarray  # _lex_rank_table(nvars, d)
     by_lex_rank: np.ndarray  # position in ``monomials`` of the k-th lex monomial
@@ -140,7 +139,8 @@ class RingContext:
 
     def graded_piece(self, d, order=_LEX):
         """The degree-d monomials greatest first under ``order``, their index
-        map and exponent array; cached on the ring per (degree, order)."""
+        map and the tables that rank their multiples; cached on the ring per
+        (degree, order)."""
         key = (d, order)
         piece = self._graded.get(key)
         if piece is None:
@@ -153,10 +153,10 @@ class RingContext:
             table = _lex_rank_table(self.nvars, d)
             by_lex = np.empty(len(mons), dtype=np.int64)
             by_lex[_lex_ranks(table, suffix, (0,) * self.nvars)] = np.arange(len(mons))
-            for array in (exps, suffix, by_lex):
+            for array in (suffix, by_lex):
                 array.setflags(write=False)
             index = {m: i for i, m in enumerate(mons)}
-            piece = GradedPiece(mons, index, exps, suffix, table, by_lex)
+            piece = GradedPiece(mons, index, suffix, table, by_lex)
             self._graded[key] = piece
         return piece
 

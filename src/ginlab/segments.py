@@ -11,10 +11,8 @@ strict-inequality feasibility problem solved by Fourier-Motzkin.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
 
-from .fourier_motzkin import feasible_point
+from .fourier_motzkin import feasible_point, primitive_integers
 from .groebner import ResourceLimitExceeded
 from .monomial_ideals import (
     HilbertFunction, MonomialIdeal, SelfCheckFailed, hilbert_data, is_borel_fixed,
@@ -220,7 +218,7 @@ def segment_witness(J: MonomialIdeal, degree_range=None):
     point = feasible_point(constraints, nvars)
     if point is None:
         return None
-    weights = _scale_to_integers(point)
+    weights = primitive_integers(point)
     if not verify_weight_witness(J, weights, (lo, hi)):
         raise SelfCheckFailed(f"weight vector {weights} fails its own segment re-check")
     return WeightWitness(weights, (lo, hi))
@@ -244,16 +242,3 @@ def verify_weight_witness(J: MonomialIdeal, weights, degree_range) -> bool:
             return False
     return True
 
-
-def _scale_to_integers(point):
-    denom = 1
-    for value in point:
-        f = Fraction(value)
-        denom = denom * f.denominator // gcd(denom, f.denominator)
-    ints = [int(Fraction(v) * denom) for v in point]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    return tuple(ints)

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -101,6 +102,21 @@ def test_gin_subcommand_reads_ideal_file(tmp_path):
     report = json.loads(out.read_text())
     assert report["outputs"]["borel_fixed"] is True
     assert report["outputs"]["gin_generators"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["gin", "--in", "{ideal}", "--order", "revlex"],
+    ["pei", "--in", "{ideal}", "--pmax", "1"],
+    ["segment", "--hf", "1,3,3,3", "--stable", "3", "--bound", "3"],
+    ["segment", "--witness-in", "{ideal}", "--nvars", "4"],
+])
+def test_summary_reports_the_elapsed_time(argv, tmp_path, monkeypatch, capsys):
+    ideal = tmp_path / "ci.txt"
+    ideal.write_text("x0^2\nx1^2\n")
+    ticks = iter([100.0, 102.5])
+    monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
+    assert run([a.format(ideal=ideal) for a in argv]) == 0
+    assert "PASS (2.50s)" in capsys.readouterr().out.splitlines()[0]
 
 
 def test_pei_subcommand(tmp_path):

@@ -29,24 +29,24 @@ def ring(n=4, field=FP_DEFAULT):
 
 def test_same_seed_same_matrix():
     R = ring()
-    assert random_coordinate_change(R, 5).matrix == random_coordinate_change(R, 5).matrix
+    assert random_coordinate_change(R, 5) == random_coordinate_change(R, 5)
 
 
 def test_neighboring_seeds_differ():
     R = ring()
-    assert random_coordinate_change(R, 5).matrix != random_coordinate_change(R, 6).matrix
+    assert random_coordinate_change(R, 5) != random_coordinate_change(R, 6)
 
 
 def test_determinant_nonzero_for_many_seeds():
     R = ring(3)
     for seed in range(1000):
-        m = random_coordinate_change(R, seed).matrix
+        m = random_coordinate_change(R, seed)
         assert linalg.det(R.field, [list(r) for r in m]) != 0
 
 
 def test_rational_coordinate_change_bounded_entries():
     R = ring(3, QQ)
-    m = random_coordinate_change(R, 4).matrix
+    m = random_coordinate_change(R, 4)
     assert all(abs(c) <= 10**6 for row in m for c in row)
 
 
@@ -63,11 +63,19 @@ def test_change_then_inverse_restores_ideal():
     R = ring(3)
     rng = random.Random(2)
     I = Ideal([random_form(R, 2, rng), random_form(R, 2, rng)])
-    M = random_coordinate_change(R, 12).matrix
+    M = random_coordinate_change(R, 12)
     identity = [[R.field.one if i == j else R.field.zero for j in range(3)] for i in range(3)]
     red, _ = linalg.rref(R.field, [list(row) + e for row, e in zip(M, identity)])
     back = apply_change(apply_change(I, M), [row[3:] for row in red])
     assert I.equals(back, Revlex())
+
+
+def test_wrong_shape_rejected():
+    R = ring(2)
+    I = Ideal([parse_polynomial("x0^2", R)])
+    for bad in ([[1, 0]], [[1, 0], [0]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]):
+        with pytest.raises(ValueError):
+            apply_change(I, bad)
 
 
 def test_singular_matrix_rejected():

@@ -190,18 +190,17 @@ def test_product_of_conjugates():
 def test_linear_substitution_binomial():
     R = ring(2)
     f = parse_polynomial("x0^2", R)
-    images = [parse_polynomial("x0 + x1", R), Polynomial.variable(R, 1)]
-    assert f.substitute(images) == parse_polynomial("x0^2 + 2*x0*x1 + x1^2", R)
+    assert f.substitute([[1, 1], [0, 1]]) == parse_polynomial("x0^2 + 2*x0*x1 + x1^2", R)
 
 
 def test_substitution_is_ring_homomorphism():
     R = ring(3)
     rng = random.Random(3)
-    images = [random_form(R, 1, rng) for _ in range(3)]
+    matrix = [[R.field.random(rng) for _ in range(3)] for _ in range(3)]
     for _ in range(20):
-        f = random_form(R, rng.randint(1, 3), rng)
-        g = random_form(R, rng.randint(1, 3), rng)
-        sub = lambda h: h.substitute(images)
+        d = rng.randint(1, 3)  # f + g must be a form
+        f, g = random_form(R, d, rng), random_form(R, d, rng)
+        sub = lambda h: h.substitute(matrix)
         assert sub(f + g) == sub(f) + sub(g)
         assert sub(f * g) == sub(f) * sub(g)
 
@@ -248,7 +247,7 @@ def test_homogeneous_degree_and_zero():
 
 
 # ----------------------------------------------------------------------
-# substitution: the dense linear path against the sparse expansion
+# substitution: the dense path against the sparse expansion
 
 
 def expand(f, images):
@@ -291,66 +290,42 @@ def linear_change_instances(draw):
     mons = R.monomials_of_degree(d)
     support = draw(st.lists(st.integers(0, len(mons) - 1), min_size=1, max_size=5))
     f = Polynomial.from_terms(R, ((mons[i], draw(entry)) for i in support))
-    return f, linear_images(R, matrix)
-
-
-def spy_dense_path(monkeypatch):
-    calls = []
-    dense = Polynomial._substitute_linear
-
-    def spy(self, images, d):
-        calls.append(self)
-        return dense(self, images, d)
-
-    monkeypatch.setattr(Polynomial, "_substitute_linear", spy)
-    return calls
+    return f, matrix
 
 
 @settings(max_examples=60, deadline=None)
 @given(linear_change_instances())
 def test_dense_substitute_equals_sparse_expansion(instance):
-    f, images = instance
-    assert f.substitute(images) == expand(f, images)
+    f, matrix = instance
+    assert f.substitute(matrix) == expand(f, linear_images(f.ring, matrix))
 
 
 def test_dense_substitute_at_the_int64_edge():
-    # every image coefficient is p - 1 or p - 2 with p = 2**31 - 1, so the
+    # every matrix entry is p - 1 or p - 2 with p = 2**31 - 1, so the
     # products of the dense path sit just below 2**62 and five of them would
     # overflow int64 unless each is reduced before it is added
     p = 2147483647
     R = ring(5, PrimeField(p))
     matrix = [[p - 1 - (i == j) for j in range(5)] for i in range(5)]
     f = Polynomial.from_terms(R, [((4, 3, 3, 0, 0), p - 1), ((0, 1, 2, 3, 4), 2)])
-    images = linear_images(R, matrix)
-    assert f.substitute(images) == expand(f, images)
+    assert f.substitute(matrix) == expand(f, linear_images(R, matrix))
 
 
-def test_dense_path_runs_for_linear_change_over_fp(monkeypatch):
-    calls = spy_dense_path(monkeypatch)
-    R = ring(3)
-    rng = random.Random(5)
-    f = random_form(R, 6, rng)
-    images = [random_form(R, 1, rng) for _ in range(3)]
-    assert f.substitute(images) == expand(f, images)
-    assert calls == [f]
-
-
-def test_dense_path_for_qq_and_sparse_for_inhomogeneous_and_nonlinear(monkeypatch):
-    calls = spy_dense_path(monkeypatch)
+def test_substitute_over_qq_clears_common_denominators():
     Rq = ring(2, QQ)
     f = parse_polynomial("x0^2 - 1/2*x1^2", Rq)
-    images = [parse_polynomial("x0 + x1", Rq), parse_polynomial("2*x1", Rq)]
-    assert f.substitute(images) == parse_polynomial("x0^2 + 2*x0*x1 - x1^2", Rq)
-    assert calls == [f]  # a linear change over QQ runs on the dense path
-    calls.clear()
+    assert f.substitute([[1, 1], [0, 2]]) == parse_polynomial("x0^2 + 2*x0*x1 - x1^2", Rq)
+    g = parse_polynomial("1/3*x0*x1", Rq)
+    matrix = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(2, 5), 0]]
+    assert g.substitute(matrix) == parse_polynomial("1/15*x0^2 + 2/45*x0*x1", Rq)
+
+
+def test_substitute_contract():
     R = ring(2)
-    inhomogeneous = parse_polynomial("x0^2 + x1", R)
-    images = [parse_polynomial("x0 + x1", R), Polynomial.variable(R, 1)]
-    assert inhomogeneous.substitute(images) == parse_polynomial(
-        "x0^2 + 2*x0*x1 + x1^2 + x1", R
-    )
-    square = parse_polynomial("x0*x1", R)
-    assert square.substitute([parse_polynomial("x1^2", R), parse_polynomial("x0 + 1", R)]) == (
-        parse_polynomial("x0*x1^2 + x1^2", R)
-    )
-    assert calls == []
+    square = [[1, 2], [3, 4]]
+    assert Polynomial.zero(R).substitute(square) == Polynomial.zero(R)
+    with pytest.raises(ValueError):
+        parse_polynomial("x0^2 + x1", R).substitute(square)
+    for bad in ([[1, 2]], [[1, 2], [3]], [[1, 2, 0], [3, 4, 0]]):
+        with pytest.raises(ValueError):
+            parse_polynomial("x0*x1", R).substitute(bad)

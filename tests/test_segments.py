@@ -129,14 +129,6 @@ def test_fm_returns_the_naive_elimination_point(system):
     assert feasible_point(constraints, nvars) == naive_feasible_point(constraints, nvars)
 
 
-@pytest.mark.parametrize("s, weights", [(12, (6, 5, 4, 1)), (10, (36, 39, 40, 14))])
-def test_revlex_point_segment_witness_is_small(s, weights):
-    seg = segment_ideal_of(points_hf(s, 3, 6), Revlex(), ring(4), 6)
-    witness = segment_witness(seg.monomial_ideal())
-    assert witness is not None
-    assert witness.weights == weights
-
-
 #: Weights of the revlex segment of the generic Hilbert function of s points
 #: in P^r, by (r, s), as the ``exact`` benchmark workload asks for them.  The
 #: CLI reports these; a change to elimination or back-substitution that moves

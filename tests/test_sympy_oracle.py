@@ -71,7 +71,7 @@ def test_apply_change_matches_sympy_expansion(p, seed):
     else:
         R = RingContext(rng.randint(2, 4), PrimeField(p))
         gens = [sparse_form(R, rng.randint(1, 5), rng) for _ in range(3)]
-        matrix, kwargs = random_coordinate_change(R, seed).matrix, {"modulus": p}
+        matrix, kwargs = random_coordinate_change(R, seed), {"modulus": p}
     gens = [f for f in gens if f]
     xs = symbols(R)
     moved = apply_change(Ideal(gens, ring=R), matrix)

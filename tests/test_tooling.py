@@ -49,6 +49,13 @@ def test_segment_witness_is_the_same_under_python_O(tmp_path):
     _same_under_python_O(tmp_path, ["segment", "--witness-in", str(ideal), "--nvars", "4"])
 
 
+def test_gin_run_is_the_same_under_python_O(tmp_path):
+    # the coordinate change, the trials and the gin guards, without assert
+    ideal = tmp_path / "ci.txt"
+    ideal.write_text("x0^2+x1*x2+x2^2\nx1^3+x0*x2^2+x0^3\n")
+    _same_under_python_O(tmp_path, ["gin", "--in", str(ideal), "--order", "revlex"])
+
+
 def test_every_traced_layer_resolves():
     # the traced benchmark wraps these by name; a layer deleted or renamed in
     # the library must fail here, not in a traced run. bench/ is only parsed.
