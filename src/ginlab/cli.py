@@ -15,6 +15,7 @@ re-check, which is a defect in ginlab.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 
@@ -54,7 +55,10 @@ def _common(parser, *, seed=True, field=True, cap=True, out=True):
         parser.add_argument("--out", help="write the JSON report to this path")
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, and ``run`` is called many times in one process."""
     ap = argparse.ArgumentParser(
         prog="ginlab",
         description="generic initial ideals, partial elimination ideals, "

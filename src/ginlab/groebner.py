@@ -23,9 +23,12 @@ Reductions dominate the cost, so over a prime field they run on dense
 per-degree coefficient vectors (numpy int64, entries < 2**31, products safe
 in int64), with a per-degree table of the first listed divisor of each
 monomial; the structural algorithm is identical to the sparse path used for
-rational coefficients and inhomogeneous input.  A dense run hands its basis
-to the sparse engine if it reaches a degree whose piece exceeds
-``_DENSE_PIECE_LIMIT``.  The sparse engine runs on Python ints for both
+rational coefficients and inhomogeneous input.  A dense step scatters a
+basis element through a multiplication map, read from the cache that each
+graded piece of the ring keeps (``RingContext.multiplication_map``), so the
+gin trials and the other runs on one ring build each map once.  A dense run
+hands its basis to the sparse engine if it reaches a degree whose piece
+exceeds ``_DENSE_PIECE_LIMIT``.  The sparse engine runs on Python ints for both
 fields: over QQ it is fraction-free, with primitive basis elements and
 pseudo-division steps, and builds a ``Fraction`` only for the coefficients
 of a polynomial it returns.  Over QQ each new basis element also has its
@@ -80,10 +83,16 @@ class _DenseEngine:
         self.ring = ring
         self.order = order
         self.p = ring.field.p
-        self._maps = {}
+        self._pieces = {}  # degree -> the ring's graded piece under ``order``
         self._divisors = {}  # degree -> (divisor table, basis elements entered)
         self.basis = []  # (degree, vector) with monic leading coefficient
         self.lts = []  # leading exponent tuples
+
+    def _piece(self, d):
+        piece = self._pieces.get(d)
+        if piece is None:
+            piece = self._pieces[d] = self.ring.graded_piece(d, self.order)
+        return piece
 
     def prepare(self, f):
         """Polynomial -> (degree, vector), or None for zero."""
@@ -92,35 +101,31 @@ class _DenseEngine:
         d = f.homogeneous_degree()
         if d is None:
             raise ValueError("dense engine requires homogeneous polynomials")
-        idx = self.ring.graded_piece(d, self.order).index
+        idx = self._piece(d).index
         v = np.zeros(len(idx), dtype=np.int64)
         for m, c in f.terms.items():
             v[idx[m]] = c
         return d, v
 
     def to_polynomial(self, d, v):
-        mons = self.ring.graded_piece(d, self.order).monomials
+        mons = self._piece(d).monomials
         nz = np.flatnonzero(v)
         return Polynomial(self.ring, {mons[i]: int(v[i]) for i in nz})
 
-    def _mulmap(self, src_deg, delta):
-        """Positions in the degree src_deg + |delta| piece of the degree
-        src_deg monomials multiplied by x^delta."""
-        key = (src_deg, delta)
-        cached = self._maps.get(key)
-        if cached is None:
-            src = self.ring.graded_piece(src_deg, self.order)
-            dst = self.ring.graded_piece(src_deg + sum(delta), self.order)
-            cached = dst.positions_times(src, delta)
-            self._maps[key] = cached
-        return cached
+    def _mulmap(self, d, delta):
+        """Positions in the degree d + |delta| piece of the degree-d
+        monomials multiplied by x^delta, from the ring's shared cache."""
+        mp = self._piece(d).maps.get(delta)
+        if mp is None:
+            mp = self.ring.multiplication_map(d, delta, self.order)
+        return mp
 
     def add_basis(self, d, v):
         lead = int(np.flatnonzero(v)[0])
         inv = pow(int(v[lead]), -1, self.p)
         v = v * inv % self.p
         self.basis.append((d, v))
-        self.lts.append(self.ring.graded_piece(d, self.order).monomials[lead])
+        self.lts.append(self._piece(d).monomials[lead])
         return len(self.basis) - 1
 
     def keep(self, indices):
@@ -132,16 +137,16 @@ class _DenseEngine:
     def _divisor_table(self, d):
         """For each position of the degree-d piece, the first listed basis
         element whose leading monomial divides the monomial there, or -1.
-        Kept per degree and extended by the elements added since."""
+        Kept per degree and extended by the elements added since.  Each
+        multiples map is read once, so it bypasses the ring's cache."""
         table, entered = self._divisors.get(d, (None, 0))
         if table is None:
             table = np.full(self.ring.monomial_count(d), -1, dtype=np.int64)
-        dst = self.ring.graded_piece(d, self.order)
+        dst = self._piece(d)
         for g in range(entered, len(self.lts)):
             gd = self.basis[g][0]
             if gd <= d:
-                src = self.ring.graded_piece(d - gd, self.order)
-                multiples = dst.positions_times(src, self.lts[g])
+                multiples = dst.positions_times(self._piece(d - gd), self.lts[g])
                 table[multiples[table[multiples] < 0]] = g
         self._divisors[d] = (table, len(self.lts))
         return table
@@ -156,7 +161,7 @@ class _DenseEngine:
         irreducible.  Returns None when the result is zero."""
         p = self.p
         table = self._divisor_table(d)
-        mons = self.ring.graded_piece(d, self.order).monomials
+        mons = self._piece(d).monomials
         v = v % p
         i = 0
         while True:

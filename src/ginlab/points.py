@@ -158,7 +158,7 @@ def vanishing_ideal(P: PointSet, degree_bound=None, ring=None):
         # scattered through the ring's shift map; kernel vectors that still
         # enlarge it are the new minimal generators in degree d
         echelon = linalg.Echelon(field, len(mons))
-        shifts = ring.variable_shifts(d - 1).tolist()
+        shifts = [shift.tolist() for shift in ring.variable_shifts(d - 1)]
         for vec in prev_kernel:
             for shift in shifts:
                 row = [field.zero] * len(mons)

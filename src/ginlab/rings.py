@@ -4,14 +4,21 @@ Monomials are bare tuples of non-negative ints of length ``ring.nvars``; the
 degree is the tuple sum.  The ring context owns the one table per (degree,
 order) of each graded piece -- its monomials greatest first, their positions
 and the suffix sums of their exponents that rank their multiples -- which every
-dense computation indexes into, and the lex multiply-by-variable maps between
-consecutive degrees built from it.
+dense computation indexes into.  Each piece also caches its multiplication
+maps, one read-only position array per delta, so every Buchberger run on the
+ring, the substitution of a coordinate change, the vanishing ideal and segment
+closure share them.  The cache has no eviction rule: the next run on a ring
+(the next gin trial, say) needs the same maps in the same degrees as the
+last, so a rule that dropped a degree once a run had passed it would drop
+exactly what the next run rebuilds.  Its size is bounded by the union of the
+maps the runs on one ring use.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
 from math import comb
+from operator import sub
 from typing import NamedTuple
 
 import numpy as np
@@ -36,8 +43,8 @@ def mono_divides(m, n):
 
 def mono_div(m, n):
     """Exponent tuple of x^m / x^n; requires divisibility."""
-    out = tuple(a - b for a, b in zip(m, n))
-    if any(e < 0 for e in out):
+    out = tuple(map(sub, m, n))
+    if min(out) < 0:
         raise ValueError("monomial division with negative exponent")
     return out
 
@@ -84,13 +91,15 @@ def _lex_ranks(table, suffix_sums, delta):
 
 class GradedPiece(NamedTuple):
     """The degree-d monomials of a ring, greatest first under one order.
-    Shared by every caller on the ring, so read-only."""
+    Shared by every caller on the ring, so read-only; ``maps`` only gains
+    entries, each in one atomic dict store, so concurrent readers are safe."""
 
     monomials: tuple
     index: dict  # monomial -> position in ``monomials``
     suffix_sums: np.ndarray  # row t - 1: sum of the last t exponents of each monomial
     rank_table: np.ndarray  # _lex_rank_table(nvars, d)
     by_lex_rank: np.ndarray  # position in ``monomials`` of the k-th lex monomial
+    maps: dict  # delta -> RingContext.multiplication_map of this piece
 
     def positions_times(self, src, delta):
         """``index`` of each monomial of the piece ``src`` times x^delta."""
@@ -102,7 +111,7 @@ class RingContext:
     coefficient field.  Immutable after creation; every polynomial refers to
     exactly one context."""
 
-    __slots__ = ("nvars", "field", "names", "_graded", "_shifts", "_small")
+    __slots__ = ("nvars", "field", "names", "_graded", "_small")
 
     def __init__(self, nvars, field, names=None):
         if nvars < 1:
@@ -117,7 +126,6 @@ class RingContext:
         self.field = field
         self.names = names
         self._graded = {}
-        self._shifts = {}
         self._small = None
 
     def __eq__(self, other):
@@ -140,38 +148,53 @@ class RingContext:
     def graded_piece(self, d, order=_LEX):
         """The degree-d monomials greatest first under ``order``, their index
         map and the tables that rank their multiples; cached on the ring per
-        (degree, order)."""
+        (degree, order).  Every other order's piece permutes the lex piece:
+        its monomial tuples, suffix sums and rank table are the lex piece's."""
         key = (d, order)
         piece = self._graded.get(key)
         if piece is None:
-            mons = _enumerate_degree(self.nvars, d)  # already descending lex
-            if order != _LEX:
-                mons.sort(key=order.sort_key)
-            mons = tuple(mons)
-            exps = np.array(mons, dtype=np.int64)
-            suffix = np.ascontiguousarray(np.cumsum(exps[:, :0:-1], axis=1).T)
-            table = _lex_rank_table(self.nvars, d)
-            by_lex = np.empty(len(mons), dtype=np.int64)
-            by_lex[_lex_ranks(table, suffix, (0,) * self.nvars)] = np.arange(len(mons))
-            for array in (suffix, by_lex):
+            if order == _LEX:
+                mons = tuple(_enumerate_degree(self.nvars, d))  # already descending lex
+                exps = np.array(mons, dtype=np.int64)
+                suffix = np.ascontiguousarray(np.cumsum(exps[:, :0:-1], axis=1).T)
+                table = _lex_rank_table(self.nvars, d)
+                by_lex = np.arange(len(mons), dtype=np.int64)
+            else:
+                lex = self.graded_piece(d)
+                sort_key = order.sort_key
+                perm = sorted(range(len(lex.monomials)), key=lambda k: sort_key(lex.monomials[k]))
+                mons = tuple(lex.monomials[k] for k in perm)
+                suffix = lex.suffix_sums[:, perm]
+                table = lex.rank_table
+                by_lex = np.empty(len(mons), dtype=np.int64)
+                by_lex[perm] = np.arange(len(mons))
+            for array in (suffix, table, by_lex):
                 array.setflags(write=False)
             index = {m: i for i, m in enumerate(mons)}
-            piece = GradedPiece(mons, index, suffix, table, by_lex)
+            piece = GradedPiece(mons, index, suffix, table, by_lex, {})
             self._graded[key] = piece
         return piece
 
-    def variable_shifts(self, d):
-        """Row j: the lex positions in degree d + 1 of the degree-d monomials
-        times x_j, an int64 array of shape (nvars, monomial_count(d));
-        cached on the ring per degree."""
-        shifts = self._shifts.get(d)
-        if shifts is None:
-            src, dst = self.graded_piece(d), self.graded_piece(d + 1)
-            unit = np.eye(self.nvars, dtype=np.int64)
-            shifts = np.stack([dst.positions_times(src, e) for e in unit])
-            shifts.setflags(write=False)
-            self._shifts[d] = shifts
-        return shifts
+    def multiplication_map(self, d, delta, order=_LEX):
+        """Positions in the degree d + |delta| piece under ``order`` of the
+        degree-d monomials times x^delta: a read-only int64 array, built on
+        first use and cached on the degree-d piece (see the module
+        docstring)."""
+        src = self.graded_piece(d, order)
+        out = src.maps.get(delta)
+        if out is None:
+            out = self.graded_piece(d + sum(delta), order).positions_times(src, delta)
+            out.setflags(write=False)
+            src.maps[delta] = out
+        return out
+
+    def variable_shifts(self, d, order=_LEX):
+        """Entry j: the multiplication map of the degree-d piece by x_j."""
+        n = self.nvars
+        return tuple(
+            self.multiplication_map(d, tuple(int(i == j) for i in range(n)), order)
+            for j in range(n)
+        )
 
     def monomials_of_degree(self, d):
         """All degree-d monomials in descending lex order (cached)."""

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .fourier_motzkin import feasible_point, primitive_integers
 from .groebner import ResourceLimitExceeded
 from .monomial_ideals import (
@@ -49,14 +51,17 @@ class SegmentIdealResult:
     order: object
 
     def monomial_ideal(self) -> MonomialIdeal:
+        """The ideal the segments span: every monomial of the degree-0 space,
+        then in each degree d + 1 the members that no x_j times a degree-d
+        member covers, read off the ring's multiplication maps."""
         if not self.is_ideal:
             raise ValueError("segment spaces do not form an ideal")
-        gens = []
-        prev = set()
-        for space in self.spaces:
-            expanded = _expand(prev, self.ring) if space.degree else set()
-            gens.extend(m for m in space.monomials if m not in expanded)
-            prev = set(space.monomials)
+        gens = list(self.spaces[0].monomials)
+        for low, high in zip(self.spaces, self.spaces[1:]):
+            covered = np.zeros(len(high.monomials), dtype=bool)
+            for shift in self.ring.variable_shifts(low.degree, self.order):
+                covered[shift[: len(low.monomials)]] = True
+            gens.extend(high.monomials[k] for k in np.flatnonzero(~covered))
         return MonomialIdeal(self.ring, gens)
 
 
@@ -70,19 +75,20 @@ def _expand(monomials, ring):
 
 def segment_ideal_of(hf: HilbertFunction, order, ring, bound) -> SegmentIdealResult:
     """Segments Seg(d, dim I_d) for d <= bound and the ideal-closure verdict
-    (S_1 * Seg(d) inside Seg(d+1) for every d < bound)."""
+    (S_1 * Seg(d) inside Seg(d+1) for every d < bound).  A segment is a
+    prefix of its piece, so the closure test is that x_j maps the first
+    u_d positions of degree d below position u_{d+1}, for every j."""
     spaces = []
     for d in range(bound + 1):
         u = hf.ideal_dimension(ring, d)
         if not 0 <= u <= ring.monomial_count(d):
             raise ValueError(f"inconsistent Hilbert function at degree {d}")
         spaces.append(segment_space(d, u, order, ring))
-    is_ideal = True
-    for low, high in zip(spaces, spaces[1:]):
-        expanded = _expand(set(low.monomials), ring)
-        if not expanded <= set(high.monomials):
-            is_ideal = False
-            break
+    is_ideal = all(
+        (shift[: len(low.monomials)] < len(high.monomials)).all()
+        for low, high in zip(spaces, spaces[1:])
+        for shift in ring.variable_shifts(low.degree, order)
+    )
     return SegmentIdealResult(spaces, is_ideal, ring, order)
 
 

@@ -1,10 +1,11 @@
 """Independent test oracles based on per-degree (Macaulay matrix) linear
 algebra.  These deliberately avoid the Groebner code paths they are used to
 verify.  Also a hypothesis strategy for the small homogeneous generator
-lists the property tests draw, and a naive all-pairs Fourier-Motzkin
-elimination."""
+lists the property tests draw, a naive all-pairs Fourier-Motzkin
+elimination, and set-based segment closure."""
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import gcd, lcm
 
 from hypothesis import assume, strategies as st
@@ -119,3 +120,30 @@ def naive_feasible_point(constraints, nvars):
         else:
             point.append(Fraction(1))
     return point
+
+
+def segment_oracle(ideal_dims, order, nvars):
+    """Segments as sets: in each degree d, the ideal_dims[d] greatest degree-d
+    monomials under ``order``, enumerated and sorted here.  Returns whether
+    x_j times every member of degree d lies in degree d + 1 for each d, and
+    the members of each degree that are not such a product (the minimal
+    generators, when the segments close)."""
+
+    def greatest(d, u):
+        mons = []
+        for combo in combinations_with_replacement(range(nvars), d):
+            exps = [0] * nvars
+            for j in combo:
+                exps[j] += 1
+            mons.append(tuple(exps))
+        return set(sorted(mons, key=order.sort_key)[:u])
+
+    def times_variables(space):
+        return {m[:j] + (m[j] + 1,) + m[j + 1:] for m in space for j in range(nvars)}
+
+    spaces = [greatest(d, u) for d, u in enumerate(ideal_dims)]
+    closed = all(times_variables(low) <= high for low, high in zip(spaces, spaces[1:]))
+    gens = set(spaces[0])
+    for low, high in zip(spaces, spaces[1:]):
+        gens |= high - times_variables(low)
+    return closed, gens

@@ -198,3 +198,35 @@ def test_exit_code_3_on_non_generic_gin_trials(tmp_path, capsys):
         "computation failed: gin trials over F_3 agreed on an ideal that is not "
         "Borel-fixed, so their coordinate changes were not generic\n"
     )
+
+
+def test_repeated_runs_in_one_process_match_fresh_runs(tmp_path, monkeypatch, capsys):
+    # the parser is built once per process; runs that share it, usage errors
+    # and --help in between, give what a freshly built parser gives
+    monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+    out = tmp_path / "out.json"
+    argvs = [
+        (["points", "--s", "3", "--r", "2", "--seed", "4", "--out", str(out)], 0),
+        (["points", "--s", "3", "--r", "2", "--bogus"], 4),
+        (["--help"], 0),
+        (["segment", "--hf", "1,3,3,3", "--stable", "3", "--bound", "3", "--out", str(out)], 0),
+        (["points", "--s", "three", "--r", "2"], 4),
+        (["points", "--help"], 0),
+        (["sylvester", "--a", "2", "--b", "2", "--p", "1", "--seed", "3", "--out", str(out)], 0),
+        (["points", "--s", "3", "--r", "2", "--seed", "4", "--out", str(out)], 0),
+    ]
+
+    def outcome(argv):
+        out.unlink(missing_ok=True)
+        code = run(argv)
+        printed = capsys.readouterr()
+        return code, printed.out, printed.err, out.read_bytes() if out.exists() else None
+
+    shared = [outcome(argv) for argv, _ in argvs * 2]
+    assert cli.build_parser() is cli.build_parser()
+    fresh = []
+    for argv, _ in argvs:
+        cli.build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert [code for code, *_ in shared] == [code for _, code in argvs] * 2
+    assert shared == fresh * 2

@@ -256,20 +256,23 @@ def test_witness_never_suppresses_the_degree_cap(monkeypatch):
 
 
 def test_second_gin_trial_reduces_fewer_pairs(monkeypatch):
+    # the first trial computes a revlex witness; each lex trial, the second
+    # included, is pruned by it and reduces fewer S-pairs than an unwitnessed
+    # lex run of the same moved ideal
     from ginlab.gin import gin
 
     def per_run_counts():
-        counts = []
+        runs = []  # [order, witnessed, S-pairs reduced] per buchberger run
         run = groebner.buchberger
 
-        def counting(*args, **kwargs):
-            counts.append(0)
-            return run(*args, **kwargs)
+        def counting(gens, order, *args, witness=None, **kwargs):
+            runs.append([order, witness is not None, 0])
+            return run(gens, order, *args, witness=witness, **kwargs)
 
         spair = groebner._DenseEngine.spair
 
         def spy(self, i, j):
-            counts[-1] += 1
+            runs[-1][2] += 1
             return spair(self, i, j)
 
         with monkeypatch.context() as patch:
@@ -277,12 +280,18 @@ def test_second_gin_trial_reduces_fewer_pairs(monkeypatch):
             patch.setattr(groebner._DenseEngine, "spair", spy)
             R = ring(4)
             f, g = sample_monic_pair(R, 3, 3, random.Random(5))  # curve (3,3), seed 5
-            gin(Ideal([f, g]), Lex(), trials=2, seed=5)
-        return counts
+            result = gin(Ideal([f, g]), Lex(), trials=2, seed=5)
+            assert result.agreed and len(result.trial_ideals) == 2
+            for moved in result.trial_ideals:
+                groebner.buchberger(moved.generators, Lex())
+        return runs
 
     first = per_run_counts()
-    assert len(first) == 2
-    assert first[1] < first[0]
+    assert [run[:2] for run in first] == [
+        [Revlex(), False], [Lex(), True], [Lex(), True], [Lex(), False], [Lex(), False]
+    ]
+    witnessed, unwitnessed = [run[2] for run in first[1:3]], [run[2] for run in first[3:]]
+    assert all(w < u for w, u in zip(witnessed, unwitnessed))
     assert per_run_counts() == first
 
 
@@ -520,14 +529,14 @@ def _mulmap_orders(nvars):
 
 
 def _check_mulmaps(R, order, shapes):
-    engine = groebner._DenseEngine(R, order)
     for src_deg, delta_deg in shapes:
         src = R.graded_piece(src_deg, order).monomials
         index = R.graded_piece(src_deg + delta_deg, order).index
         for delta in R.monomials_of_degree(delta_deg):
-            got = engine._mulmap(src_deg, delta)
+            got = R.multiplication_map(src_deg, delta, order)
             assert got.dtype.name == "int64"
             assert got.tolist() == [index[mono_mul(m, delta)] for m in src]
+            assert R.graded_piece(src_deg, order).maps[delta] is got
 
 
 @pytest.mark.parametrize("nvars", [2, 3, 4, 5])
@@ -544,3 +553,46 @@ def test_mulmap_matches_index_oracle_on_a_wide_ring():
     shapes = [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]
     for order in _mulmap_orders(40):
         _check_mulmaps(R, order, shapes)
+
+
+@pytest.mark.parametrize("order", _mulmap_orders(4), ids=str)
+def test_engines_on_one_ring_share_each_map(order):
+    R = ring(4)
+    first, second = groebner._DenseEngine(R, order), groebner._DenseEngine(R, order)
+    for delta in R.monomials_of_degree(2):
+        got = first._mulmap(3, delta)
+        assert second._mulmap(3, delta) is got
+        assert R.multiplication_map(3, delta, order) is got
+    # an equal ring is another cache
+    assert groebner._DenseEngine(ring(4), order)._mulmap(3, delta) is not got
+
+
+def test_cached_maps_are_read_only():
+    R = ring(3)
+    got = groebner._DenseEngine(R, Revlex())._mulmap(2, (0, 1, 1))
+    with pytest.raises(ValueError):
+        got[0] = 0
+    for shift in R.variable_shifts(2):
+        with pytest.raises(ValueError):
+            shift[:] = 0
+
+
+def test_second_gin_trial_adds_no_lex_map(monkeypatch):
+    import sys
+
+    gin_module = sys.modules["ginlab.gin"]  # the package re-exports the function as ``gin``
+    R = ring(4)
+    f, g = sample_monic_pair(R, 3, 3, random.Random(5))  # curve (3,3), seed 5
+    lex_maps = []  # maps held by the lex pieces after each trial
+    trial = gin_module._one_trial
+
+    def counting(*args):
+        out = trial(*args)
+        lex_maps.append(sum(len(p.maps) for (_, o), p in R._graded.items() if o == Lex()))
+        return out
+
+    monkeypatch.setattr(gin_module, "_one_trial", counting)
+    gin_module.gin(Ideal([f, g]), Lex(), trials=2, seed=5)
+    assert len(lex_maps) == 2
+    assert lex_maps[0] > 0
+    assert lex_maps[1] == lex_maps[0]

@@ -8,7 +8,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import naive_feasible_point
+from oracles import naive_feasible_point, segment_oracle
 
 from ginlab import segments
 from ginlab.fields import FP_DEFAULT
@@ -21,7 +21,7 @@ from ginlab.monomial_ideals import (
     hilbert_data,
     is_borel_fixed,
 )
-from ginlab.orders import Lex, Revlex
+from ginlab.orders import Lex, Revlex, WeightOrder
 from ginlab.rings import RingContext
 from ginlab.segments import (
     enumerate_borel_by_hf,
@@ -246,6 +246,62 @@ def test_lex_ideal_rejects_non_o_sequence():
     bad = HilbertFunction((1, 4, 2, 8), 3, None)  # dim I_3 shrinks: impossible
     with pytest.raises(ValueError):
         lex_ideal_of_hf(bad, ring(3), bound=3)
+
+
+def _closure_orders(nvars):
+    weights = tuple(1 + (3 * i) % (nvars + 1) for i in range(nvars))  # ranks x1 first
+    return [Lex(), Revlex(), WeightOrder(weights, Revlex())]
+
+
+def _check_against_segment_oracle(hf, nvars, bound):
+    R = ring(nvars)
+    ideal_dims = [comb(nvars - 1 + d, nvars - 1) - hf.h(d) for d in range(bound + 1)]
+    verdicts = []
+    for order in _closure_orders(nvars):
+        closed, gens = segment_oracle(ideal_dims, order, nvars)
+        result = segment_ideal_of(hf, order, R, bound)
+        assert result.is_ideal == closed
+        if closed:
+            assert set(result.monomial_ideal().gens) == gens
+        else:
+            with pytest.raises(ValueError):
+                result.monomial_ideal()
+        verdicts.append(closed)
+    return verdicts
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_segment_closure_matches_set_oracle_for_generic_points(r):
+    for s in range(1, 13):
+        d0 = next(d for d in range(s) if comb(r + d, r) >= s)
+        assert _check_against_segment_oracle(points_hf(s, r, d0 + 3), r + 1, d0 + 2) == [True] * 3
+
+
+def test_segment_closure_matches_set_oracle_on_the_point_fixtures():
+    # the seven- and ten-point fixtures of P^3 have the generic Hilbert
+    # function, so their segments close although their gins are not segments
+    from ginlab.points import (
+        SEVEN_POINTS_SHARED_FACTOR, TEN_POINTS_LATTICE_SIMPLEX, explicit_points,
+        vanishing_ideal,
+    )
+
+    for coords in (SEVEN_POINTS_SHARED_FACTOR, TEN_POINTS_LATTICE_SIMPLEX):
+        hf = vanishing_ideal(explicit_points(FP_DEFAULT, coords)).hilbert_function(
+            Revlex(), bound=6
+        )
+        assert _check_against_segment_oracle(hf, 4, 5) == [True] * 3
+
+
+@pytest.mark.parametrize("s, r, verdicts", [
+    (3, 2, [True, False, False]),  # three collinear points in P^2
+    (4, 3, [True, False, True]),  # four collinear points in P^3
+])
+def test_segment_closure_matches_set_oracle_where_segments_fail(s, r, verdicts):
+    # s points on a line: h(d) = min(d + 1, s), an O-sequence, so the lex
+    # segments close (Macaulay) but the revlex ones do not: Seg(1) holds
+    # x_{r-2}, yet Seg(2) ends before x_{r-2}*x_r
+    hf = HilbertFunction(tuple(min(d + 1, s) for d in range(s + 3)), s + 2, s)
+    assert _check_against_segment_oracle(hf, r + 1, s + 2) == verdicts
 
 
 def test_segment_closure_dimension_drop_lemma():
