@@ -12,15 +12,7 @@ from .groebner import (
     normal_form,
     reduce_groebner_basis,
 )
-from .monomial_ideals import (
-    HilbertFunction,
-    MonomialIdeal,
-    borel_regularity,
-    ek_betti,
-    hilbert_data,
-    is_borel_fixed,
-    saturate_borel,
-)
+from .monomial_ideals import HilbertFunction, MonomialIdeal, hilbert_data, is_borel_fixed
 from .orders import Lex, ProductOrder, Revlex, WeightOrder, elimination_order
 from .partial_elim import (
     PartialElimTower,
@@ -28,17 +20,10 @@ from .partial_elim import (
     count_distinct_points,
     monomial_partial_elim,
     partial_elim_ideals,
-    pei_oracle,
     tower_decomposition,
     x0_profile,
 )
-from .points import (
-    PointSet,
-    evaluation_matrix,
-    genericity_spot_check,
-    random_points,
-    vanishing_ideal,
-)
+from .points import PointSet, evaluation_matrix, random_points, vanishing_ideal
 from .poly import Polynomial, parse_polynomial, random_form
 from .rings import RingContext
 from .segments import (

@@ -57,7 +57,13 @@ def apply_change(I, matrix):
         raise ValueError("coordinate change shape does not match ring")
     if linalg.det(ring.field, [list(r) for r in matrix]) == ring.field.zero:
         raise ValueError("singular matrix is not a coordinate change")
-    moved = Ideal([g.substitute(matrix) for g in I.generators], ring=ring)
+    return _apply_invertible(I, matrix)
+
+
+def _apply_invertible(I, matrix):
+    """:func:`apply_change` for a matrix already known to be invertible,
+    such as one drawn by :func:`random_coordinate_change`."""
+    moved = Ideal([g.substitute(matrix) for g in I.generators], ring=I.ring)
     moved.hilbert_witness = I.hilbert_witness
     return moved
 
@@ -135,7 +141,7 @@ def _one_trial(I, order, trial_seed, degree_cap):
     revlex initial ideal has the least regularity of any order, reg(I)
     (Bayer-Stillman 1987), so it is the cheapest witness to compute
     (Traverso 1996).  Under revlex itself this adds no run."""
-    moved = apply_change(I, random_coordinate_change(I.ring, trial_seed))
+    moved = _apply_invertible(I, random_coordinate_change(I.ring, trial_seed))
     if not moved.hilbert_witness:
         moved.groebner_basis(Revlex(), degree_cap)
     return moved.initial_ideal(order, degree_cap), moved

@@ -1,5 +1,5 @@
-"""Monomial ideals: minimal generators, Hilbert series, Borel property,
-Eliahou-Kervaire Betti numbers, and saturation.
+"""Monomial ideals: minimal generators, Hilbert series and the Borel
+property.
 
 The Hilbert series of S/J is computed exactly as N(t)/(1-t)^n by the
 standard splitting recursion; dimension and degree are read off the
@@ -12,6 +12,11 @@ from dataclasses import dataclass
 from math import comb
 
 from .rings import mono_degree, mono_divides
+
+
+class SelfCheckFailed(RuntimeError):
+    """Raised when a computed result fails the re-check that certifies it:
+    a defect in the computation, never in its input."""
 
 
 def minimalize_monomials(gens):
@@ -111,39 +116,6 @@ def is_borel_fixed(J: MonomialIdeal) -> bool:
                 if not J.contains(tuple(swapped)):
                     return False
     return True
-
-
-def borel_regularity(J: MonomialIdeal) -> int:
-    """Regularity of a Borel-fixed ideal: its maximum generator degree.
-
-    This shortcut is only valid for Borel-fixed ideals (characteristic zero
-    or a large-prime surrogate), so non-Borel input is an error.
-    """
-    if not is_borel_fixed(J):
-        raise ValueError("regularity from generator degrees requires a Borel-fixed ideal")
-    return J.max_generator_degree()
-
-
-def ek_betti(J: MonomialIdeal):
-    """Graded Betti numbers of a Borel-fixed (stable) monomial ideal via the
-    Eliahou-Kervaire resolution: each generator u of degree d contributes
-    C(max(u), i) to beta_{i, i+d}, where max(u) is the largest variable
-    index dividing u."""
-    if not is_borel_fixed(J):
-        raise ValueError("Eliahou-Kervaire Betti numbers require a Borel-fixed ideal")
-    table = {}
-    for u in J.gens:
-        d = mono_degree(u)
-        m = max(i for i, e in enumerate(u) if e > 0) if any(u) else 0
-        for i in range(m + 1):
-            key = (i, i + d)
-            table[key] = table.get(key, 0) + comb(m, i)
-    return table
-
-
-def betti_regularity(table) -> int:
-    """max(j - i) over nonzero entries of a graded Betti table."""
-    return max(j - i for (i, j), v in table.items() if v)
 
 
 # ----------------------------------------------------------------------
@@ -288,49 +260,3 @@ def series_value(numer, nvars, d):
     return sum(
         numer[j] * comb(nvars - 1 + d - j, nvars - 1) for j in range(min(d, len(numer) - 1) + 1)
     )
-
-
-# ----------------------------------------------------------------------
-# saturation
-
-
-class SelfCheckFailed(RuntimeError):
-    """Raised when a computed result fails the re-check that certifies it:
-    a defect in the computation, never in its input."""
-
-
-def saturate_variable(J: MonomialIdeal, var_index: int):
-    """Saturation J : x_i^infinity (strip all powers of x_i from the
-    generators) together with the saturation degree: the least d from which
-    J and its saturation agree, computed from the exact Hilbert series."""
-    if not 0 <= var_index < J.ring.nvars:
-        raise ValueError("variable index out of range")
-    stripped = [
-        tuple(0 if i == var_index else e for i, e in enumerate(g)) for g in J.gens
-    ]
-    sat = MonomialIdeal(J.ring, stripped)
-    diff = _numer_difference(hilbert_numerator(J), hilbert_numerator(sat))
-    # (N_J - N_sat)/(1-t)^n is the generating polynomial of dim (sat/J)_d,
-    # which has finite support
-    for _ in range(J.ring.nvars):
-        nxt = _divide_one_minus_t(diff)
-        if nxt is None:
-            raise SelfCheckFailed("saturation series difference is not finitely supported")
-        diff = nxt
-    support = [d for d, c in enumerate(diff) if c]
-    sat_degree = (max(support) + 1) if support else 0
-    return sat, sat_degree
-
-
-def saturate_borel(J: MonomialIdeal):
-    """Saturation with respect to the maximal ideal.  For a Borel-fixed
-    ideal this equals saturation with respect to the last variable; calling
-    it on anything else is an error."""
-    if not is_borel_fixed(J):
-        raise ValueError("maximal-ideal saturation shortcut requires a Borel-fixed ideal")
-    return saturate_variable(J, J.ring.nvars - 1)
-
-
-def _numer_difference(a, b):
-    n = max(len(a), len(b))
-    return [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)]

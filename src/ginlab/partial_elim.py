@@ -13,9 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, lcm
 
-from . import linalg
 from .gin import apply_change, random_coordinate_change
-from .groebner import DEFAULT_DEGREE_CAP, Ideal, ResourceLimitExceeded, reduce_groebner_basis
+from .groebner import DEFAULT_DEGREE_CAP, Ideal, reduce_groebner_basis
 from .monomial_ideals import MonomialIdeal, minimalize_monomials
 from .orders import Revlex, canonical, elimination_order
 from .poly import Polynomial
@@ -87,65 +86,6 @@ def tower_decomposition(tower):
         for g in level.groebner_basis(inner):
             gens.append((p,) + g.leading_monomial(inner))
     return MonomialIdeal(big_ring, minimalize_monomials(gens))
-
-
-# ----------------------------------------------------------------------
-# definition-level oracle (per-degree linear algebra)
-
-
-def pei_oracle(I, p, degree_bound, inner_order=None):
-    """Graded pieces of K_p straight from the definition.
-
-    For each d <= degree_bound, assemble a spanning set of I_{d+p}, row
-    reduce against the degree-(d+p) monomials sorted by decreasing
-    x0-degree (then the inner order), and harvest the initial coefficients
-    of rows whose leading monomial has x0-degree exactly p.  Returns
-    {d: list of small-ring polynomials spanning (K_p)_d}.
-
-    This is a small-instance verification tool, independent of the
-    Groebner path.
-    """
-    ring = I.ring
-    if ring.nvars > 4 or degree_bound > 10:
-        raise ResourceLimitExceeded(
-            "oracle is restricted to small instances (<= 4 vars, bound <= 10)"
-        )
-    inner = inner_order if inner_order is not None else Revlex()
-    elim = elimination_order(ring.nvars, inner)
-    small = ring.drop_first_variable()
-    field = ring.field
-    out = {}
-    for d in range(degree_bound + 1):
-        total = d + p
-        piece = ring.graded_piece(total, elim)
-        columns, col_index = piece.monomials, piece.index
-        rows = []
-        for g in I.generators:
-            gdeg = g.homogeneous_degree()
-            if gdeg > total:
-                continue
-            for m in ring.monomials_of_degree(total - gdeg):
-                shifted = g.term_mul(m)
-                row = [field.zero] * len(columns)
-                for mm, c in shifted.terms.items():
-                    row[col_index[mm]] = c
-                rows.append(row)
-        if not rows:
-            out[d] = []
-            continue
-        red, pivots = linalg.rref(field, rows)
-        pieces = []
-        for r, pc in enumerate(pivots):
-            lead = columns[pc]
-            if lead[0] != p:
-                continue
-            coeff_terms = {}
-            for j in range(pc, len(columns)):
-                if red[r][j] != field.zero and columns[j][0] == p:
-                    coeff_terms[columns[j][1:]] = red[r][j]
-            pieces.append(Polynomial(small, coeff_terms))
-        out[d] = pieces
-    return out
 
 
 # ----------------------------------------------------------------------

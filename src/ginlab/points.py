@@ -75,36 +75,6 @@ def random_points(s, r, seed, field):
     return PointSet(field, tuple(sorted(pts, key=str)), seed)
 
 
-def explicit_points(field, coords, seed=None):
-    """Wrap explicit integer coordinates as a PointSet over the field."""
-    pts = tuple(tuple(field.of(c) for c in pt) for pt in coords)
-    return PointSet(field, pts, seed)
-
-
-#: Seven points of P^3 whose quadrics all share a linear factor even though
-#: the Hilbert function is the generic one; pins the boundary of the
-#: segment-ideal theorem.
-SEVEN_POINTS_SHARED_FACTOR = (
-    (0, 0, 0, 1),
-    (0, 0, 1, 1),
-    (0, 0, 2, 1),
-    (0, 1, 0, 1),
-    (0, 1, 1, 1),
-    (0, 2, 0, 1),
-    (1, 0, 0, 1),
-)
-
-#: The ten lattice points (a, b, c, 1) with a+b+c <= 2 in P^3: generic
-#: Hilbert function, but every generic projection lands on a plane cubic.
-TEN_POINTS_LATTICE_SIMPLEX = tuple(
-    (a, b, c, 1)
-    for a in range(3)
-    for b in range(3)
-    for c in range(3)
-    if a + b + c <= 2
-)
-
-
 def evaluation_matrix(P: PointSet, d, ring=None):
     """The s x C(r+d, r) matrix of degree-d monomials (descending lex order)
     evaluated at the points."""
@@ -181,46 +151,3 @@ def vanishing_ideal(P: PointSet, degree_bound=None, ring=None):
 def _vector_to_poly(ring, mons, vec):
     field = ring.field
     return Polynomial(ring, {m: c for m, c in zip(mons, vec) if c != field.zero})
-
-
-@dataclass
-class SpotCheckReport:
-    """Outcome of sampling maximal minors of the evaluation matrices."""
-
-    tested: int
-    failures: list  # (degree, column tuple) with vanishing maximal minor
-    skipped_degrees: list
-
-    @property
-    def all_nonzero(self):
-        return not self.failures
-
-
-def genericity_spot_check(P: PointSet, d_max, samples, seed=0, ring=None):
-    """Sample s-column subsets of each X_d (d <= d_max) and test the maximal
-    minors for nonvanishing; full verification is exponential, so this is a
-    Monte-Carlo spot check.  ``samples='all'`` enumerates every subset."""
-    ring = ring if ring is not None else P.ring()
-    rng = random.Random(seed)
-    s = P.size
-    failures = []
-    skipped = []
-    tested = 0
-    for d in range(1, d_max + 1):
-        n_cols = ring.monomial_count(d)
-        if n_cols < s:
-            skipped.append(d)
-            continue
-        x_d = evaluation_matrix(P, d, ring)
-        if samples == "all":
-            subsets = combinations(range(n_cols), s)
-        else:
-            subsets = (
-                tuple(sorted(rng.sample(range(n_cols), s))) for _ in range(samples)
-            )
-        for cols in subsets:
-            minor = [[row[c] for c in cols] for row in x_d]
-            tested += 1
-            if linalg.det(P.field, minor) == P.field.zero:
-                failures.append((d, tuple(cols)))
-    return SpotCheckReport(tested, failures, skipped)

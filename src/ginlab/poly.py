@@ -140,17 +140,6 @@ class Polynomial:
             return Polynomial.zero(self.ring)
         return Polynomial(self.ring, {m: field.mul(v, c) for m, v in self.terms.items()})
 
-    def term_mul(self, exps, coeff=None):
-        """Multiply by a single term coeff*x^exps."""
-        field = self.ring.field
-        coeff = field.one if coeff is None else field.of(coeff)
-        if coeff == field.zero:
-            return Polynomial.zero(self.ring)
-        exps = tuple(exps)
-        return Polynomial(
-            self.ring, {mono_mul(m, exps): field.mul(c, coeff) for m, c in self.terms.items()}
-        )
-
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
             return self.scale(other)
@@ -270,18 +259,6 @@ class Polynomial:
             return Polynomial(ring, {mons[i]: int(total[i]) for i in np.flatnonzero(total)})
         scale = C * D**d
         return Polynomial(ring, {mons[i]: Fraction(total[i], scale) for i in np.flatnonzero(total)})
-
-    def evaluate(self, point):
-        """Evaluate at a tuple of field scalars."""
-        field = self.ring.field
-        total = field.zero
-        for m, c in self.terms.items():
-            v = c
-            for coord, e in zip(point, m):
-                for _ in range(e):
-                    v = field.mul(v, coord)
-            total = field.add(total, v)
-        return total
 
     # ------------------------------------------------------------------
     # text form

@@ -1,34 +1,60 @@
-"""Independent test oracles based on per-degree (Macaulay matrix) linear
-algebra.  These deliberately avoid the Groebner code paths they are used to
-verify.  Also a hypothesis strategy for the small homogeneous generator
-lists the property tests draw, a naive all-pairs Fourier-Motzkin
-elimination, and set-based segment closure."""
+"""Independent test oracles.  None of them shares code with the path it
+checks: each enumerates its own monomials and builds its own matrices, and
+row reduction is ``linalg.rref``, which no Groebner or partial elimination
+path calls.
+
+- Per-degree (Macaulay matrix) linear algebra: ``macaulay_dimension`` and
+  ``macaulay_contains`` for Groebner bases, and ``pei_oracle``, the
+  partial elimination ideals K_p read straight off their definition.
+- ``ek_betti``: the Eliahou-Kervaire Betti table of a Borel-fixed ideal,
+  whose Euler characteristic checks the Hilbert numerator.
+- ``evaluate``: a polynomial at a point, for vanishing-ideal checks.
+- ``naive_feasible_point``: all-pairs Fourier-Motzkin elimination.
+- ``segment_oracle``: set-based segment closure.
+- ``homogeneous_generators``: a hypothesis strategy for the small
+  homogeneous generator lists the property tests draw.
+- ``explicit_points`` and the two boundary point fixtures of P^3.
+"""
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 from hypothesis import assume, strategies as st
 
 from ginlab import linalg
+from ginlab.orders import elimination_order
+from ginlab.points import PointSet
 from ginlab.poly import Polynomial
 from ginlab.rings import RingContext
 
 
+def _monomials(nvars, d):
+    """Every degree-d exponent tuple in nvars variables, in no fixed order."""
+    out = []
+    for combo in combinations_with_replacement(range(nvars), d):
+        exps = [0] * nvars
+        for j in combo:
+            exps[j] += 1
+        out.append(tuple(exps))
+    return out
+
+
 def graded_piece_rows(generators, ring, d, column_order):
-    """Coefficient rows spanning I_d, as multiples m * g of the generators."""
-    columns = sorted(ring.monomials_of_degree(d), key=column_order.sort_key)
+    """Coefficient rows spanning I_d, as multiples m * g of the generators,
+    and their columns: the degree-d monomials greatest first under
+    ``column_order``."""
+    columns = sorted(_monomials(ring.nvars, d), key=column_order.sort_key)
     index = {m: i for i, m in enumerate(columns)}
     rows = []
     for g in generators:
         gdeg = g.homogeneous_degree()
         if gdeg is None or gdeg > d:
             continue
-        for m in ring.monomials_of_degree(d - gdeg):
-            shifted = g.term_mul(m)
+        for m in _monomials(ring.nvars, d - gdeg):
             row = [ring.field.zero] * len(columns)
-            for mm, c in shifted.terms.items():
-                row[index[mm]] = c
+            for mm, c in g.terms.items():
+                row[index[tuple(a + b for a, b in zip(mm, m))]] = c
             rows.append(row)
     return rows, columns
 
@@ -52,6 +78,57 @@ def macaulay_contains(I, f, column_order):
     for m, c in f.terms.items():
         frow[index[m]] = c
     return _rank(I.ring.field, rows + [frow]) == _rank(I.ring.field, rows)
+
+
+def pei_oracle(I, p, degree_bound, inner_order):
+    """Graded pieces of K_p straight from the definition (M. Green, "Generic
+    initial ideals", 1998): for each d <= degree_bound, row reduce a
+    spanning set of I_{d+p} against the degree-(d+p) monomials sorted by
+    decreasing x0-degree, then ``inner_order``, and keep the initial
+    coefficient of each row whose leading monomial has x0-degree exactly p.
+    Returns {d: small-ring polynomials spanning (K_p)_d}."""
+    ring, field = I.ring, I.ring.field
+    small = ring.drop_first_variable()
+    elim = elimination_order(ring.nvars, inner_order)
+    out = {}
+    for d in range(degree_bound + 1):
+        rows, columns = graded_piece_rows(I.generators, ring, d + p, elim)
+        red, pivots = linalg.rref(field, rows)
+        out[d] = [
+            Polynomial(small, {m[1:]: c for m, c in zip(columns, red[r])
+                               if m[0] == p and c != field.zero})
+            for r, pc in enumerate(pivots)
+            if columns[pc][0] == p
+        ]
+    return out
+
+
+def ek_betti(gens):
+    """Graded Betti numbers {(i, i + d): beta_{i, i+d}} of the Borel-fixed
+    ideal minimally generated by the exponent tuples ``gens``, from the
+    Eliahou-Kervaire resolution (J. Algebra 129, 1990): a generator u of
+    degree d adds C(max(u), i) to beta_{i, i+d}, where max(u) is the largest
+    index of a variable dividing u.  Only valid for Borel-fixed ideals; the
+    caller checks that."""
+    table = {}
+    for u in gens:
+        top = max((i for i, e in enumerate(u) if e), default=0)
+        for i in range(top + 1):
+            key = (i, i + sum(u))
+            table[key] = table.get(key, 0) + comb(top, i)
+    return table
+
+
+def evaluate(f, point):
+    """f at a tuple of field scalars, one term at a time."""
+    field = f.ring.field
+    total = field.zero
+    for m, c in f.terms.items():
+        for coord, e in zip(point, m):
+            for _ in range(e):
+                c = field.mul(c, coord)
+        total = field.add(total, c)
+    return total
 
 
 @st.composite
@@ -130,13 +207,7 @@ def segment_oracle(ideal_dims, order, nvars):
     generators, when the segments close)."""
 
     def greatest(d, u):
-        mons = []
-        for combo in combinations_with_replacement(range(nvars), d):
-            exps = [0] * nvars
-            for j in combo:
-                exps[j] += 1
-            mons.append(tuple(exps))
-        return set(sorted(mons, key=order.sort_key)[:u])
+        return set(sorted(_monomials(nvars, d), key=order.sort_key)[:u])
 
     def times_variables(space):
         return {m[:j] + (m[j] + 1,) + m[j + 1:] for m in space for j in range(nvars)}
@@ -147,3 +218,33 @@ def segment_oracle(ideal_dims, order, nvars):
     for low, high in zip(spaces, spaces[1:]):
         gens |= high - times_variables(low)
     return closed, gens
+
+
+def explicit_points(field, coords, seed=None):
+    """Wrap explicit integer coordinates as a PointSet over the field."""
+    pts = tuple(tuple(field.of(c) for c in pt) for pt in coords)
+    return PointSet(field, pts, seed)
+
+
+#: Seven points of P^3 whose quadrics all share a linear factor even though
+#: the Hilbert function is the generic one; pins the boundary of the
+#: segment-ideal theorem.
+SEVEN_POINTS_SHARED_FACTOR = (
+    (0, 0, 0, 1),
+    (0, 0, 1, 1),
+    (0, 0, 2, 1),
+    (0, 1, 0, 1),
+    (0, 1, 1, 1),
+    (0, 2, 0, 1),
+    (1, 0, 0, 1),
+)
+
+#: The ten lattice points (a, b, c, 1) with a+b+c <= 2 in P^3: generic
+#: Hilbert function, but every generic projection lands on a plane cubic.
+TEN_POINTS_LATTICE_SIMPLEX = tuple(
+    (a, b, c, 1)
+    for a in range(3)
+    for b in range(3)
+    for c in range(3)
+    if a + b + c <= 2
+)

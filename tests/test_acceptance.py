@@ -9,6 +9,12 @@ from math import comb
 import pytest
 
 from conftest import SUITE_SEED
+from oracles import (
+    SEVEN_POINTS_SHARED_FACTOR,
+    TEN_POINTS_LATTICE_SIMPLEX,
+    explicit_points,
+    pei_oracle,
+)
 
 from ginlab.experiments import (
     BOREL_CENSUS_EXPECTED,
@@ -22,13 +28,8 @@ from ginlab.gin import apply_change, gin, random_coordinate_change
 from ginlab.groebner import Ideal
 from ginlab.monomial_ideals import HilbertFunction, MonomialIdeal, is_borel_fixed
 from ginlab.orders import Lex, Revlex
-from ginlab.partial_elim import partial_elim_ideals, pei_oracle
-from ginlab.points import (
-    SEVEN_POINTS_SHARED_FACTOR,
-    TEN_POINTS_LATTICE_SIMPLEX,
-    explicit_points,
-    vanishing_ideal,
-)
+from ginlab.partial_elim import partial_elim_ideals
+from ginlab.points import vanishing_ideal
 from ginlab.poly import random_form
 from ginlab.rings import RingContext
 from ginlab.segments import lex_ideal_of_hf, segment_space, segment_witness, verify_weight_witness
@@ -277,7 +278,7 @@ def test_criterion_10_property_suites(curve_reports, nonsmooth_report):
         I = Ideal([random_form(R, rnd.randint(1, 4), rnd) for _ in range(2)])
         p = rnd.randint(0, 1)
         tower = partial_elim_ideals(I, p, Revlex())
-        pieces = pei_oracle(I, p, 5)
+        pieces = pei_oracle(I, p, 5, Revlex())
         level = tower.levels[p]
         initial = level.initial_ideal(Revlex())
         for d in range(6):

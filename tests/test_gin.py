@@ -86,6 +86,23 @@ def test_singular_matrix_rejected():
         apply_change(I, singular)
 
 
+def test_each_trial_checks_its_matrix_once(monkeypatch):
+    # the draw already redraws until det != 0, so a trial applies its matrix
+    # without the public apply_change re-checking it
+    calls = []
+    det = linalg.det
+
+    def counting_det(field, rows):
+        calls.append(rows)
+        return det(field, rows)
+
+    monkeypatch.setattr(linalg, "det", counting_det)
+    f, g = sample_monic_pair(ring(), 2, 2, random.Random(3))
+    result = gin(Ideal([f, g]), Lex(), trials=2)
+    assert result.trials_used == 2
+    assert len(calls) == 2
+
+
 def test_gin_of_three_generic_points():
     from ginlab.points import random_points, vanishing_ideal
 

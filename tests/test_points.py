@@ -1,9 +1,11 @@
-"""Point sets, evaluation matrices, vanishing ideals, and the genericity
-spot check (including both boundary fixtures)."""
+"""Point sets, evaluation matrices and vanishing ideals (including both
+boundary fixtures)."""
 
 from math import comb
 
 import pytest
+
+from oracles import SEVEN_POINTS_SHARED_FACTOR, TEN_POINTS_LATTICE_SIMPLEX, evaluate, explicit_points
 
 from ginlab import linalg
 from ginlab.fields import FP_DEFAULT, QQ
@@ -13,11 +15,7 @@ from ginlab.orders import Lex, Revlex
 from ginlab.points import (
     DegeneratePointsError,
     PointSet,
-    SEVEN_POINTS_SHARED_FACTOR,
-    TEN_POINTS_LATTICE_SIMPLEX,
     evaluation_matrix,
-    explicit_points,
-    genericity_spot_check,
     random_points,
     vanishing_ideal,
 )
@@ -85,7 +83,7 @@ def test_vanishing_ideal_generators_vanish():
     I = vanishing_ideal(pts)
     for g in I.generators:
         for pt in pts.points:
-            assert g.evaluate(pt) == FP_DEFAULT.zero
+            assert evaluate(g, pt) == FP_DEFAULT.zero
 
 
 def test_vanishing_ideal_detects_coincident_points():
@@ -122,7 +120,7 @@ def test_vanishing_ideal_cutoff_matches_evaluation_ranks(case):
     assert I.hilbert_function(Revlex(), bound=s + 1).dims == ranks
     for g in I.generators:
         for pt in pts.points:
-            assert g.evaluate(pt) == pts.field.zero
+            assert evaluate(g, pt) == pts.field.zero
     assert vanishing_ideal(pts, degree_bound=s + 3).generators == I.generators
 
 
@@ -174,22 +172,3 @@ def test_ten_point_fixture_gin_contains_second_variable_cubed():
     assert all(m[0] > 0 for m in seg3)
     assert x1_cubed not in seg3
     assert set(result.gin.monomials_of_degree(3)) != seg3
-
-
-def test_spot_check_random_points_all_nonzero():
-    pts = random_points(5, 2, 17, FP_DEFAULT)
-    report = genericity_spot_check(pts, d_max=4, samples=200, seed=1)
-    assert report.all_nonzero
-    assert report.tested > 0
-
-
-def test_spot_check_finds_vanishing_minor_on_seven_point_fixture():
-    pts = explicit_points(FP_DEFAULT, SEVEN_POINTS_SHARED_FACTOR)
-    report = genericity_spot_check(pts, d_max=2, samples="all")
-    assert any(d == 2 for d, _ in report.failures)
-
-
-def test_spot_check_skips_degrees_without_maximal_minors():
-    pts = random_points(5, 2, 19, FP_DEFAULT)
-    report = genericity_spot_check(pts, d_max=2, samples=10, seed=2)
-    assert 1 in report.skipped_degrees  # only 3 columns in degree 1

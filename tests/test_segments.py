@@ -8,7 +8,13 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import naive_feasible_point, segment_oracle
+from oracles import (
+    SEVEN_POINTS_SHARED_FACTOR,
+    TEN_POINTS_LATTICE_SIMPLEX,
+    explicit_points,
+    naive_feasible_point,
+    segment_oracle,
+)
 
 from ginlab import segments
 from ginlab.fields import FP_DEFAULT
@@ -22,6 +28,7 @@ from ginlab.monomial_ideals import (
     is_borel_fixed,
 )
 from ginlab.orders import Lex, Revlex, WeightOrder
+from ginlab.points import vanishing_ideal
 from ginlab.rings import RingContext
 from ginlab.segments import (
     enumerate_borel_by_hf,
@@ -280,11 +287,6 @@ def test_segment_closure_matches_set_oracle_for_generic_points(r):
 def test_segment_closure_matches_set_oracle_on_the_point_fixtures():
     # the seven- and ten-point fixtures of P^3 have the generic Hilbert
     # function, so their segments close although their gins are not segments
-    from ginlab.points import (
-        SEVEN_POINTS_SHARED_FACTOR, TEN_POINTS_LATTICE_SIMPLEX, explicit_points,
-        vanishing_ideal,
-    )
-
     for coords in (SEVEN_POINTS_SHARED_FACTOR, TEN_POINTS_LATTICE_SIMPLEX):
         hf = vanishing_ideal(explicit_points(FP_DEFAULT, coords)).hilbert_function(
             Revlex(), bound=6

@@ -3,12 +3,16 @@
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "ginlab"
-TRACING = SRC.parent.parent / "bench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "ginlab"
+BENCH = ROOT / "bench"
+TRACING = BENCH / "tracing.py"
+ORACLES = ROOT / "tests" / "oracles.py"
 
 
 def test_library_has_no_assert_statements():
@@ -76,3 +80,60 @@ def test_every_traced_layer_resolves():
         if leaf not in getattr(owner, "__dict__", {}):
             missing.append(f"{module}.{attr}")
     assert missing == []
+
+
+def _library_readers():
+    # names loaded, or looked up as attributes, in the library outside
+    # __init__; a function or class reading its own name does not count
+    readers = set()
+    for path in SRC.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            names = {node.id for node in ast.walk(stmt)
+                     if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            names |= {node.attr for node in ast.walk(stmt) if isinstance(node, ast.Attribute)}
+            readers |= names - {getattr(stmt, "name", None)}
+    return readers
+
+
+def test_every_export_has_a_reader():
+    # a public name that only tests call is test code shipped in the library
+    init = ast.parse((SRC / "__init__.py").read_text())
+    exports = [alias.asname or alias.name for node in init.body
+               if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert len(exports) > 40
+    library = _library_readers()
+    texts = [(ROOT / "README.md").read_text()]
+    texts += [path.read_text() for path in sorted(BENCH.glob("*")) if path.is_file()]
+    unread = [
+        name for name in exports
+        if name not in library
+        and not any(re.search(rf"\b{re.escape(name)}\b", text) for text in texts)
+    ]
+    assert unread == []
+
+
+#: Modules of the paths the oracles check, and the ring's shared tables that
+#: those paths index into.
+CHECKED_MODULES = {"groebner", "partial_elim", "segments", "fourier_motzkin", "gin",
+                   "monomial_ideals"}
+SHARED_TABLES = {"graded_piece", "multiplication_map", "positions", "positions_times",
+                 "variable_shifts"}
+
+
+def test_oracles_share_no_code_with_the_paths_they_check():
+    tree = ast.parse(ORACLES.read_text(), filename=str(ORACLES))
+    imported = set()  # module path parts and names of every ginlab import
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("ginlab"):
+            imported |= set(node.module.split(".")) | {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {part for alias in node.names for part in alias.name.split(".")}
+    called = {
+        node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+    }
+    assert imported & CHECKED_MODULES == set()
+    assert called & SHARED_TABLES == set()
