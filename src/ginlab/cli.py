@@ -39,20 +39,18 @@ from .rings import RingContext
 from .segments import segment_ideal_of, segment_witness
 
 
-def _common(parser, *, seed=True, field=True, cap=True, out=True):
+def _common(parser, *, seed=True, cap=True):
     if seed:
         parser.add_argument("--seed", type=int, default=0, help="random seed")
-    if field:
-        parser.add_argument(
-            "--field", default=f"fp:{DEFAULT_PRIME}", help="coefficient field: fp:<p> or qq"
-        )
+    parser.add_argument(
+        "--field", default=f"fp:{DEFAULT_PRIME}", help="coefficient field: fp:<p> or qq"
+    )
     if cap:
         parser.add_argument(
             "--degree-cap", type=int, default=DEFAULT_DEGREE_CAP,
             help="abort if an S-polynomial exceeds this degree",
         )
-    if out:
-        parser.add_argument("--out", help="write the JSON report to this path")
+    parser.add_argument("--out", help="write the JSON report to this path")
 
 
 @functools.cache

@@ -47,7 +47,7 @@ from math import gcd, lcm
 import numpy as np
 
 from .monomial_ideals import MonomialIdeal, hilbert_data, hilbert_numerator, series_value
-from .orders import Revlex, canonical
+from .orders import Revlex
 from .poly import Polynomial
 from .rings import mono_div, mono_divides, mono_lcm, mono_mul
 
@@ -101,10 +101,8 @@ class _DenseEngine:
         d = f.homogeneous_degree()
         if d is None:
             raise ValueError("dense engine requires homogeneous polynomials")
-        idx = self._piece(d).index
-        v = np.zeros(len(idx), dtype=np.int64)
-        for m, c in f.terms.items():
-            v[idx[m]] = c
+        v = np.zeros(self.ring.monomial_count(d), dtype=np.int64)
+        v[self._piece(d).positions(list(f.terms))] = list(f.terms.values())
         return d, v
 
     def to_polynomial(self, d, v):
@@ -592,18 +590,17 @@ class Ideal:
         return not self.generators
 
     def groebner_basis(self, order, degree_cap=DEFAULT_DEGREE_CAP):
-        key = canonical(order)
-        hit = self.gb_cache.get(key)
+        hit = self.gb_cache.get(order)
         if hit is None:
             witness = self.hilbert_witness[0] if self.hilbert_witness else None
-            hit = tuple(buchberger(self.generators, key, degree_cap, witness=witness))
-            self._store(key, hit)
+            hit = tuple(buchberger(self.generators, order, degree_cap, witness=witness))
+            self._store(order, hit)
         return hit
 
     def set_groebner_basis(self, order, reduced_basis):
         """Install a known reduced basis (e.g. harvested from an elimination
         run certified by the Groebner property of initial coefficients)."""
-        self._store(canonical(order), tuple(reduced_basis))
+        self._store(order, tuple(reduced_basis))
 
     def _store(self, order, basis):
         initial = MonomialIdeal(self.ring, [g.leading_monomial(order) for g in basis])
@@ -614,7 +611,7 @@ class Ideal:
 
     def initial_ideal(self, order, degree_cap=DEFAULT_DEGREE_CAP):
         self.groebner_basis(order, degree_cap)
-        return self.initial_ideals[canonical(order)]
+        return self.initial_ideals[order]
 
     def hilbert_data(self, order=None, bound=10, degree_cap=DEFAULT_DEGREE_CAP):
         order = order if order is not None else Revlex()

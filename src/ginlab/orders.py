@@ -87,38 +87,19 @@ class ProductOrder:
         return "product(" + ",".join(map(str, self.block_sizes)) + ")"
 
 
-def elimination_order(nvars, inner=None, block=1):
-    """Product order eliminating the first ``block`` variables, with ``inner``
-    on the remaining ones (defaults to revlex, the cheap choice)."""
-    if not 0 < block < nvars:
-        raise ValueError("elimination block must leave at least one variable")
+def elimination_order(nvars, inner=None):
+    """Product order eliminating the first variable, with ``inner`` on the
+    remaining ones (defaults to revlex, the cheap choice).  A lex inner order
+    gives ``Lex()`` itself: a product of lex blocks compares exponents
+    variable by variable, as lex does, so both share one Groebner basis and
+    one table per graded piece."""
+    if nvars < 2:
+        raise ValueError("elimination must leave at least one variable")
     if inner is None:
         inner = Revlex()
-    return ProductOrder((block, nvars - block), (Lex(), inner))
-
-
-def canonical(order):
-    """Collapse mathematically equal descriptors to one representative.
-
-    A product order whose inner orders are all lex is the lex order itself
-    (degree-compatible comparison proceeds variable by variable either way),
-    and a constant weight vector defers entirely to its tiebreak.  Using the
-    canonical form as the Groebner-cache key lets an elimination-order run
-    share its basis with a plain lex run.
-    """
-    if isinstance(order, ProductOrder):
-        inners = tuple(canonical(i) for i in order.inners)
-        if all(isinstance(i, Lex) for i in inners):
-            return Lex()
-        if len(inners) == 1:
-            return inners[0]
-        return ProductOrder(order.block_sizes, inners)
-    if isinstance(order, WeightOrder):
-        tb = canonical(order.tiebreak)
-        if len(set(order.weights)) == 1:
-            return tb
-        return WeightOrder(order.weights, tb)
-    return order
+    if isinstance(inner, Lex):
+        return inner
+    return ProductOrder((1, nvars - 1), (Lex(), inner))
 
 
 def order_from_spec(spec: str, nvars: int):

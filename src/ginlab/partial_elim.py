@@ -16,7 +16,7 @@ from math import gcd, lcm
 from .gin import apply_change, random_coordinate_change
 from .groebner import DEFAULT_DEGREE_CAP, Ideal, reduce_groebner_basis
 from .monomial_ideals import MonomialIdeal, minimalize_monomials
-from .orders import Revlex, canonical, elimination_order
+from .orders import Revlex, elimination_order
 from .poly import Polynomial
 
 
@@ -62,7 +62,7 @@ def partial_elim_ideals(I, p_max, inner_order=None, degree_cap=DEFAULT_DEGREE_CA
         level = Ideal(gens, ring=small)
         # the harvested generators are a Groebner basis for K_p; installing
         # the reduced form avoids ever rerunning Buchberger on a level
-        level.set_groebner_basis(inner, reduce_groebner_basis(gens, canonical(inner)))
+        level.set_groebner_basis(inner, reduce_groebner_basis(gens, inner))
         levels.append(level)
     return PartialElimTower(levels, inner, G)
 

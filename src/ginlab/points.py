@@ -27,7 +27,6 @@ class PointSet:
 
     field: object
     points: tuple
-    seed: object = None
 
     def __post_init__(self):
         if not self.points:
@@ -72,7 +71,7 @@ def random_points(s, r, seed, field):
     pts = set()
     while len(pts) < s:
         pts.add(tuple(field.random(rng) for _ in range(r)) + (field.one,))
-    return PointSet(field, tuple(sorted(pts, key=str)), seed)
+    return PointSet(field, tuple(sorted(pts, key=str)))
 
 
 def evaluation_matrix(P: PointSet, d, ring=None):
@@ -98,7 +97,7 @@ class DegeneratePointsError(Exception):
     pass
 
 
-def vanishing_ideal(P: PointSet, degree_bound=None, ring=None):
+def vanishing_ideal(P: PointSet, degree_bound=None):
     """The homogeneous ideal of the point set, generated by a minimal basis
     of its graded pieces.
 
@@ -110,7 +109,7 @@ def vanishing_ideal(P: PointSet, degree_bound=None, ring=None):
 
     Raises DegeneratePointsError if degree d0 + 1 lies beyond the cap or the
     Hilbert function fails to stay at s there."""
-    ring = ring if ring is not None else P.ring()
+    ring = P.ring()
     s = P.size
     bound = degree_bound if degree_bound is not None else s
     if bound < s:

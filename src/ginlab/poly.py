@@ -45,13 +45,6 @@ class Polynomial:
         return cls(ring, {(0,) * ring.nvars: c})
 
     @classmethod
-    def variable(cls, ring, i):
-        if not 0 <= i < ring.nvars:
-            raise ValueError(f"variable index {i} out of range")
-        exps = tuple(1 if j == i else 0 for j in range(ring.nvars))
-        return cls(ring, {exps: ring.field.one})
-
-    @classmethod
     def monomial(cls, ring, exps, coeff=None):
         coeff = ring.field.one if coeff is None else ring.field.of(coeff)
         if coeff == ring.field.zero:
@@ -158,18 +151,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative powers are not defined")
-        out = Polynomial.constant(self.ring, 1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
-
     # ------------------------------------------------------------------
     # order-dependent views
 
@@ -182,10 +163,6 @@ class Polynomial:
 
     def leading_monomial(self, order):
         return self.leading_term(order)[0]
-
-    def monic(self, order):
-        _, c = self.leading_term(order)
-        return self.scale(self.ring.field.inv(c))
 
     def sorted_terms(self, order=None):
         key = (order or _LEX).sort_key

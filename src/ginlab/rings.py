@@ -2,11 +2,13 @@
 
 Monomials are bare tuples of non-negative ints of length ``ring.nvars``; the
 degree is the tuple sum.  The ring context owns the one table per (degree,
-order) of each graded piece -- its monomials greatest first, their positions
-and the suffix sums of their exponents that rank their multiples -- which every
-dense computation indexes into.  Each piece also caches its multiplication
-maps, one read-only position array per delta, so every Buchberger run on the
-ring, the substitution of a coordinate change, the vanishing ideal and segment
+order) of each graded piece -- its monomials greatest first and the suffix
+sums of their exponents -- which every dense computation indexes into.  A
+monomial's position in a piece is read off its lex rank, computed from its
+suffix sums by the combinatorial number system, so no piece keeps a
+monomial-to-position dict.  Each piece also caches its multiplication maps,
+one read-only position array per delta, so every Buchberger run on the ring,
+the substitution of a coordinate change, the vanishing ideal and segment
 closure share them.  The cache has no eviction rule: the next run on a ring
 (the next gin trial, say) needs the same maps in the same degrees as the
 last, so a rule that dropped a degree once a run had passed it would drop
@@ -16,7 +18,7 @@ maps the runs on one ring use.
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import comb
 from operator import sub
 from typing import NamedTuple
@@ -77,6 +79,11 @@ def _lex_rank_table(nvars, d):
     return np.array(table, dtype=np.int64).reshape(nvars - 1, d + 1)
 
 
+def _suffix_sums(exps):
+    """Row t - 1: the sum of the last t exponents of each row of ``exps``."""
+    return np.ascontiguousarray(np.cumsum(exps[:, :0:-1], axis=1).T)
+
+
 def _lex_ranks(table, suffix_sums, delta):
     """Lex ranks of the monomials with these suffix sums times x^delta.
 
@@ -91,18 +98,28 @@ def _lex_ranks(table, suffix_sums, delta):
 
 class GradedPiece(NamedTuple):
     """The degree-d monomials of a ring, greatest first under one order.
-    Shared by every caller on the ring, so read-only; ``maps`` only gains
-    entries, each in one atomic dict store, so concurrent readers are safe."""
+    A monomial's position is ``by_lex_rank`` at its lex rank, so ranking a
+    batch of exponent tuples (``positions``) or a piece's multiples
+    (``positions_times``) is one vectorised pass.  Shared by every caller on
+    the ring, so read-only; ``maps`` only gains entries, each in one atomic
+    dict store, so concurrent readers are safe."""
 
     monomials: tuple
-    index: dict  # monomial -> position in ``monomials``
     suffix_sums: np.ndarray  # row t - 1: sum of the last t exponents of each monomial
     rank_table: np.ndarray  # _lex_rank_table(nvars, d)
     by_lex_rank: np.ndarray  # position in ``monomials`` of the k-th lex monomial
     maps: dict  # delta -> RingContext.multiplication_map of this piece
 
+    def positions(self, monomials):
+        """Position in ``monomials`` of each of these exponent tuples, all of
+        the piece's degree."""
+        nvars = len(self.rank_table) + 1
+        exps = np.fromiter(chain.from_iterable(monomials), np.int64, len(monomials) * nvars)
+        suffix = _suffix_sums(exps.reshape(-1, nvars))
+        return self.by_lex_rank[_lex_ranks(self.rank_table, suffix, (0,) * nvars)]
+
     def positions_times(self, src, delta):
-        """``index`` of each monomial of the piece ``src`` times x^delta."""
+        """Position of each monomial of the piece ``src`` times x^delta."""
         return self.by_lex_rank[_lex_ranks(self.rank_table, src.suffix_sums, delta)]
 
 
@@ -146,8 +163,8 @@ class RingContext:
         return comb(self.nvars - 1 + d, self.nvars - 1)
 
     def graded_piece(self, d, order=_LEX):
-        """The degree-d monomials greatest first under ``order``, their index
-        map and the tables that rank their multiples; cached on the ring per
+        """The degree-d monomials greatest first under ``order`` and the
+        tables that rank them and their multiples; cached on the ring per
         (degree, order).  Every other order's piece permutes the lex piece:
         its monomial tuples, suffix sums and rank table are the lex piece's."""
         key = (d, order)
@@ -155,8 +172,7 @@ class RingContext:
         if piece is None:
             if order == _LEX:
                 mons = tuple(_enumerate_degree(self.nvars, d))  # already descending lex
-                exps = np.array(mons, dtype=np.int64)
-                suffix = np.ascontiguousarray(np.cumsum(exps[:, :0:-1], axis=1).T)
+                suffix = _suffix_sums(np.array(mons, dtype=np.int64))
                 table = _lex_rank_table(self.nvars, d)
                 by_lex = np.arange(len(mons), dtype=np.int64)
             else:
@@ -170,8 +186,7 @@ class RingContext:
                 by_lex[perm] = np.arange(len(mons))
             for array in (suffix, table, by_lex):
                 array.setflags(write=False)
-            index = {m: i for i, m in enumerate(mons)}
-            piece = GradedPiece(mons, index, suffix, table, by_lex, {})
+            piece = GradedPiece(mons, suffix, table, by_lex, {})
             self._graded[key] = piece
         return piece
 

@@ -220,10 +220,10 @@ def segment_oracle(ideal_dims, order, nvars):
     return closed, gens
 
 
-def explicit_points(field, coords, seed=None):
+def explicit_points(field, coords):
     """Wrap explicit integer coordinates as a PointSet over the field."""
     pts = tuple(tuple(field.of(c) for c in pt) for pt in coords)
-    return PointSet(field, pts, seed)
+    return PointSet(field, pts)
 
 
 #: Seven points of P^3 whose quadrics all share a linear factor even though

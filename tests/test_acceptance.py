@@ -4,9 +4,6 @@ are asserted with the generous limits they were specified with."""
 
 import random
 import time
-from math import comb
-
-import pytest
 
 from conftest import SUITE_SEED
 from oracles import (
@@ -16,23 +13,17 @@ from oracles import (
     pei_oracle,
 )
 
-from ginlab.experiments import (
-    BOREL_CENSUS_EXPECTED,
-    CENSUS_HF_DIMS,
-    CENSUS_SEGMENT_WITNESSES,
-    experiment_borel_census,
-    experiment_points,
-)
+from ginlab.experiments import experiment_borel_census, experiment_points
 from ginlab.fields import FP_DEFAULT
 from ginlab.gin import apply_change, gin, random_coordinate_change
 from ginlab.groebner import Ideal
-from ginlab.monomial_ideals import HilbertFunction, MonomialIdeal, is_borel_fixed
+from ginlab.monomial_ideals import HilbertFunction, is_borel_fixed
 from ginlab.orders import Lex, Revlex
 from ginlab.partial_elim import partial_elim_ideals
 from ginlab.points import vanishing_ideal
 from ginlab.poly import random_form
 from ginlab.rings import RingContext
-from ginlab.segments import lex_ideal_of_hf, segment_space, segment_witness, verify_weight_witness
+from ginlab.segments import lex_ideal_of_hf, segment_space
 from ginlab.sylvester import (
     build_sylp,
     codimension,

@@ -18,7 +18,7 @@ from ginlab.groebner import (
     normal_form,
 )
 from ginlab.monomial_ideals import MonomialIdeal
-from ginlab.orders import Lex, Revlex, WeightOrder, elimination_order
+from ginlab.orders import Lex, ProductOrder, Revlex, WeightOrder, elimination_order
 from ginlab.poly import Polynomial, parse_polynomial, random_form
 from ginlab.rings import RingContext, mono_mul
 from ginlab.sylvester import sample_monic_pair
@@ -528,10 +528,14 @@ def _mulmap_orders(nvars):
     return [Lex(), Revlex(), WeightOrder(weights, Revlex())]
 
 
+def _index(piece):
+    return {m: i for i, m in enumerate(piece.monomials)}
+
+
 def _check_mulmaps(R, order, shapes):
     for src_deg, delta_deg in shapes:
         src = R.graded_piece(src_deg, order).monomials
-        index = R.graded_piece(src_deg + delta_deg, order).index
+        index = _index(R.graded_piece(src_deg + delta_deg, order))
         for delta in R.monomials_of_degree(delta_deg):
             got = R.multiplication_map(src_deg, delta, order)
             assert got.dtype.name == "int64"
@@ -553,6 +557,22 @@ def test_mulmap_matches_index_oracle_on_a_wide_ring():
     shapes = [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]
     for order in _mulmap_orders(40):
         _check_mulmaps(R, order, shapes)
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3, 4])
+def test_piece_positions_match_an_index_built_from_its_monomials(nvars):
+    R = ring(nvars)
+    orders = [*_mulmap_orders(nvars)]
+    if nvars > 1:
+        orders.append(ProductOrder((1, nvars - 1), (Lex(), Revlex())))
+    rng = random.Random(nvars)
+    for order in orders:
+        for d in range(6):
+            piece = R.graded_piece(d, order)
+            index = _index(piece)
+            assert piece.positions(piece.monomials).tolist() == list(range(len(index)))
+            sample = rng.choices(piece.monomials, k=7)
+            assert piece.positions(sample).tolist() == [index[m] for m in sample]
 
 
 @pytest.mark.parametrize("order", _mulmap_orders(4), ids=str)

@@ -5,7 +5,7 @@ check of the Hilbert numerator."""
 from oracles import ek_betti
 
 from ginlab.fields import FP_DEFAULT
-from ginlab.monomial_ideals import MonomialIdeal, hilbert_data, is_borel_fixed, minimalize_monomials
+from ginlab.monomial_ideals import MonomialIdeal, hilbert_data, is_borel_fixed
 from ginlab.rings import RingContext
 
 

@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import homogeneous_generators, pei_oracle
 
+from ginlab import groebner
 from ginlab.fields import FP_DEFAULT, QQ, PrimeField
-from ginlab.gin import apply_change, random_coordinate_change
+from ginlab.gin import apply_change, gin, random_coordinate_change
 from ginlab.groebner import Ideal
 from ginlab.monomial_ideals import is_borel_fixed
 from ginlab.orders import Lex, Revlex, elimination_order
@@ -244,7 +245,9 @@ def binary_form(R, factors):
     """The product of (text, power) factors, each a form in x1 and x2."""
     out = Polynomial.constant(R, 1)
     for text, power in factors:
-        out = out * parse_polynomial(text, R) ** power
+        factor = parse_polynomial(text, R)
+        for _ in range(power):
+            out = out * factor
     return out
 
 
@@ -292,3 +295,22 @@ def test_tower_decomposition_is_the_elimination_initial_ideal(gens, inner, seed)
     p_max = max(x0_profile(g).x0_degree for g in moved.groebner_basis(elim))
     tower = partial_elim_ideals(moved, p_max, inner)
     assert tower_decomposition(tower) == moved.initial_ideal(elim)
+
+
+def test_lex_tower_reuses_the_basis_of_a_lex_gin_trial(monkeypatch):
+    # elimination_order(n, Lex()) is Lex(), so the tower reads the lex basis
+    # cached on the moved ideal by the gin trial instead of computing one
+    R = ring(4)
+    f, g = sample_monic_pair(R, 2, 3, random.Random(1))
+    moved = gin(Ideal([f, g]), Lex(), trials=2, seed=1).trial_ideals[0]
+    runs = []
+    run = groebner.buchberger
+
+    def counting(gens, order, *args, **kwargs):
+        runs.append(order)
+        return run(gens, order, *args, **kwargs)
+
+    monkeypatch.setattr(groebner, "buchberger", counting)
+    tower = partial_elim_ideals(moved, 2, Lex())
+    assert runs == []
+    assert tower.source_basis is moved.groebner_basis(Lex())

@@ -1,8 +1,6 @@
 """Point sets, evaluation matrices and vanishing ideals (including both
 boundary fixtures)."""
 
-from math import comb
-
 import pytest
 
 from oracles import SEVEN_POINTS_SHARED_FACTOR, TEN_POINTS_LATTICE_SIMPLEX, evaluate, explicit_points
@@ -10,16 +8,8 @@ from oracles import SEVEN_POINTS_SHARED_FACTOR, TEN_POINTS_LATTICE_SIMPLEX, eval
 from ginlab import linalg
 from ginlab.fields import FP_DEFAULT, QQ
 from ginlab.gin import gin
-from ginlab.monomial_ideals import MonomialIdeal
 from ginlab.orders import Lex, Revlex
-from ginlab.points import (
-    DegeneratePointsError,
-    PointSet,
-    evaluation_matrix,
-    random_points,
-    vanishing_ideal,
-)
-from ginlab.rings import RingContext
+from ginlab.points import PointSet, evaluation_matrix, random_points, vanishing_ideal
 
 
 def test_random_points_distinct_and_deterministic():

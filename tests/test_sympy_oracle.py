@@ -38,6 +38,10 @@ def from_sympy(expr, R, xs):
     return Polynomial.from_terms(R, ((m, Fraction(int(c.p), int(c.q))) for m, c in poly.terms()))
 
 
+def monic(f, order):
+    return f.scale(f.ring.field.inv(f.leading_term(order)[1]))
+
+
 INTEGERS = [-3, -2, -1, 1, 2, 3]
 FRACTIONS = [Fraction(-3, 4), Fraction(1, 2), Fraction(5, 3), -2, 1, Fraction(7, 6)]
 
@@ -117,6 +121,6 @@ def sympy_reduced_basis(gens, order, name):
     xs = symbols(R)
     kwargs = {"modulus": R.field.p} if R.field.is_prime_field else {}
     theirs = sympy.groebner([to_sympy(f, xs) for f in gens], *xs, order=name, **kwargs)
-    theirs = [from_sympy(g, R, xs).monic(order) for g in theirs.exprs]
+    theirs = [monic(from_sympy(g, R, xs), order) for g in theirs.exprs]
     theirs.sort(key=lambda f: (f.homogeneous_degree(), order.sort_key(f.leading_monomial(order))))
     return theirs

@@ -137,3 +137,27 @@ def test_oracles_share_no_code_with_the_paths_they_check():
     }
     assert imported & CHECKED_MODULES == set()
     assert called & SHARED_TABLES == set()
+
+
+def _unused_imports(path):
+    # names an import binds that the module never loads
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (
+            isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        ):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+    loaded = {node.id for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [f"{path.relative_to(ROOT)}:{line} {name}"
+            for name, line in bound.items() if name not in loaded]
+
+
+def test_no_unused_imports():
+    # the package __init__ imports only to re-export
+    paths = [path for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
+    paths += sorted((ROOT / "tests").glob("*.py")) + sorted(BENCH.glob("*.py"))
+    assert len(paths) > 30
+    assert [found for path in paths for found in _unused_imports(path)] == []
