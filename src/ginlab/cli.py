@@ -82,8 +82,6 @@ def build_parser():
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--p", type=int, required=True)
-    p.add_argument("--skip-kp-check", action="store_true",
-                   help="skip the comparison against the partial elimination ideal")
     _common(p)
 
     p = sub.add_parser("segment", help="segment spaces of a Hilbert function, or a weight witness")
@@ -242,7 +240,6 @@ def run(argv=None):
             report = experiment_sylvester(
                 args.a, args.b, args.p, seed=args.seed,
                 field=field_from_spec(args.field), degree_cap=args.degree_cap,
-                check_kp=not args.skip_kp_check,
             )
         elif args.command == "segment":
             report = _cmd_segment(args)

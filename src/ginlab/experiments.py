@@ -273,7 +273,7 @@ def experiment_points(s, r, orders=("lex", "revlex"), seed=0, field=FP_DEFAULT,
 
 
 def experiment_sylvester(a, b, p, seed=0, field=FP_DEFAULT,
-                         degree_cap=DEFAULT_DEGREE_CAP, check_kp=True):
+                         degree_cap=DEFAULT_DEGREE_CAP):
     """Truncated Sylvester minors of a random monic pair: unit reduction,
     regularity formulas, codimension, and (for p <= r-2) equality with K_p."""
     start = time.perf_counter()
@@ -318,22 +318,21 @@ def experiment_sylvester(a, b, p, seed=0, field=FP_DEFAULT,
                 formula,
                 en_regularity(reduced.row_degrees, reduced.col_degrees),
             )
-    if check_kp:
-        tower = partial_elim_ideals(Ideal([f, g]), p_max=p, inner_order=Revlex(),
-                                    degree_cap=degree_cap)
-        kp = tower.levels[p]
-        contained = all(kp.contains(m, Revlex(), degree_cap) for m in minors)
-        report.check("minors_contained_in_kp", True, contained)
-        if p <= ring.nvars - 3:  # p <= r - 2 with r = nvars - 1
-            report.check(
-                "minors_equal_kp", True, minors_ideal.equals(kp, Revlex(), degree_cap)
-            )
-            gin_kp = gin(kp, Revlex(), trials=2, seed=seed + 7, degree_cap=degree_cap)
-            report.check(
-                "gin_revlex_regularity_matches_formula",
-                kp_regularity_formula(a, b, p) if p >= 1 else a * b,
-                gin_kp.regularity,
-            )
+    tower = partial_elim_ideals(Ideal([f, g]), p_max=p, inner_order=Revlex(),
+                                degree_cap=degree_cap)
+    kp = tower.levels[p]
+    contained = all(kp.contains(m, Revlex(), degree_cap) for m in minors)
+    report.check("minors_contained_in_kp", True, contained)
+    if p <= ring.nvars - 3:  # p <= r - 2 with r = nvars - 1
+        report.check(
+            "minors_equal_kp", True, minors_ideal.equals(kp, Revlex(), degree_cap)
+        )
+        gin_kp = gin(kp, Revlex(), trials=2, seed=seed + 7, degree_cap=degree_cap)
+        report.check(
+            "gin_revlex_regularity_matches_formula",
+            kp_regularity_formula(a, b, p) if p >= 1 else a * b,
+            gin_kp.regularity,
+        )
     return _timed(report, start)
 
 

@@ -43,7 +43,7 @@ def random_coordinate_change(ring, seed):
         rows = tuple(
             tuple(ring.field.random(rng) for _ in range(n)) for _ in range(n)
         )
-        if linalg.det(ring.field, [list(r) for r in rows]) != ring.field.zero:
+        if linalg.det(ring.field, rows) != ring.field.zero:
             return rows
 
 
@@ -55,7 +55,7 @@ def apply_change(I, matrix):
     ring = I.ring
     if len(matrix) != ring.nvars or any(len(row) != ring.nvars for row in matrix):
         raise ValueError("coordinate change shape does not match ring")
-    if linalg.det(ring.field, [list(r) for r in matrix]) == ring.field.zero:
+    if linalg.det(ring.field, matrix) == ring.field.zero:
         raise ValueError("singular matrix is not a coordinate change")
     return _apply_invertible(I, matrix)
 

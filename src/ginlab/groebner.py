@@ -380,7 +380,7 @@ def _make_engine(ring, order, polys):
     once a pair needs a larger piece, so the degree cap plays no part."""
     if (
         ring.field.is_prime_field
-        and all(f.is_homogeneous for f in polys)
+        and all(f.homogeneous_degree() is not None for f in polys)
         and ring.monomial_count(max(f.total_degree() for f in polys)) <= _DENSE_PIECE_LIMIT
     ):
         return _DenseEngine(ring, order)

@@ -1,26 +1,36 @@
 """Exact dense linear algebra over the coefficient fields.
 
-Each field has one elimination loop: prime-field matrices are reduced with
-vectorized numpy int64 arithmetic (products of two residues < 2**31 stay
-inside int64), rational matrices with Fraction row operations.  ``rref``,
-``kernel_basis`` and ``det`` are built on that loop; ``Echelon`` keeps its
-own one-vector-at-a-time reducer.  Everything returns exact results.
+Rows are numpy arrays: int64 residues mod p over F_p (products of two
+residues < 2**31 stay inside int64, and every row operation reduces mod p),
+``Fraction`` objects in ``dtype=object`` arrays over QQ.  One Gauss-Jordan
+loop serves both fields, and ``rref``, ``kernel_basis`` and ``det`` are
+built on it; ``Echelon`` reduces one vector at a time against the rows it
+keeps in the same form.  Everything returns exact results.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 
 
-def _fp_rref(rows, p):
-    """Reduced row echelon form mod p.  Returns (array, pivot column list,
-    product of the pivots negated once per row swap)."""
-    a = np.array(rows, dtype=np.int64) % p
+def _modulus(field):
+    return field.p if field.is_prime_field else 0  # 0: exact Fractions, no modulus
+
+
+def _array(rows, p):
+    """``rows`` (a matrix or one vector) as an array in the field's form;
+    over QQ the first pivot division turns int entries into Fractions."""
+    return np.array(rows, dtype=np.int64) % p if p else np.array(rows, dtype=object)
+
+
+def _rref(field, rows):
+    """Reduced row echelon form of a nonempty matrix.  Returns (array, pivot
+    column list, product of the pivots negated once per row swap)."""
+    p = _modulus(field)
+    a = _array(rows, p)
     nrows, ncols = a.shape
     pivots = []
-    scale = 1
+    scale = field.one
     r = 0
     for c in range(ncols):
         if r == nrows:
@@ -31,69 +41,32 @@ def _fp_rref(rows, p):
         piv = r + int(nz[0])
         if piv != r:
             a[[r, piv]] = a[[piv, r]]
-            scale = -scale
-        scale = scale * int(a[r, c]) % p
-        a[r] = a[r] * pow(int(a[r, c]), -1, p) % p
+            scale = field.neg(scale)
+        pivot = a.item(r, c)  # a Python int or Fraction
+        scale = field.mul(scale, pivot)
+        a[r] = a[r] * field.inv(pivot) % p if p else a[r] * field.inv(pivot)
         col = a[:, c].copy()
         col[r] = 0
-        a = (a - np.outer(col, a[r])) % p
+        a = a - np.outer(col, a[r])
+        if p:
+            a %= p
         pivots.append(c)
         r += 1
     return a, pivots, scale
-
-
-def _qq_rref(rows):
-    """Reduced row echelon form over QQ, with the same triple as _fp_rref."""
-    a = [[Fraction(x) for x in r] for r in rows]
-    nrows, ncols = len(a), len(a[0])
-    pivots = []
-    scale = Fraction(1)
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        piv = next((i for i in range(r, nrows) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        if piv != r:
-            a[r], a[piv] = a[piv], a[r]
-            scale = -scale
-        scale *= a[r][c]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(nrows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-    return a, pivots, scale
-
-
-def _rref(field, rows):
-    if field.is_prime_field:
-        return _fp_rref(rows, field.p)
-    return _qq_rref(rows)
 
 
 def rref(field, rows):
     """Reduced row echelon form; returns (rows as lists of scalars, pivots)."""
-    rows = [list(r) for r in rows]
-    if not rows:
+    if not len(rows):
         return [], []
     a, pivots, _ = _rref(field, rows)
-    if field.is_prime_field:
-        a = [[int(x) for x in row] for row in a]
-    return a, pivots
+    return a.tolist(), pivots
 
 
 def kernel_basis(field, rows, ncols):
     """Basis of {v : rows @ v = 0}, one vector per free column, exact and
     deterministic (free columns in ascending order)."""
-    if not rows:
-        red, pivots = [], []
-    else:
-        red, pivots = rref(field, rows)
+    red, pivots = rref(field, rows)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
@@ -122,37 +95,26 @@ class Echelon:
     """Incremental row echelon form: feed vectors one at a time and learn
     whether each one enlarges the span."""
 
-    def __init__(self, field, ncols):
+    def __init__(self, field):
         self.field = field
-        self.ncols = ncols
-        self.rows = {}  # pivot column -> normalized row
+        self.p = _modulus(field)
+        self.rows = {}  # pivot column -> row array scaled to a leading one
 
     def add(self, vec):
         """Reduce ``vec`` against the current rows; returns True (and keeps
         the reduced vector) if it is independent of them."""
-        field = self.field
-        if field.is_prime_field:
-            p = field.p
-            v = np.array(vec, dtype=np.int64) % p
-            while True:
-                nz = np.flatnonzero(v)
-                if nz.size == 0:
-                    return False
-                c = int(nz[0])
-                row = self.rows.get(c)
-                if row is None:
-                    self.rows[c] = v * pow(int(v[c]), -1, p) % p
-                    return True
-                v = (v - int(v[c]) * row) % p
-        v = list(vec)
+        field, p = self.field, self.p
+        v = _array(vec, p)
         while True:
-            c = next((i for i, x in enumerate(v) if x != 0), None)
-            if c is None:
+            nz = np.flatnonzero(v)
+            if nz.size == 0:
                 return False
+            c = int(nz[0])
             row = self.rows.get(c)
             if row is None:
-                inv = field.inv(v[c])
-                self.rows[c] = [field.mul(x, inv) for x in v]
+                v = v * field.inv(v.item(c))
+                self.rows[c] = v % p if p else v
                 return True
-            f = v[c]
-            v = [field.sub(x, field.mul(f, y)) for x, y in zip(v, row)]
+            v = v - v.item(c) * row
+            if p:
+                v %= p

@@ -126,7 +126,7 @@ def vanishing_ideal(P: PointSet, degree_bound=None):
         # seed an echelon with the span of S_1 * I_{d-1}, each x_i * f
         # scattered through the ring's shift map; kernel vectors that still
         # enlarge it are the new minimal generators in degree d
-        echelon = linalg.Echelon(field, len(mons))
+        echelon = linalg.Echelon(field)
         shifts = [shift.tolist() for shift in ring.variable_shifts(d - 1)]
         for vec in prev_kernel:
             for shift in shifts:

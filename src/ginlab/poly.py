@@ -85,10 +85,6 @@ class Polynomial:
             return degs.pop()
         return None
 
-    @property
-    def is_homogeneous(self):
-        return len({mono_degree(m) for m in self.terms}) <= 1
-
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -163,10 +159,6 @@ class Polynomial:
 
     def leading_monomial(self, order):
         return self.leading_term(order)[0]
-
-    def sorted_terms(self, order=None):
-        key = (order or _LEX).sort_key
-        return sorted(self.terms.items(), key=lambda t: key(t[0]))
 
     # ------------------------------------------------------------------
     # ring maps
@@ -253,7 +245,7 @@ def format_polynomial(f):
         return "0"
     field = f.ring.field
     pieces = []
-    for m, c in f.sorted_terms():
+    for m, c in sorted(f.terms.items(), key=lambda t: _LEX.sort_key(t[0])):
         text = field.format(c)
         neg = text.startswith("-")
         if neg:

@@ -203,10 +203,13 @@ def segment_witness(J: MonomialIdeal, degree_range=None):
 
     The witness satisfies w . (m - n) > 0 for every in/out monomial pair
     (m, n) per degree, with strictly positive entries; a vector that fails
-    that re-check raises SelfCheckFailed."""
+    that re-check raises SelfCheckFailed.  An empty or negative range would
+    certify nothing, so it raises ValueError."""
     if degree_range is None:
         degree_range = (1, J.max_generator_degree() + 1)
     lo, hi = degree_range
+    if not 0 <= lo <= hi:
+        raise ValueError(f"degree range {lo}:{hi} needs 0 <= lo <= hi")
     nvars = J.ring.nvars
     constraints = []
     for i in range(nvars):

@@ -152,6 +152,29 @@ def test_segment_witness_subcommand(tmp_path):
     assert report["outputs"]["feasible"] is False
 
 
+def _witness_ideal(tmp_path):
+    ideal = tmp_path / "J.txt"
+    ideal.write_text("x0^2\nx0*x1\nx1^3\n")
+    return ideal
+
+
+def test_segment_witness_degree_range(tmp_path):
+    out = tmp_path / "wit.json"
+    assert run(["segment", "--witness-in", str(_witness_ideal(tmp_path)), "--nvars", "3",
+                "--degree-range", "1:3", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["outputs"]["feasible"] is True
+    assert report["outputs"]["certified_degrees"] == [1, 3]
+
+
+@pytest.mark.parametrize("degree_range", ["5:2", "1-3"])
+def test_exit_code_4_on_bad_degree_range(degree_range, tmp_path, capsys):
+    # an inverted range has no degrees to certify, so it must not pass
+    assert run(["segment", "--witness-in", str(_witness_ideal(tmp_path)), "--nvars", "3",
+                "--degree-range", degree_range]) == 4
+    assert "bad input:" in capsys.readouterr().err
+
+
 def test_sylvester_subcommand(tmp_path):
     out = tmp_path / "syl.json"
     assert run(["sylvester", "--a", "2", "--b", "2", "--p", "1",

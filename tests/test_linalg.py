@@ -76,7 +76,8 @@ def test_det_over_small_prime_reduces_mod_p():
     field = PrimeField(7)
     rows = matrix(field, [[3, 1], [1, 5]])  # 14 = 0 mod 7
     assert linalg.det(field, rows) == 0
-    assert linalg.det(field, matrix(field, [[3, 0], [0, 3]])) == 2
+    value = linalg.det(field, matrix(field, [[3, 0], [0, 3]]))
+    assert value == 2 and type(value) is int  # a field element, not a numpy scalar
 
 
 def test_det_over_qq_stays_exact():
@@ -133,3 +134,33 @@ def test_qq_elimination_of_integer_entries_stays_exact():
     assert all(isinstance(x, Fraction) for row in red for x in row)
     assert linalg.kernel_basis(QQ, [[3, 1, 1]], 3)[0] == [Fraction(-1, 3), 1, 0]
     assert linalg.det(QQ, [[1, 2], [3, 4]]) == -2
+
+
+@pytest.mark.parametrize("field", [FP_DEFAULT, PrimeField(7), QQ], ids=repr)
+def test_echelon_add_reports_exactly_when_the_span_grows(field):
+    rng = random.Random(13)
+    ncols = 6
+    base = [[rng.randint(-9, 9) for _ in range(ncols)] for _ in range(4)]
+    mod_7 = field == PrimeField(7)
+    vectors = [[7 * x for x in base[0]]] + base + [  # the first is zero mod 7
+        [a + b for a, b in zip(base[0], base[1])],  # dependent over every field
+        [2 * a - 3 * b for a, b in zip(base[2], base[3])],
+        [0] * ncols,
+        base[0][:-1] + [base[0][-1] + 7],  # base[0] + 7 * e_5: dependent only mod 7
+    ] + [[rng.randint(-9, 9) for _ in range(ncols)] for _ in range(4)]
+    echelon = linalg.Echelon(field)
+    fed, outcomes = [], []
+    for v in vectors:
+        rank = len(linalg.rref(field, fed)[1])
+        fed.append(v)
+        outcomes.append(echelon.add(v))
+        assert outcomes[-1] is (len(linalg.rref(field, fed)[1]) > rank)
+    assert outcomes[:2] == [not mod_7, mod_7]
+    assert outcomes[5:9] == [False, False, False, not mod_7]
+    assert sum(outcomes) == len(linalg.rref(field, vectors)[1]) == len(echelon.rows)
+    for c, row in echelon.rows.items():
+        # stored entries are field elements (reduced residues over F_p)
+        assert [field.of(x) for x in row] == list(row)
+        assert list(row[:c + 1]) == [field.zero] * c + [field.one]
+        if field == QQ:
+            assert all(isinstance(x, Fraction) for x in row)

@@ -406,6 +406,13 @@ def test_witness_that_fails_its_recheck_raises(monkeypatch):
         segment_witness(J)
 
 
+@pytest.mark.parametrize("degree_range", [(5, 2), (-1, 3)])
+def test_witness_over_an_empty_or_negative_range_raises(degree_range):
+    J = census_ideal(["x0^2", "x0*x1", "x1^3"])
+    with pytest.raises(ValueError):
+        segment_witness(J, degree_range)
+
+
 def test_verify_rejects_wrong_weights():
     J = census_ideal(["x0^3", "x0^2*x1", "x0^2*x2", "x0*x1^3", "x0*x1^2*x2", "x1^5"])
     assert not verify_weight_witness(J, (1, 1, 1), (1, 6))

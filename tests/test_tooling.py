@@ -1,5 +1,6 @@
 """Repository-wide guards on the library source."""
 
+import argparse
 import ast
 import importlib
 import os
@@ -7,6 +8,8 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+
+from ginlab.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "ginlab"
@@ -161,3 +164,30 @@ def test_no_unused_imports():
     paths += sorted((ROOT / "tests").glob("*.py")) + sorted(BENCH.glob("*.py"))
     assert len(paths) > 30
     assert [found for path in paths for found in _unused_imports(path)] == []
+
+
+def _string_constants(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return {node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+
+
+def test_every_cli_option_is_exercised():
+    # an option that no test, bench job or README command passes is a
+    # branch nothing runs; options are compared as whole argv strings
+    exercised = set()
+    for path in sorted((ROOT / "tests").glob("*.py")) + sorted(BENCH.glob("*.py")):
+        exercised |= _string_constants(path)
+    for line in (ROOT / "README.md").read_text().splitlines():
+        if line.startswith("ginlab "):
+            exercised |= set(re.findall(r"--[\w-]+", line))
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    assert len(subparsers.choices) > 6
+    unexercised = [
+        f"{name} {action.option_strings[-1]}"
+        for name, parser in subparsers.choices.items()
+        for action in parser._actions
+        if action.option_strings and not exercised & set(action.option_strings)
+    ]
+    assert unexercised == []
