@@ -43,7 +43,6 @@ from .sylvester import (
     en_regularity,
     kp_regularity_formula,
     maximal_minors,
-    maximal_minors_ideal,
     sample_monic_pair,
     unit_reduce,
 )

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 import time
 
@@ -119,21 +120,19 @@ def _load_ideal(args, field):
         text = fh.read()
     nvars = args.nvars
     if nvars is None:
-        import re
-
         indices = [int(m) for m in re.findall(r"x(\d+)", text)]
         if not indices:
             raise ValueError("cannot infer variable count from file; pass --nvars")
         nvars = max(indices) + 1
     ring = RingContext(nvars, field)
-    return Ideal(parse_ideal_file(text, ring), ring=ring)
+    return Ideal(parse_ideal_file(text, ring), ring, args.degree_cap)
 
 
 def _cmd_gin(args):
     field = field_from_spec(args.field)
     I = _load_ideal(args, field)
     order = order_from_spec(args.order, I.ring.nvars)
-    result = gin(I, order, trials=args.trials, seed=args.seed, degree_cap=args.degree_cap)
+    result = gin(I, order, trials=args.trials, seed=args.seed)
     report = ExperimentReport(
         "gin",
         {
@@ -159,7 +158,7 @@ def _cmd_pei(args):
     field = field_from_spec(args.field)
     I = _load_ideal(args, field)
     inner = order_from_spec(args.inner_order, I.ring.nvars - 1)
-    tower = partial_elim_ideals(I, args.pmax, inner, args.degree_cap)
+    tower = partial_elim_ideals(I, args.pmax, inner)
     report = ExperimentReport(
         "pei",
         {
@@ -171,8 +170,8 @@ def _cmd_pei(args):
         },
     )
     for p, level in enumerate(tower.levels):
-        basis = level.groebner_basis(inner, args.degree_cap)
-        data = hilbert_data(level.initial_ideal(inner, args.degree_cap), 4)
+        basis = level.groebner_basis(inner)
+        data = hilbert_data(level.initial_ideal(inner), 4)
         report.outputs[f"k{p}_basis"] = [str(g) for g in basis]
         report.outputs[f"k{p}_dimension"] = data.dimension
         report.outputs[f"k{p}_degree"] = data.degree
@@ -186,11 +185,14 @@ def _cmd_segment(args):
         with open(args.witness_in) as fh:
             lines = [l.strip() for l in fh if l.strip() and not l.startswith("#")]
         J = MonomialIdeal.from_strings(ring, lines)
+        rng = None
         if args.degree_range:
-            lo, hi = (int(x) for x in args.degree_range.split(":"))
+            try:
+                lo, hi = (int(x) for x in args.degree_range.split(":"))
+            except ValueError:
+                raise ValueError(f"--degree-range takes lo:hi with integers lo and hi, "
+                                 f"got {args.degree_range!r}") from None
             rng = (lo, hi)
-        else:
-            rng = None
         witness = segment_witness(J, rng)
         report = ExperimentReport(
             "segment-witness",
@@ -205,8 +207,7 @@ def _cmd_segment(args):
     if not args.hf:
         raise ValueError("segment needs --hf or --witness-in")
     dims = tuple(int(x) for x in args.hf.split(","))
-    stable = args.stable if args.stable is not None else None
-    hf = HilbertFunction(dims, len(dims) - 1, stable)
+    hf = HilbertFunction(dims, len(dims) - 1, args.stable)
     ring = RingContext(args.nvars, field)
     order = order_from_spec(args.order, args.nvars)
     seg = segment_ideal_of(hf, order, ring, args.bound)
@@ -251,8 +252,10 @@ def run(argv=None):
                 field=field_from_spec(args.field), degree_cap=args.degree_cap,
             )
         elif args.command == "points":
+            # split only at the commas that start a name: lex,weight:3,2,1
+            orders = re.split(r",(?=[A-Za-z])", args.orders)
             report = experiment_points(
-                args.s, args.r, orders=args.orders.split(","), seed=args.seed,
+                args.s, args.r, orders=orders, seed=args.seed,
                 field=field_from_spec(args.field), degree_cap=args.degree_cap,
             )
         elif args.command == "nonsmooth":

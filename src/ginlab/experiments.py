@@ -47,7 +47,6 @@ from .sylvester import (
     en_regularity,
     kp_regularity_formula,
     maximal_minors,
-    maximal_minors_ideal,
     sample_monic_pair,
     unit_reduce,
 )
@@ -142,8 +141,8 @@ def experiment_curve(a, b, seed=0, field=FP_DEFAULT, degree_cap=DEFAULT_DEGREE_C
     ring = RingContext(4, field)
     rng = random.Random(seed)
     f, g = sample_monic_pair(ring, a, b, rng)
-    I = Ideal([f, g])
-    result = gin(I, Lex(), trials=2, seed=seed, degree_cap=degree_cap)
+    I = Ideal([f, g], degree_cap=degree_cap)
+    result = gin(I, Lex(), trials=2, seed=seed)
     report.outputs["gin_generators"] = list(result.gin.generator_strings())
     report.outputs["trials_used"] = result.trials_used
     report.check("trial_agreement", True, result.agreed)
@@ -157,30 +156,30 @@ def experiment_curve(a, b, seed=0, field=FP_DEFAULT, degree_cap=DEFAULT_DEGREE_C
     report.check("hilbert_function_matches_ci", expected_hf, list(data.hf.dims))
 
     moved = result.trial_ideals[0]
-    tower = partial_elim_ideals(moved, p_max=a, inner_order=Lex(), degree_cap=degree_cap)
+    tower = partial_elim_ideals(moved, p_max=a, inner_order=Lex())
     report.outputs["tower_levels"] = len(tower.levels)
-    _embed_tower_checks(report, moved, tower, degree_cap)
+    _embed_tower_checks(report, moved, tower)
 
-    k0 = tower.levels[0].groebner_basis(Lex(), degree_cap)
+    k0 = tower.levels[0].groebner_basis(Lex())
     report.check("k0_principal", True, len(k0) == 1)
     report.check("k0_generator_degree", a * b, k0[0].homogeneous_degree())
     k1 = tower.levels[1]
-    k1_data = k1.hilbert_data(Lex(), bound=4, degree_cap=degree_cap)
+    k1_data = k1.hilbert_data(Lex(), bound=4)
     report.outputs["k1_degree"] = k1_data.degree
     report.check(
         "k1_distinct_points",
         expected_node_count(a, b),
-        count_distinct_points(k1, seed=seed + 101, degree_cap=degree_cap),
+        count_distinct_points(k1, seed=seed + 101),
     )
     return _timed(report, start)
 
 
-def _embed_tower_checks(report, moved, tower, degree_cap):
+def _embed_tower_checks(report, moved, tower):
     """Invariant verdicts for a partial elimination tower: the initial-ideal
     decomposition, commutation with initial ideals, and the ascending
     chain."""
     inner = tower.inner_order
-    big_initial = moved.initial_ideal(Lex(), degree_cap)
+    big_initial = moved.initial_ideal(Lex())
     report.check(
         "tower_decomposition", True, tower_decomposition(tower) == big_initial
     )
@@ -188,12 +187,12 @@ def _embed_tower_checks(report, moved, tower, degree_cap):
     commute_ok = True
     borel_ok = True
     for p, level in enumerate(tower.levels):
-        level_initial = level.initial_ideal(inner, degree_cap)
+        level_initial = level.initial_ideal(inner)
         if monomial_partial_elim(big_initial, p) != level_initial:
             commute_ok = False
         if p + 1 < len(tower.levels):
             nxt = tower.levels[p + 1]
-            if not all(nxt.contains(h, inner, degree_cap) for h in level.generators):
+            if not all(nxt.contains(h, inner) for h in level.generators):
                 chain_ok = False
         if not is_borel_fixed(level_initial):
             borel_ok = False
@@ -214,23 +213,24 @@ def experiment_nonsmooth(seed=0, field=FP_DEFAULT, degree_cap=DEFAULT_DEGREE_CAP
         [
             parse_polynomial("x0^3 - x1*x2^2", ring),
             parse_polynomial("x1^3 - x2^2*x3", ring),
-        ]
+        ],
+        degree_cap=degree_cap,
     )
-    result = gin(I, Lex(), trials=2, seed=seed, degree_cap=degree_cap)
+    result = gin(I, Lex(), trials=2, seed=seed)
     report.outputs["gin_generators"] = list(result.gin.generator_strings())
     report.check("trial_agreement", True, result.agreed)
     report.check("gin_is_borel_fixed", True, is_borel_fixed(result.gin))
     report.check("regularity", 16, result.regularity)
     moved = result.trial_ideals[0]
-    tower = partial_elim_ideals(moved, p_max=3, inner_order=Lex(), degree_cap=degree_cap)
-    _embed_tower_checks(report, moved, tower, degree_cap)
+    tower = partial_elim_ideals(moved, p_max=3, inner_order=Lex())
+    _embed_tower_checks(report, moved, tower)
     k1 = tower.levels[1]
-    k1_data = k1.hilbert_data(Lex(), bound=4, degree_cap=degree_cap)
+    k1_data = k1.hilbert_data(Lex(), bound=4)
     report.check("k1_degree", 18, k1_data.degree)
     report.check(
         "k1_distinct_points",
         11,
-        count_distinct_points(k1, seed=seed + 101, degree_cap=degree_cap),
+        count_distinct_points(k1, seed=seed + 101),
     )
     return _timed(report, start)
 
@@ -248,12 +248,12 @@ def experiment_points(s, r, orders=("lex", "revlex"), seed=0, field=FP_DEFAULT,
     )
     named_orders = [(name, order_from_spec(name, r + 1)) for name in orders]
     pts = random_points(s, r, seed, field)
-    I = vanishing_ideal(pts)
-    hf = I.hilbert_function(Revlex(), bound=s + 2, degree_cap=degree_cap)
+    I = vanishing_ideal(pts, degree_cap)
+    hf = I.hilbert_function(Revlex(), bound=s + 2)
     generic = tuple(min(s, comb(r + d, r)) for d in range(s + 3))
     report.check("hilbert_function_is_generic", list(generic), list(hf.dims))
     for name, order in named_orders:
-        result = gin(I, order, trials=2, seed=seed, degree_cap=degree_cap)
+        result = gin(I, order, trials=2, seed=seed)
         seg = segment_ideal_of(hf, order, I.ring, bound=s + 2)
         report.outputs[f"gin_{name}"] = list(result.gin.generator_strings())
         report.check(f"{name}_trial_agreement", True, result.agreed)
@@ -291,7 +291,7 @@ def experiment_sylvester(a, b, p, seed=0, field=FP_DEFAULT,
     minors = maximal_minors(syl)
     report.outputs["nonzero_minors"] = len(minors)
     report.outputs["zero_minors_dropped"] = comb(cols, rows) - len(minors)
-    minors_ideal = Ideal(minors, ring=ring.drop_first_variable())
+    minors_ideal = Ideal(minors, ring.drop_first_variable(), degree_cap)
     reduced = unit_reduce(syl)
     report.outputs["reduced_shape"] = list(reduced.shape)
     report.check("reduced_shape", [a - p, a], list(reduced.shape))
@@ -304,9 +304,11 @@ def experiment_sylvester(a, b, p, seed=0, field=FP_DEFAULT,
     report.check(
         "minors_ideal_stable_under_unit_reduction",
         True,
-        minors_ideal.equals(maximal_minors_ideal(reduced), Revlex(), degree_cap),
+        minors_ideal.equals(
+            Ideal(maximal_minors(reduced), reduced.ring, degree_cap), Revlex()
+        ),
     )
-    codim = codimension(minors_ideal, Revlex(), degree_cap)
+    codim = codimension(minors_ideal, Revlex())
     report.outputs["codimension"] = codim
     report.check("expected_codimension", min(p + 1, 3), codim)
     if p >= 1:
@@ -318,16 +320,16 @@ def experiment_sylvester(a, b, p, seed=0, field=FP_DEFAULT,
                 formula,
                 en_regularity(reduced.row_degrees, reduced.col_degrees),
             )
-    tower = partial_elim_ideals(Ideal([f, g]), p_max=p, inner_order=Revlex(),
-                                degree_cap=degree_cap)
+    tower = partial_elim_ideals(Ideal([f, g], degree_cap=degree_cap), p_max=p,
+                                inner_order=Revlex())
     kp = tower.levels[p]
-    contained = all(kp.contains(m, Revlex(), degree_cap) for m in minors)
+    contained = all(kp.contains(m, Revlex()) for m in minors)
     report.check("minors_contained_in_kp", True, contained)
     if p <= ring.nvars - 3:  # p <= r - 2 with r = nvars - 1
         report.check(
-            "minors_equal_kp", True, minors_ideal.equals(kp, Revlex(), degree_cap)
+            "minors_equal_kp", True, minors_ideal.equals(kp, Revlex())
         )
-        gin_kp = gin(kp, Revlex(), trials=2, seed=seed + 7, degree_cap=degree_cap)
+        gin_kp = gin(kp, Revlex(), trials=2, seed=seed + 7)
         report.check(
             "gin_revlex_regularity_matches_formula",
             kp_regularity_formula(a, b, p) if p >= 1 else a * b,

@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass, field as dc_field
 
 from . import linalg
-from .groebner import DEFAULT_DEGREE_CAP, Ideal
+from .groebner import Ideal
 from .monomial_ideals import MonomialIdeal, is_borel_fixed
 from .orders import Revlex
 
@@ -51,7 +51,8 @@ def apply_change(I, matrix):
     """The ideal generated by the generators with x_i replaced by
     sum_j matrix[i][j]*x_j (see :meth:`Polynomial.substitute`).
     Homogeneity and Hilbert function are preserved, so the image shares the
-    Hilbert witness of ``I`` (see :class:`Ideal`)."""
+    Hilbert witness of ``I`` (see :class:`Ideal`); it keeps the degree cap
+    of ``I`` too."""
     ring = I.ring
     if len(matrix) != ring.nvars or any(len(row) != ring.nvars for row in matrix):
         raise ValueError("coordinate change shape does not match ring")
@@ -63,7 +64,7 @@ def apply_change(I, matrix):
 def _apply_invertible(I, matrix):
     """:func:`apply_change` for a matrix already known to be invertible,
     such as one drawn by :func:`random_coordinate_change`."""
-    moved = Ideal([g.substitute(matrix) for g in I.generators], ring=I.ring)
+    moved = Ideal([g.substitute(matrix) for g in I.generators], I.ring, I.degree_cap)
     moved.hilbert_witness = I.hilbert_witness
     return moved
 
@@ -83,7 +84,7 @@ class GinResult:
     trial_ideals: list = dc_field(default_factory=list, repr=False)
 
 
-def gin(I, order, trials=2, seed=0, degree_cap=DEFAULT_DEGREE_CAP):
+def gin(I, order, trials=2, seed=0):
     """Generic initial ideal with a trial-agreement protocol.
 
     Runs ``trials`` independent random coordinate changes (trial t uses seed
@@ -95,18 +96,19 @@ def gin(I, order, trials=2, seed=0, degree_cap=DEFAULT_DEGREE_CAP):
     :class:`CharacteristicTooSmall`, since gins there are only p-Borel;
     over QQ, or over F_p with p above that degree, a gin is Borel-fixed, so
     the trials were not generic and it raises :class:`GinDisagreement`.
-    A returned gin is therefore always Borel-fixed.
+    A returned gin is therefore always Borel-fixed.  Every trial runs
+    under the degree cap of ``I``.
     """
     if trials < 2:
         raise ValueError("the agreement protocol needs at least 2 trials")
     results = []
     handles = []
     for t in range(trials):
-        J, handle = _one_trial(I, order, seed + t, degree_cap)
+        J, handle = _one_trial(I, order, seed + t)
         results.append(J)
         handles.append(handle)
     if not all(J == results[0] for J in results[1:]):
-        J, handle = _one_trial(I, order, seed + trials, degree_cap)
+        J, handle = _one_trial(I, order, seed + trials)
         results.append(J)
         handles.append(handle)
     winner = _majority(results)
@@ -135,7 +137,7 @@ def gin(I, order, trials=2, seed=0, degree_cap=DEFAULT_DEGREE_CAP):
     )
 
 
-def _one_trial(I, order, trial_seed, degree_cap):
+def _one_trial(I, order, trial_seed):
     """The initial ideal of one moved copy of I.  While the trials share no
     witness yet, the moved ideal's revlex basis comes first: the generic
     revlex initial ideal has the least regularity of any order, reg(I)
@@ -143,8 +145,8 @@ def _one_trial(I, order, trial_seed, degree_cap):
     (Traverso 1996).  Under revlex itself this adds no run."""
     moved = _apply_invertible(I, random_coordinate_change(I.ring, trial_seed))
     if not moved.hilbert_witness:
-        moved.groebner_basis(Revlex(), degree_cap)
-    return moved.initial_ideal(order, degree_cap), moved
+        moved.groebner_basis(Revlex())
+    return moved.initial_ideal(order), moved
 
 
 def _majority(results):

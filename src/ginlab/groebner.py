@@ -558,11 +558,16 @@ class Ideal:
     any of its images prunes the Buchberger runs of all the others, and the
     witness's Hilbert numerator is computed once for all of them.  The
     witness is appended in one atomic step, so a reader never sees part of
-    it."""
+    it.
 
-    __slots__ = ("ring", "generators", "gb_cache", "initial_ideals", "hilbert_witness")
+    ``degree_cap`` bounds every Buchberger run on the ideal, and every ideal
+    derived from it (linear images, gin trials, projections, partial
+    elimination levels) carries the same cap."""
 
-    def __init__(self, generators, ring=None):
+    __slots__ = ("ring", "generators", "degree_cap", "gb_cache", "initial_ideals",
+                 "hilbert_witness")
+
+    def __init__(self, generators, ring=None, degree_cap=DEFAULT_DEGREE_CAP):
         generators = tuple(generators)
         if ring is None:
             if not generators:
@@ -577,6 +582,7 @@ class Ideal:
                 raise ValueError("ideal generators must be homogeneous")
         self.ring = ring
         self.generators = generators
+        self.degree_cap = degree_cap
         self.gb_cache = {}
         self.initial_ideals = {}
         self.hilbert_witness = []
@@ -589,11 +595,11 @@ class Ideal:
     def is_zero(self):
         return not self.generators
 
-    def groebner_basis(self, order, degree_cap=DEFAULT_DEGREE_CAP):
+    def groebner_basis(self, order):
         hit = self.gb_cache.get(order)
         if hit is None:
             witness = self.hilbert_witness[0] if self.hilbert_witness else None
-            hit = tuple(buchberger(self.generators, order, degree_cap, witness=witness))
+            hit = tuple(buchberger(self.generators, order, self.degree_cap, witness=witness))
             self._store(order, hit)
         return hit
 
@@ -609,28 +615,23 @@ class Ideal:
         if not self.hilbert_witness:
             self.hilbert_witness.append(initial)
 
-    def initial_ideal(self, order, degree_cap=DEFAULT_DEGREE_CAP):
-        self.groebner_basis(order, degree_cap)
+    def initial_ideal(self, order):
+        self.groebner_basis(order)
         return self.initial_ideals[order]
 
-    def hilbert_data(self, order=None, bound=10, degree_cap=DEFAULT_DEGREE_CAP):
+    def hilbert_data(self, order=None, bound=10):
         order = order if order is not None else Revlex()
-        return hilbert_data(self.initial_ideal(order, degree_cap), bound)
+        return hilbert_data(self.initial_ideal(order), bound)
 
-    def hilbert_function(self, order=None, bound=10, degree_cap=DEFAULT_DEGREE_CAP):
-        return self.hilbert_data(order, bound, degree_cap).hf
+    def hilbert_function(self, order=None, bound=10):
+        return self.hilbert_data(order, bound).hf
 
-    def normal_form(self, f, order, degree_cap=DEFAULT_DEGREE_CAP):
-        return normal_form(f, self.groebner_basis(order, degree_cap), order)
-
-    def contains(self, f, order=None, degree_cap=DEFAULT_DEGREE_CAP):
+    def contains(self, f, order=None):
         order = order if order is not None else Revlex()
-        return self.normal_form(f, order, degree_cap).is_zero
+        return normal_form(f, self.groebner_basis(order), order).is_zero
 
-    def equals(self, other, order=None, degree_cap=DEFAULT_DEGREE_CAP):
+    def equals(self, other, order=None):
         if self.ring != other.ring:
             raise ValueError("ideals live in different rings")
         order = order if order is not None else Revlex()
-        return self.groebner_basis(order, degree_cap) == other.groebner_basis(
-            order, degree_cap
-        )
+        return self.groebner_basis(order) == other.groebner_basis(order)

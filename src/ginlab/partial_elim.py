@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import gcd, lcm
 
 from .gin import apply_change, random_coordinate_change
-from .groebner import DEFAULT_DEGREE_CAP, Ideal, reduce_groebner_basis
+from .groebner import Ideal, reduce_groebner_basis
 from .monomial_ideals import MonomialIdeal, minimalize_monomials
 from .orders import Revlex, elimination_order
 from .poly import Polynomial
@@ -41,25 +41,26 @@ def x0_profile(f):
 @dataclass
 class PartialElimTower:
     """Levels K_0 <= K_1 <= ... <= K_{p_max} as ideals of the small ring,
-    each carrying its certified reduced Groebner basis under ``inner_order``,
-    plus the big-ring basis they were harvested from."""
+    each carrying its certified reduced Groebner basis under ``inner_order``
+    and the degree cap of the source ideal, plus the big-ring basis they were
+    harvested from."""
 
     levels: list
     inner_order: object
     source_basis: tuple
 
 
-def partial_elim_ideals(I, p_max, inner_order=None, degree_cap=DEFAULT_DEGREE_CAP):
+def partial_elim_ideals(I, p_max, inner_order=None):
     """Compute the tower K_0..K_{p_max} from one elimination-order basis."""
     inner = inner_order if inner_order is not None else Revlex()
     elim = elimination_order(I.ring.nvars, inner)
-    G = I.groebner_basis(elim, degree_cap)
+    G = I.groebner_basis(elim)
     small = I.ring.drop_first_variable()
     profiles = [x0_profile(g) for g in G]
     levels = []
     for p in range(p_max + 1):
         gens = [prof.initial_coefficient for prof in profiles if prof.x0_degree <= p]
-        level = Ideal(gens, ring=small)
+        level = Ideal(gens, small, I.degree_cap)
         # the harvested generators are a Groebner basis for K_p; installing
         # the reduced form avoids ever rerunning Buchberger on a level
         level.set_groebner_basis(inner, reduce_groebner_basis(gens, inner))
@@ -96,7 +97,7 @@ class PointCountError(Exception):
     pass
 
 
-def count_distinct_points(J, seed=0, degree_cap=DEFAULT_DEGREE_CAP):
+def count_distinct_points(J, seed=0):
     """Number of distinct points of a finite subscheme of the projective
     plane, by generic projection to a line.
 
@@ -104,27 +105,28 @@ def count_distinct_points(J, seed=0, degree_cap=DEFAULT_DEGREE_CAP):
     ideal).  A random coordinate change is applied, the first variable is
     eliminated, and the degree of the squarefree part of the resulting
     principal generator is returned.  Two seeds must agree, guarding the
-    genericity assumption.
+    genericity assumption.  The projections run under the degree cap of
+    ``J``.
     """
     if J.ring.nvars != 3:
         raise PointCountError("point counting expects an ideal in 3 variables")
-    data = J.hilbert_data(Revlex(), bound=4, degree_cap=degree_cap)
+    data = J.hilbert_data(Revlex(), bound=4)
     if data.dimension != 1:
         raise PointCountError(
             f"expected a finite point set (dimension 1), got dimension {data.dimension}"
         )
     counts = []
     for s in (seed, seed + 1):
-        counts.append(_projected_distinct_count(J, s, degree_cap))
+        counts.append(_projected_distinct_count(J, s))
     if counts[0] != counts[1]:
         raise PointCountError(f"projection counts disagree across seeds: {counts}")
     return counts[0]
 
 
-def _projected_distinct_count(J, seed, degree_cap):
+def _projected_distinct_count(J, seed):
     moved = apply_change(J, random_coordinate_change(J.ring, seed))
     elim = elimination_order(3, Revlex())
-    basis = moved.groebner_basis(elim, degree_cap)
+    basis = moved.groebner_basis(elim)
     eliminated = [g for g in basis if all(m[0] == 0 for m in g.terms)]
     if not eliminated:
         raise PointCountError("elimination produced no binary form (dimension too large?)")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import linalg
-from .groebner import Ideal
+from .groebner import DEFAULT_DEGREE_CAP, Ideal
 from .poly import Polynomial
 from .rings import RingContext
 
@@ -97,28 +97,26 @@ class DegeneratePointsError(Exception):
     pass
 
 
-def vanishing_ideal(P: PointSet, degree_bound=None):
+def vanishing_ideal(P: PointSet, degree_cap=DEFAULT_DEGREE_CAP):
     """The homogeneous ideal of the point set, generated by a minimal basis
-    of its graded pieces.
+    of its graded pieces, with ``degree_cap`` as its degree cap (see
+    :class:`Ideal`).
 
     The Hilbert function of s reduced points rises strictly until it first
     equals s in some degree d0, and reg I = d0 + 1, so every minimal
-    generator has degree at most d0 + 1 and the pieces stop there.
-    ``degree_bound`` (default s; smaller values raise ValueError) only caps
-    the search.
+    generator has degree at most d0 + 1 and the pieces stop there.  No
+    degree bound is needed: s distinct points impose independent conditions
+    on forms of degree s - 1, so h(s - 1) = s and d0 + 1 <= s.
 
-    Raises DegeneratePointsError if degree d0 + 1 lies beyond the cap or the
-    Hilbert function fails to stay at s there."""
+    Raises DegeneratePointsError if the Hilbert function fails to stay at s
+    by degree s."""
     ring = P.ring()
     s = P.size
-    bound = degree_bound if degree_bound is not None else s
-    if bound < s:
-        raise ValueError("degree_bound below the point count cannot certify generators")
     field = P.field
     gens = []
     prev_kernel = []
     hf = [1]
-    for d in range(1, bound + 1):
+    for d in range(1, s + 1):
         mons = ring.monomials_of_degree(d)
         x_d = evaluation_matrix(P, d, ring)
         kernel = linalg.kernel_basis(field, x_d, len(mons))
@@ -142,9 +140,9 @@ def vanishing_ideal(P: PointSet, degree_bound=None):
             break
     if hf[-2:] != [s, s]:
         raise DegeneratePointsError(
-            f"Hilbert function {hf} fails to stabilize at {s} points by degree {bound}"
+            f"Hilbert function {hf} fails to stabilize at {s} points by degree {s}"
         )
-    return Ideal(gens, ring=ring)
+    return Ideal(gens, ring, degree_cap)
 
 
 def _vector_to_poly(ring, mons, vec):

@@ -209,7 +209,7 @@ def segment_witness(J: MonomialIdeal, degree_range=None):
         degree_range = (1, J.max_generator_degree() + 1)
     lo, hi = degree_range
     if not 0 <= lo <= hi:
-        raise ValueError(f"degree range {lo}:{hi} needs 0 <= lo <= hi")
+        raise ValueError(f"degree range {lo}:{hi} is not lo:hi with 0 <= lo <= hi")
     nvars = J.ring.nvars
     constraints = []
     for i in range(nvars):

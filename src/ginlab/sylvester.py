@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .groebner import DEFAULT_DEGREE_CAP, Ideal, ResourceLimitExceeded
+from .groebner import Ideal, ResourceLimitExceeded
 from .orders import Revlex
 from .partial_elim import x0_profile
 from .poly import Polynomial
@@ -145,10 +145,6 @@ def maximal_minors(M: PolyMatrix):
     return out
 
 
-def maximal_minors_ideal(M: PolyMatrix) -> Ideal:
-    return Ideal(maximal_minors(M), ring=M.ring)
-
-
 def unit_reduce(M: PolyMatrix) -> PolyMatrix:
     """Repeatedly eliminate a unit entry: moving it to the bottom-right
     corner and replacing n_ij = m_ij - m_pj * m_iq / m_pq leaves the
@@ -251,11 +247,11 @@ def kp_regularity_formula(a, b, p) -> int:
     return a * b + comb(a - p + 1, 2) - comb(a + 1, 2) + p * (a - p - 1)
 
 
-def codimension(I: Ideal, order=None, degree_cap=DEFAULT_DEGREE_CAP) -> int:
+def codimension(I: Ideal, order=None) -> int:
     """Number of variables minus the Krull dimension of S/I (from the exact
     Hilbert series of an initial ideal)."""
     order = order if order is not None else Revlex()
-    data = I.hilbert_data(order, bound=2, degree_cap=degree_cap)
+    data = I.hilbert_data(order, bound=2)
     return I.ring.nvars - data.dimension
 
 

@@ -29,7 +29,7 @@ from ginlab.sylvester import (
     codimension,
     en_regularity,
     kp_regularity_formula,
-    maximal_minors_ideal,
+    maximal_minors,
     sample_monic_pair,
     unit_reduce,
 )
@@ -164,7 +164,7 @@ def test_criterion_7_sylvester_equalities():
     for (a, b, seed) in [(2, 2, SUITE_SEED), (2, 3, SUITE_SEED + 1)]:
         ring = RingContext(4, FP_DEFAULT)
         f, g = sample_monic_pair(ring, a, b, random.Random(seed))
-        minors = maximal_minors_ideal(build_sylp(f, g, 1))
+        minors = Ideal(maximal_minors(build_sylp(f, g, 1)))
         k1 = partial_elim_ideals(Ideal([f, g]), 1, Revlex()).levels[1]
         equal = minors.equals(k1, Revlex())
         codim = codimension(minors)
@@ -172,7 +172,7 @@ def test_criterion_7_sylvester_equalities():
         details.append(f"({a},{b}): minors==K1 {equal}, codim {codim}")
     ring = RingContext(4, FP_DEFAULT)
     f, g = sample_monic_pair(ring, 3, 3, random.Random(SUITE_SEED + 2))
-    codim33 = codimension(maximal_minors_ideal(build_sylp(f, g, 2)))
+    codim33 = codimension(Ideal(maximal_minors(build_sylp(f, g, 2))))
     ok = ok and codim33 == 3
     details.append(f"(3,3) syl2 codim {codim33}")
     announce(7, "Sylvester minor identities", ok, "; ".join(details))
@@ -185,7 +185,7 @@ def test_criterion_8_regularity_formulas():
         ring = RingContext(4, FP_DEFAULT)
         f, g = sample_monic_pair(ring, a, b, random.Random(SUITE_SEED + 10 + i))
         syl = build_sylp(f, g, p)
-        minors = maximal_minors_ideal(syl)
+        minors = Ideal(maximal_minors(syl))
         reduced = unit_reduce(syl)
         formula = kp_regularity_formula(a, b, p)
         en = en_regularity(reduced.row_degrees, reduced.col_degrees)

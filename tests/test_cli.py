@@ -62,6 +62,17 @@ def test_exit_code_4_on_bad_input(capsys):
     assert "bad input: modulus 4 is not prime" in capsys.readouterr().err
 
 
+def test_points_takes_a_weight_order(tmp_path):
+    # the commas inside a weight vector do not split the order list
+    out = tmp_path / "points.json"
+    assert run(["points", "--s", "6", "--r", "2", "--orders", "lex,weight:3,2,1",
+                "--seed", "1", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["inputs"]["orders"] == ["lex", "weight:3,2,1"]
+    checks = {c["name"]: c["passed"] for c in report["checks"]}
+    assert checks["weight:3,2,1_gin_equals_segment"] is True
+
+
 def test_exit_code_4_on_unknown_point_order(capsys):
     # an unknown name must not run under another order's label
     assert run(["points", "--s", "6", "--r", "2", "--orders", "lex,foo", "--seed", "1"]) == 4
@@ -167,12 +178,14 @@ def test_segment_witness_degree_range(tmp_path):
     assert report["outputs"]["certified_degrees"] == [1, 3]
 
 
-@pytest.mark.parametrize("degree_range", ["5:2", "1-3"])
+@pytest.mark.parametrize("degree_range", ["5:2", "1-3", "5", "1:2:3", "a:b"])
 def test_exit_code_4_on_bad_degree_range(degree_range, tmp_path, capsys):
     # an inverted range has no degrees to certify, so it must not pass
     assert run(["segment", "--witness-in", str(_witness_ideal(tmp_path)), "--nvars", "3",
                 "--degree-range", degree_range]) == 4
-    assert "bad input:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "bad input:" in err
+    assert "lo:hi" in err
 
 
 def test_sylvester_subcommand(tmp_path):

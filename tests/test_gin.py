@@ -86,6 +86,16 @@ def test_singular_matrix_rejected():
         apply_change(I, singular)
 
 
+def test_linear_images_and_gin_trials_keep_the_degree_cap():
+    R = ring(3)
+    rng = random.Random(4)
+    I = Ideal([random_form(R, 2, rng), random_form(R, 3, rng)], degree_cap=12)
+    assert apply_change(I, random_coordinate_change(R, 7)).degree_cap == 12
+    result = gin(I, Lex(), trials=2, seed=1)
+    assert result.trial_ideals
+    assert all(J.degree_cap == 12 for J in result.trial_ideals)
+
+
 def test_each_trial_checks_its_matrix_once(monkeypatch):
     # the draw already redraws until det != 0, so a trial applies its matrix
     # without the public apply_change re-checking it

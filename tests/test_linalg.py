@@ -22,7 +22,7 @@ def leibniz_det(field, rows):
         term = field.one
         for i, j in enumerate(perm):
             term = field.mul(term, rows[i][j])
-        total = field.sub(total, term) if inversions % 2 else field.add(total, term)
+        total = field.add(total, field.neg(term) if inversions % 2 else term)
     return total
 
 

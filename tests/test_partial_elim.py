@@ -91,6 +91,23 @@ def test_tower_levels_certified_without_buchberger():
         assert Revlex() in level.gb_cache
 
 
+def test_tower_levels_keep_the_degree_cap():
+    R = ring(4)
+    f, g = sample_monic_pair(R, 2, 2, random.Random(3))
+    tower = partial_elim_ideals(Ideal([f, g], degree_cap=15), 2, Revlex())
+    assert [level.degree_cap for level in tower.levels] == [15, 15, 15]
+
+
+def test_tower_of_a_gin_trial_runs_under_the_cap_of_the_source_ideal():
+    # the revlex gin stays within degree 5, but the lex elimination basis of
+    # a trial ideal needs degree 19: the trial keeps the cap set on I
+    f, g = sample_monic_pair(ring(4), 3, 3, random.Random(1))
+    result = gin(Ideal([f, g], degree_cap=10), Revlex(), trials=2, seed=1)
+    with pytest.raises(groebner.DegreeCapExceeded) as exc:
+        partial_elim_ideals(result.trial_ideals[0], 2, Lex())
+    assert (exc.value.degree, exc.value.cap) == (11, 10)
+
+
 def test_tower_ascending_chain():
     R = ring(4)
     rng = random.Random(5)

@@ -9,7 +9,13 @@ from ginlab import linalg
 from ginlab.fields import FP_DEFAULT, QQ
 from ginlab.gin import gin
 from ginlab.orders import Lex, Revlex
-from ginlab.points import PointSet, evaluation_matrix, random_points, vanishing_ideal
+from ginlab.points import (
+    DegeneratePointsError,
+    PointSet,
+    evaluation_matrix,
+    random_points,
+    vanishing_ideal,
+)
 
 
 def test_random_points_distinct_and_deterministic():
@@ -77,12 +83,14 @@ def test_vanishing_ideal_generators_vanish():
 
 
 def test_vanishing_ideal_detects_coincident_points():
-    # two distinct tuples, projectively distinct, but with a repeated point
-    # hidden by scaling is rejected at PointSet construction; a degenerate
-    # HF instead comes from too low a bound
-    pts = random_points(4, 2, 13, FP_DEFAULT)
-    with pytest.raises(ValueError):
-        vanishing_ideal(pts, degree_bound=2)
+    # PointSet rejects a point repeated up to scaling, so build one past its
+    # check: two distinct points of three never reach h = 3, and the
+    # Hilbert function re-check fails loudly
+    pts = object.__new__(PointSet)
+    object.__setattr__(pts, "field", FP_DEFAULT)
+    object.__setattr__(pts, "points", ((1, 0, 0), (2, 0, 0), (0, 1, 0)))
+    with pytest.raises(DegeneratePointsError):
+        vanishing_ideal(pts)
 
 
 CUTOFF_CASES = {
@@ -111,7 +119,9 @@ def test_vanishing_ideal_cutoff_matches_evaluation_ranks(case):
     for g in I.generators:
         for pt in pts.points:
             assert evaluate(g, pt) == pts.field.zero
-    assert vanishing_ideal(pts, degree_bound=s + 3).generators == I.generators
+    capped = vanishing_ideal(pts, degree_cap=s + 3)
+    assert capped.degree_cap == s + 3
+    assert capped.generators == I.generators
 
 
 def test_vanishing_ideal_of_collinear_points_needs_degree_s():

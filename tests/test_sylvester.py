@@ -18,7 +18,6 @@ from ginlab.sylvester import (
     en_regularity,
     kp_regularity_formula,
     maximal_minors,
-    maximal_minors_ideal,
     sample_monic_pair,
     unit_reduce,
 )
@@ -105,7 +104,7 @@ def test_identity_block_gives_unit_ideal():
     one = Polynomial.constant(small, 1)
     zero = Polynomial.zero(small)
     M = PolyMatrix(small, [[one, zero, zero], [zero, one, zero]])
-    ideal = maximal_minors_ideal(M)
+    ideal = Ideal(maximal_minors(M))
     assert any(m.homogeneous_degree() == 0 for m in ideal.generators)
 
 
@@ -119,7 +118,7 @@ def test_minors_resource_guard():
 
 def test_syl1_minors_equal_k1_generic_ci22():
     f, g = monic_pair(2, 2, seed=11)
-    minors_ideal = maximal_minors_ideal(build_sylp(f, g, 1))
+    minors_ideal = Ideal(maximal_minors(build_sylp(f, g, 1)))
     tower = partial_elim_ideals(Ideal([f, g]), 1, Revlex())
     assert minors_ideal.equals(tower.levels[1], Revlex())
     assert codimension(minors_ideal) == 2
@@ -127,7 +126,7 @@ def test_syl1_minors_equal_k1_generic_ci22():
 
 def test_syl2_minors_codimension_3_for_ci33():
     f, g = monic_pair(3, 3, seed=13)
-    minors_ideal = maximal_minors_ideal(build_sylp(f, g, 2))
+    minors_ideal = Ideal(maximal_minors(build_sylp(f, g, 2)))
     assert codimension(minors_ideal) == 3
 
 
@@ -152,7 +151,7 @@ def test_unit_reduce_syl1_ci22_shape_and_ideal():
     degs = sorted(e.homogeneous_degree() for e in reduced.entries[0])
     assert degs == [1, 2]
     assert reduced.row_degrees is not None
-    assert maximal_minors_ideal(syl).equals(maximal_minors_ideal(reduced), Revlex())
+    assert Ideal(maximal_minors(syl)).equals(Ideal(maximal_minors(reduced)), Revlex())
 
 
 def test_unit_reduce_without_units_is_identity():
@@ -180,8 +179,8 @@ def test_unit_reduce_preserves_minors_ideal_per_instance():
     for (a, b, p, seed) in [(2, 2, 1, 23), (2, 3, 1, 29), (3, 3, 2, 31)]:
         f, g = monic_pair(a, b, seed=seed)
         syl = build_sylp(f, g, p)
-        assert maximal_minors_ideal(syl).equals(
-            maximal_minors_ideal(unit_reduce(syl)), Revlex()
+        assert Ideal(maximal_minors(syl)).equals(
+            Ideal(maximal_minors(unit_reduce(syl))), Revlex()
         )
 
 

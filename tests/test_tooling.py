@@ -191,3 +191,32 @@ def test_every_cli_option_is_exercised():
         if action.option_strings and not exercised & set(action.option_strings)
     ]
     assert unexercised == []
+
+
+#: The functions that build a root ideal, and the low-level Groebner entry
+#: point; every other ideal inherits its degree cap from the one it comes from.
+CAP_TAKERS = {"groebner.Ideal.__init__", "groebner.buchberger", "points.vanishing_ideal",
+              "experiments.experiment_curve", "experiments.experiment_nonsmooth",
+              "experiments.experiment_points", "experiments.experiment_sylvester"}
+
+
+def _functions(body, prefix):
+    for node in body:
+        if isinstance(node, ast.ClassDef):
+            yield from _functions(node.body, f"{prefix}{node.name}.")
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield f"{prefix}{node.name}", node
+            yield from _functions(node.body, f"{prefix}{node.name}.")
+
+
+def test_only_ideal_builders_take_a_degree_cap():
+    # a query that takes its own cap can run past the cap of the ideal it reads
+    takers = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for name, node in _functions(tree.body, f"{path.stem}."):
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs
+            if any(a.arg == "degree_cap" for a in params):
+                takers.add(name)
+    assert sorted(takers) == sorted(CAP_TAKERS)
