@@ -177,7 +177,9 @@ def experiment_curve(a, b, seed=0, field=FP_DEFAULT, degree_cap=DEFAULT_DEGREE_C
 def _embed_tower_checks(report, moved, tower):
     """Invariant verdicts for a partial elimination tower: the initial-ideal
     decomposition, commutation with initial ideals, and the ascending
-    chain."""
+    chain.  The chain test runs on each level's harvested generators, not
+    on its reduced basis: the harvest is what it checks, so it must see
+    the harvested list as built."""
     inner = tower.inner_order
     big_initial = moved.initial_ideal(Lex())
     report.check(

@@ -578,8 +578,11 @@ class Ideal:
                 raise ValueError("ideal generators must be nonzero")
             if g.ring != ring:
                 raise ValueError("generators belong to different ring contexts")
-            if g.homogeneous_degree() is None:
+            degree = g.homogeneous_degree()
+            if degree is None:
                 raise ValueError("ideal generators must be homogeneous")
+            if degree > degree_cap:
+                raise ValueError(f"degree cap {degree_cap} is below generator degree {degree}")
         self.ring = ring
         self.generators = generators
         self.degree_cap = degree_cap

@@ -107,6 +107,13 @@ def count_distinct_points(J, seed=0):
     principal generator is returned.  Two seeds must agree, guarding the
     genericity assumption.  The projections run under the degree cap of
     ``J``.
+
+    What is moved is the reduced revlex basis of ``J`` that the dimension
+    check computes, not ``J.generators``: a partial elimination level
+    carries its long harvested generator list, while its reduced basis is
+    short and of low degree.  Both generate the same ideal, so the moved
+    ideals are equal, their reduced elimination-order bases (which are
+    unique) agree, and so does the count.
     """
     if J.ring.nvars != 3:
         raise PointCountError("point counting expects an ideal in 3 variables")
@@ -115,9 +122,9 @@ def count_distinct_points(J, seed=0):
         raise PointCountError(
             f"expected a finite point set (dimension 1), got dimension {data.dimension}"
         )
-    counts = []
-    for s in (seed, seed + 1):
-        counts.append(_projected_distinct_count(J, s))
+    reduced = Ideal(J.groebner_basis(Revlex()), J.ring, J.degree_cap)
+    reduced.hilbert_witness = J.hilbert_witness
+    counts = [_projected_distinct_count(reduced, s) for s in (seed, seed + 1)]
     if counts[0] != counts[1]:
         raise PointCountError(f"projection counts disagree across seeds: {counts}")
     return counts[0]

@@ -13,7 +13,7 @@ from oracles import (
     pei_oracle,
 )
 
-from ginlab.experiments import experiment_borel_census, experiment_points
+from ginlab.experiments import experiment_borel_census, experiment_curve, experiment_points
 from ginlab.fields import FP_DEFAULT
 from ginlab.gin import apply_change, gin, random_coordinate_change
 from ginlab.groebner import Ideal
@@ -77,6 +77,18 @@ def test_criterion_2_curve_side_data(curve_reports):
             f"K1 points={checks['k1_distinct_points'][1]}"
         )
     announce(2, "K0 degree ab and K1 node counts", ok, "; ".join(details))
+
+
+def test_criterion_1_curve_3_4():
+    # the main theorem one shape past the (3,3) run, at the default cap:
+    # reg = 1 + 12*2*3/2 = 37 and K_1 has 36 distinct points
+    report = experiment_curve(3, 4, seed=SUITE_SEED)
+    checks = report_checks(report, {"regularity", "trial_agreement", "k1_distinct_points"})
+    ok = (checks["regularity"][1] == 37 and checks["k1_distinct_points"][1] == 36
+          and all(passed for (_, _, passed) in checks.values()))
+    announce(1, "lex gin regularity of the (3,4) CI curve", ok,
+             f"reg={checks['regularity'][1]}, K1 points={checks['k1_distinct_points'][1]}, "
+             f"{report.elapsed_seconds:.1f}s")
 
 
 def test_criterion_3_nonsmooth(nonsmooth_report):

@@ -62,6 +62,12 @@ def test_exit_code_4_on_bad_input(capsys):
     assert "bad input: modulus 4 is not prime" in capsys.readouterr().err
 
 
+def test_exit_code_4_on_degree_cap_below_generator_degree(capsys):
+    # rejected when the ideal is built, before any gin trial is drawn
+    assert run(["curve", "--a", "3", "--b", "3", "--degree-cap", "2", "--seed", "1"]) == 4
+    assert "bad input: degree cap 2 is below generator degree 3" in capsys.readouterr().err
+
+
 def test_points_takes_a_weight_order(tmp_path):
     # the commas inside a weight vector do not split the order list
     out = tmp_path / "points.json"

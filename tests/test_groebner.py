@@ -161,6 +161,13 @@ def test_degree_cap_below_generators_rejected():
         buchberger(polys(R, "x0^3"), Lex(), degree_cap=2)
 
 
+def test_ideal_rejects_degree_cap_below_a_generator_degree():
+    R = ring(2)
+    with pytest.raises(ValueError, match="degree cap 2 is below generator degree 3"):
+        Ideal(polys(R, "x0^3"), degree_cap=2)
+    assert Ideal(polys(R, "x0^3"), degree_cap=3).degree_cap == 3
+
+
 def test_degree_cap_abort_carries_degree():
     R = ring(3)
     rng = random.Random(2)

@@ -258,6 +258,27 @@ def test_count_rejects_wrong_dimension():
         count_distinct_points(Ideal([parse_polynomial("x0^2", R4)]), seed=5)
 
 
+def test_count_projects_the_reduced_revlex_basis(monkeypatch):
+    # K_1 of a generic (3,3) curve: its harvested generator list is long,
+    # its reduced revlex basis short; the projections move the latter
+    R = ring(4)
+    f, g = sample_monic_pair(R, 3, 3, random.Random(1))
+    moved = gin(Ideal([f, g]), Lex(), trials=2, seed=1).trial_ideals[0]
+    k1 = partial_elim_ideals(moved, p_max=1, inner_order=Lex()).levels[1]
+    basis = k1.groebner_basis(Revlex())
+    assert len(basis) < len(k1.generators)
+    calls = []
+    substitute = Polynomial.substitute
+
+    def spy(self, matrix):
+        calls.append(self)
+        return substitute(self, matrix)
+
+    monkeypatch.setattr(Polynomial, "substitute", spy)
+    assert count_distinct_points(k1, seed=102) == 18
+    assert len(calls) == 2 * len(basis)
+
+
 def binary_form(R, factors):
     """The product of (text, power) factors, each a form in x1 and x2."""
     out = Polynomial.constant(R, 1)
