@@ -146,7 +146,7 @@ def _cmd_gin(args):
     )
     report.outputs["gin_generators"] = list(result.gin.generator_strings())
     report.outputs["trials_used"] = result.trials_used
-    borel = is_borel_fixed(result.gin)
+    borel = is_borel_fixed(result.gin, order)
     report.outputs["borel_fixed"] = borel
     report.outputs["regularity"] = result.regularity
     report.check("trial_agreement", True, result.agreed)

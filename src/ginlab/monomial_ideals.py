@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
+from .orders import Lex, variable_ranking
 from .rings import mono_degree, mono_divides
 
 
@@ -102,14 +103,18 @@ class MonomialIdeal:
 # Borel property
 
 
-def is_borel_fixed(J: MonomialIdeal) -> bool:
-    """True if for every generator m, every x_i | m and every j < i the swap
-    (m / x_i) * x_j stays inside the ideal."""
+def is_borel_fixed(J: MonomialIdeal, order=Lex()) -> bool:
+    """True if for every generator m, every x_i | m and every x_j ranked
+    above x_i the swap (m / x_i) * x_j stays inside the ideal.  The ranking
+    is the one ``order`` gives the variables (see :func:`variable_ranking`),
+    x0 > x1 > ... under lex and revlex.  A gin under an order is
+    Borel-fixed for that order's ranking."""
+    ranking = variable_ranking(order, J.ring.nvars)
     for m in J.gens:
-        for i in range(J.ring.nvars):
+        for k, i in enumerate(ranking):
             if m[i] == 0:
                 continue
-            for j in range(i):
+            for j in ranking[:k]:
                 swapped = list(m)
                 swapped[i] -= 1
                 swapped[j] += 1

@@ -102,6 +102,14 @@ def elimination_order(nvars, inner=None):
     return ProductOrder((1, nvars - 1), (Lex(), inner))
 
 
+def variable_ranking(order, nvars):
+    """The variable indices, greatest first, as ``order`` ranks the degree-1
+    monomials x0..x_{nvars-1}: (0, 1, ..., nvars-1) under lex and revlex,
+    (2, 1, 0) under ``weight:1,2,3``."""
+    units = [tuple(int(i == j) for j in range(nvars)) for i in range(nvars)]
+    return tuple(sorted(range(nvars), key=lambda i: order.sort_key(units[i])))
+
+
 def order_from_spec(spec: str, nvars: int):
     """Parse a CLI order name: lex | revlex | weight:<w,...> | elim."""
     spec = spec.strip().lower()

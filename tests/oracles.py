@@ -132,10 +132,11 @@ def evaluate(f, point):
 
 
 @st.composite
-def homogeneous_generators(draw, fields, max_vars=3, max_degree=3, max_gens=3):
+def homogeneous_generators(draw, fields, max_vars=3, max_degree=3, max_gens=3, min_vars=2):
     """Nonzero homogeneous forms of a few terms each, with small integer
-    coefficients, in a ring of 2..max_vars variables over one of ``fields``."""
-    ring = RingContext(draw(st.integers(2, max_vars)), draw(st.sampled_from(fields)))
+    coefficients, in a ring of min_vars..max_vars variables over one of
+    ``fields``."""
+    ring = RingContext(draw(st.integers(min_vars, max_vars)), draw(st.sampled_from(fields)))
     gens = []
     for _ in range(draw(st.integers(1, max_gens))):
         mons = ring.monomials_of_degree(draw(st.integers(1, max_degree)))

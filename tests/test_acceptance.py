@@ -2,8 +2,11 @@
 pass/fail line per criterion.  All expectations are exact; runtime budgets
 are asserted with the generous limits they were specified with."""
 
+import os
 import random
 import time
+
+import pytest
 
 from conftest import SUITE_SEED
 from oracles import (
@@ -87,6 +90,22 @@ def test_criterion_1_curve_3_4():
     ok = (checks["regularity"][1] == 37 and checks["k1_distinct_points"][1] == 36
           and all(passed for (_, _, passed) in checks.values()))
     announce(1, "lex gin regularity of the (3,4) CI curve", ok,
+             f"reg={checks['regularity'][1]}, K1 points={checks['k1_distinct_points'][1]}, "
+             f"{report.elapsed_seconds:.1f}s")
+
+
+@pytest.mark.skipif(os.environ.get("GINLAB_SLOW") != "1",
+                    reason="2-11 s per shape; set GINLAB_SLOW=1 to run the curve grid")
+@pytest.mark.parametrize("a, b, cap", [(3, 5, 80), (4, 4, 80), (3, 6, 130), (4, 5, 130)])
+def test_criterion_1_curve_grid(a, b, cap):
+    # the README grid past (3,4), at seed 1: reg = 1 + ab(a-1)(b-1)/2 and K_1
+    # has ab(a-1)(b-1)/2 distinct points; the caps reach past each regularity
+    nodes = a * b * (a - 1) * (b - 1) // 2
+    report = experiment_curve(a, b, seed=1, degree_cap=cap)
+    checks = report_checks(report, {"regularity", "k1_distinct_points"})
+    ok = (report.passed and checks["regularity"][1] == 1 + nodes
+          and checks["k1_distinct_points"][1] == nodes)
+    announce(1, f"lex gin regularity of the ({a},{b}) CI curve at cap {cap}", ok,
              f"reg={checks['regularity'][1]}, K1 points={checks['k1_distinct_points'][1]}, "
              f"{report.elapsed_seconds:.1f}s")
 

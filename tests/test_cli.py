@@ -242,6 +242,25 @@ def test_exit_code_3_on_non_generic_gin_trials(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("seed", [1, 5])
+def test_gin_under_a_weight_order_is_borel_fixed_for_its_variable_ranking(tmp_path, seed):
+    # weight:1,2,3 ranks x2 > x1 > x0, so its gin is Borel-fixed for that
+    # ranking, not for x0 > x1 > x2; here it is weight:3,2,1's gin with x0
+    # and x2 swapped
+    ideal = tmp_path / "ci.txt"
+    ideal.write_text("x0^2+x1*x2+x2^2\nx1^3+x0*x2^2+x0^3\n")
+    gins = {}
+    for order in ("weight:1,2,3", "weight:3,2,1"):
+        out = tmp_path / f"{order}.json"
+        assert run(["gin", "--in", str(ideal), "--order", order, "--seed", str(seed),
+                    "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["passed"] and report["outputs"]["borel_fixed"] is True
+        gins[order] = report["outputs"]["gin_generators"]
+    assert gins["weight:3,2,1"] == ["x0^2", "x0*x1^2", "x1^4"]
+    assert gins["weight:1,2,3"] == ["x2^2", "x1^2*x2", "x1^4"]
+
+
 def test_repeated_runs_in_one_process_match_fresh_runs(tmp_path, monkeypatch, capsys):
     # the parser is built once per process; runs that share it, usage errors
     # and --help in between, give what a freshly built parser gives

@@ -11,13 +11,17 @@ from ginlab import linalg
 from ginlab.fields import FP_DEFAULT, QQ, PrimeField
 from ginlab.gin import (
     CharacteristicTooSmall,
+    _one_trial,
+    _tower_lex_initial_ideal,
     apply_change,
     gin,
     random_coordinate_change,
 )
-from ginlab.groebner import Ideal
+from ginlab.groebner import Ideal, buchberger
 from ginlab.monomial_ideals import MonomialIdeal, is_borel_fixed
-from ginlab.orders import Lex, Revlex
+from ginlab.orders import Lex, Revlex, elimination_order
+from ginlab.partial_elim import partial_elim_ideals
+from ginlab.points import random_points, vanishing_ideal
 from ginlab.poly import parse_polynomial, random_form
 from ginlab.rings import RingContext
 from ginlab.sylvester import sample_monic_pair
@@ -201,3 +205,72 @@ def test_gin_in_too_small_characteristic_raises():
     I = Ideal([parse_polynomial("x0^2", R), parse_polynomial("x1^2", R)])
     with pytest.raises(CharacteristicTooSmall, match="p = 2 does not exceed .* degree 2"):
         gin(I, Revlex(), trials=2, seed=0)
+
+
+# ----------------------------------------------------------------------
+# lex trials read in_lex off the partial elimination tower; the oracle is a
+# direct lex run on the same moved ideal, and the two must be equal exactly
+
+
+def _direct_lex_initial_ideal(I):
+    basis = buchberger(I.generators, Lex(), I.degree_cap)
+    return MonomialIdeal(I.ring, [g.leading_monomial(Lex()) for g in basis])
+
+
+def _assert_tower_trial_is_direct_lex(I, seed):
+    J, moved = _one_trial(I, Lex(), seed)
+    # the trial took the tower route: no lex basis of the moved ideal exists
+    assert Lex() not in moved.gb_cache
+    assert elimination_order(I.ring.nvars, Revlex()) in moved.gb_cache
+    assert J == _direct_lex_initial_ideal(moved)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(  # degree 3 in 5 variables can make the direct lex oracle take seconds
+        homogeneous_generators([FP_DEFAULT], min_vars=4, max_vars=4, max_degree=3),
+        homogeneous_generators([FP_DEFAULT], min_vars=5, max_vars=5, max_degree=2),
+    ),
+    st.integers(0, 10**6),
+)
+def test_tower_trial_equals_direct_lex_on_random_ideals(gens, seed):
+    _assert_tower_trial_is_direct_lex(Ideal(gens), seed)
+
+
+def _fixture_ideal(name):
+    if name.startswith("points"):
+        s, r = (int(x) for x in name.split("-")[1:])
+        return vanishing_ideal(random_points(s, r, 3, FP_DEFAULT))
+    if name == "curve-2-3-qq":
+        f, g = sample_monic_pair(ring(4, QQ), 2, 3, random.Random(1))
+        return Ideal([f, g])
+    texts = {
+        "nonsmooth": ["x0^3 - x1*x2^2", "x1^3 - x2^2*x3"],
+        "monomial-binomial": ["x0*x1", "x0*x2^2 - x1*x3^2", "x2^3 - x0*x3^2", "x1^2*x3"],
+    }[name]
+    R = ring(4)
+    return Ideal([parse_polynomial(t, R) for t in texts])
+
+
+@pytest.mark.parametrize("name", [
+    "nonsmooth", "monomial-binomial", "points-12-3", "points-20-3", "points-9-4",
+    "curve-2-3-qq",
+])
+def test_tower_trial_equals_direct_lex_on_fixtures(name):
+    _assert_tower_trial_is_direct_lex(_fixture_ideal(name), seed=1)
+
+
+def test_tower_stops_at_the_largest_x0_degree_when_the_top_level_is_proper():
+    # the twisted cubic passes through [1:0:0:0], so no power of x0 lies in
+    # the ideal and the top level K_pmax is a proper ideal: the sum runs to
+    # pmax and not to a first unit level.  Unmoved coordinates, so this is
+    # the identity itself, not genericity.
+    R = ring(4)
+    I = Ideal([parse_polynomial(t, R) for t in ("x0*x2 - x1^2", "x0*x3 - x1*x2", "x1*x3 - x2^2")])
+    basis = I.groebner_basis(elimination_order(4, Revlex()))
+    p_max = max(m[0] for g in basis for m in g.terms)
+    top = partial_elim_ideals(I, p_max, Revlex()).levels[-1]
+    assert p_max >= 1 and top.hilbert_data(Revlex(), bound=2).dimension > 0
+    direct = _direct_lex_initial_ideal(I)
+    assert not any(g[0] == sum(g) for g in direct.gens)  # no pure power of x0
+    assert _tower_lex_initial_ideal(I) == direct

@@ -263,17 +263,21 @@ def test_witness_never_suppresses_the_degree_cap(monkeypatch):
 
 
 def test_second_gin_trial_reduces_fewer_pairs(monkeypatch):
-    # the first trial computes a revlex witness; each lex trial, the second
-    # included, is pruned by it and reduces fewer S-pairs than an unwitnessed
-    # lex run of the same moved ideal
+    # the first trial computes a revlex witness.  Each lex trial in 4
+    # variables then runs the elimination basis, pruned by that witness (the
+    # second trial's included), and one lex run per partial elimination
+    # level that has more than one form, pruned by the level's revlex
+    # initial ideal.  Every witnessed run reduces fewer S-pairs than an
+    # unwitnessed run of the same generators under the same order.
     from ginlab.gin import gin
 
     def per_run_counts():
-        runs = []  # [order, witnessed, S-pairs reduced] per buchberger run
+        runs = []  # [order, witnessed, S-pairs reduced, generators] per buchberger run
         run = groebner.buchberger
 
         def counting(gens, order, *args, witness=None, **kwargs):
-            runs.append([order, witness is not None, 0])
+            gens = tuple(gens)
+            runs.append([order, witness is not None, 0, gens])
             return run(gens, order, *args, witness=witness, **kwargs)
 
         spair = groebner._DenseEngine.spair
@@ -289,15 +293,18 @@ def test_second_gin_trial_reduces_fewer_pairs(monkeypatch):
             f, g = sample_monic_pair(R, 3, 3, random.Random(5))  # curve (3,3), seed 5
             result = gin(Ideal([f, g]), Lex(), trials=2, seed=5)
             assert result.agreed and len(result.trial_ideals) == 2
-            for moved in result.trial_ideals:
-                groebner.buchberger(moved.generators, Lex())
-        return runs
+            for order, witnessed, _, gens in list(runs):
+                if witnessed:
+                    groebner.buchberger(gens, order)
+        return [run[:3] for run in runs]
 
     first = per_run_counts()
-    assert [run[:2] for run in first] == [
-        [Revlex(), False], [Lex(), True], [Lex(), True], [Lex(), False], [Lex(), False]
-    ]
-    witnessed, unwitnessed = [run[2] for run in first[1:3]], [run[2] for run in first[3:]]
+    trial = [elimination_order(4, Revlex()), Lex(), Lex()]
+    assert [run[:2] for run in first] == (
+        [[Revlex(), False]] + [[order, True] for order in trial * 2]
+        + [[order, False] for order in trial * 2]
+    )
+    witnessed, unwitnessed = [run[2] for run in first[1:7]], [run[2] for run in first[7:]]
     assert all(w < u for w, u in zip(witnessed, unwitnessed))
     assert per_run_counts() == first
 
@@ -615,7 +622,9 @@ def test_second_gin_trial_adds_no_lex_map(monkeypatch):
 
     def counting(*args):
         out = trial(*args)
-        lex_maps.append(sum(len(p.maps) for (_, o), p in R._graded.items() if o == Lex()))
+        # the lex runs are on the partial elimination levels, in the small ring
+        lex_maps.append(sum(len(p.maps) for S in (R, R.drop_first_variable())
+                            for (_, o), p in S._graded.items() if o == Lex()))
         return out
 
     monkeypatch.setattr(gin_module, "_one_trial", counting)

@@ -6,6 +6,7 @@ from oracles import ek_betti
 
 from ginlab.fields import FP_DEFAULT
 from ginlab.monomial_ideals import MonomialIdeal, hilbert_data, is_borel_fixed
+from ginlab.orders import Lex, Revlex, WeightOrder, elimination_order, variable_ranking
 from ginlab.rings import RingContext
 
 
@@ -79,6 +80,22 @@ def test_borel_examples():
     assert is_borel_fixed(J(3, "x0^2", "x0*x1", "x1^3"))
     assert not is_borel_fixed(J(3, "x0*x2"))
     assert is_borel_fixed(J(4, "x0^2", "x0*x1", "x0*x2^2", "x1^4"))
+
+
+def test_variable_ranking_reads_the_degree_one_monomials():
+    assert variable_ranking(Lex(), 3) == variable_ranking(Revlex(), 3) == (0, 1, 2)
+    assert variable_ranking(WeightOrder((1, 2, 3), Lex()), 3) == (2, 1, 0)
+    assert variable_ranking(WeightOrder((2, 1, 2), Lex()), 3) == (0, 2, 1)  # lex breaks the tie
+    assert variable_ranking(elimination_order(4, Revlex()), 4) == (0, 1, 2, 3)
+
+
+def test_borel_fixed_for_the_ranking_of_an_order():
+    # (x2^2, x1^2*x2, x1^4) is (x0^2, x0*x1^2, x1^4) with x0 and x2 swapped
+    mirrored = J(3, "x2^2", "x1^2*x2", "x1^4")
+    assert not is_borel_fixed(mirrored)
+    assert not is_borel_fixed(mirrored, Lex())
+    assert is_borel_fixed(mirrored, WeightOrder((1, 2, 3), Lex()))
+    assert not is_borel_fixed(J(3, "x0^2", "x0*x1^2", "x1^4"), WeightOrder((1, 2, 3), Lex()))
 
 
 # ----------------------------------------------------------------------

@@ -335,9 +335,10 @@ def test_tower_decomposition_is_the_elimination_initial_ideal(gens, inner, seed)
     assert tower_decomposition(tower) == moved.initial_ideal(elim)
 
 
-def test_lex_tower_reuses_the_basis_of_a_lex_gin_trial(monkeypatch):
-    # elimination_order(n, Lex()) is Lex(), so the tower reads the lex basis
-    # cached on the moved ideal by the gin trial instead of computing one
+def test_revlex_tower_reuses_the_elimination_basis_of_a_lex_gin_trial(monkeypatch):
+    # a lex gin trial in 4 variables reads in_lex off the tower of its moved
+    # ideal under elimination_order(4, Revlex()); a revlex-inner tower of
+    # that ideal reads the same cached basis and runs no Buchberger
     R = ring(4)
     f, g = sample_monic_pair(R, 2, 3, random.Random(1))
     moved = gin(Ideal([f, g]), Lex(), trials=2, seed=1).trial_ideals[0]
@@ -349,6 +350,7 @@ def test_lex_tower_reuses_the_basis_of_a_lex_gin_trial(monkeypatch):
         return run(gens, order, *args, **kwargs)
 
     monkeypatch.setattr(groebner, "buchberger", counting)
-    tower = partial_elim_ideals(moved, 2, Lex())
+    tower = partial_elim_ideals(moved, 2, Revlex())
     assert runs == []
-    assert tower.source_basis is moved.groebner_basis(Lex())
+    assert tower.source_basis is moved.groebner_basis(elimination_order(4, Revlex()))
+    assert runs == []
