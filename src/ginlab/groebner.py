@@ -72,6 +72,19 @@ class ResourceLimitExceeded(Exception):
     beyond the size an exhaustive routine is allowed to attempt."""
 
 
+class ReducedBasis(list):
+    """A reduced Groebner basis as ``buchberger`` and
+    ``reduce_groebner_basis`` return it, sorted by (degree, order), with the
+    leading monomial of each element as the reduction engine held it, so an
+    :class:`Ideal` reads its initial ideal without ranking any terms."""
+
+    __slots__ = ("leading_monomials",)
+
+    def __init__(self, basis=(), leading_monomials=()):
+        super().__init__(basis)
+        self.leading_monomials = tuple(leading_monomials)
+
+
 # ----------------------------------------------------------------------
 # reduction engines
 
@@ -439,7 +452,8 @@ def buchberger(gens, order, degree_cap=DEFAULT_DEGREE_CAP, *, witness=None):
 
     Raises :class:`DegreeCapExceeded` if any surviving S-polynomial would
     exceed ``degree_cap``.  The result is monic, interreduced, and sorted by
-    (degree, order), so it is canonical for the ideal and order.
+    (degree, order), so it is canonical for the ideal and order; it is a
+    :class:`ReducedBasis`, which carries its leading monomials.
 
     ``witness``, when given, is the monomial ideal of the leading monomials
     of a reduced basis, under any order, of the same ideal or of a linear
@@ -448,11 +462,11 @@ def buchberger(gens, order, degree_cap=DEFAULT_DEGREE_CAP, *, witness=None):
     """
     gens = list(gens)
     if not gens:
-        return []
+        return ReducedBasis()
     ring = gens[0].ring
     polys = _validate_input(gens, ring)
     if not polys:
-        return []
+        return ReducedBasis()
     if max(f.homogeneous_degree() for f in polys) > degree_cap:
         raise ValueError("degree_cap is below a generator degree")
     engine = _make_engine(ring, order, polys)
@@ -486,7 +500,8 @@ def buchberger(gens, order, degree_cap=DEFAULT_DEGREE_CAP, *, witness=None):
 def _finalize(engine, order):
     """Minimalize and tail-reduce the engine basis; canonical output order.
     The minimal elements keep their relative order, so each tail is reduced
-    by the first listed of the others."""
+    by the first listed of the others.  Tail reduction keeps each leading
+    monomial, so the engine's are the result's."""
     picked = []
     for i in sorted(
         range(len(engine.basis)),
@@ -497,15 +512,16 @@ def _finalize(engine, order):
     kept = sorted(picked)
     engine.keep(kept)
     slot = {i: k for k, i in enumerate(kept)}
-    return [engine.tail_reduced(slot[i]) for i in picked]
+    return ReducedBasis((engine.tail_reduced(slot[i]) for i in picked),
+                        (engine.lts[slot[i]] for i in picked))
 
 
 def reduce_groebner_basis(basis, order):
-    """Turn a (possibly redundant) Groebner basis into the reduced one
-    without running any S-pairs."""
+    """Turn a (possibly redundant) Groebner basis into the reduced one, a
+    :class:`ReducedBasis`, without running any S-pairs."""
     basis = [g for g in basis if not g.is_zero]
     if not basis:
-        return []
+        return ReducedBasis()
     ring = basis[0].ring
     engine = _make_engine(ring, order, basis)
     for g in basis:
@@ -562,10 +578,15 @@ class Ideal:
 
     ``degree_cap`` bounds every Buchberger run on the ideal, and every ideal
     derived from it (linear images, gin trials, projections, partial
-    elimination levels) carries the same cap."""
+    elimination levels) carries the same cap.
+
+    ``towers`` keeps, per inner order, the longest partial elimination tower
+    harvested from the ideal (see ``partial_elim.partial_elim_ideals``), so
+    a lex gin trial's tower serves the pipeline that reads the same levels
+    again."""
 
     __slots__ = ("ring", "generators", "degree_cap", "gb_cache", "initial_ideals",
-                 "hilbert_witness")
+                 "hilbert_witness", "towers")
 
     def __init__(self, generators, ring=None, degree_cap=DEFAULT_DEGREE_CAP):
         generators = tuple(generators)
@@ -589,6 +610,7 @@ class Ideal:
         self.gb_cache = {}
         self.initial_ideals = {}
         self.hilbert_witness = []
+        self.towers = {}
 
     def __repr__(self):
         inside = ", ".join(str(g) for g in self.generators) or "0"
@@ -602,21 +624,26 @@ class Ideal:
         hit = self.gb_cache.get(order)
         if hit is None:
             witness = self.hilbert_witness[0] if self.hilbert_witness else None
-            hit = tuple(buchberger(self.generators, order, self.degree_cap, witness=witness))
-            self._store(order, hit)
+            hit = self._store(order, buchberger(self.generators, order, self.degree_cap,
+                                                witness=witness))
         return hit
 
-    def set_groebner_basis(self, order, reduced_basis):
-        """Install a known reduced basis (e.g. harvested from an elimination
-        run certified by the Groebner property of initial coefficients)."""
-        self._store(order, tuple(reduced_basis))
+    def set_groebner_basis(self, order, basis):
+        """Install a known Groebner basis (e.g. harvested from an elimination
+        run certified by the Groebner property of initial coefficients),
+        reduced here by :func:`reduce_groebner_basis`, which runs no
+        S-pair."""
+        self._store(order, reduce_groebner_basis(basis, order))
 
     def _store(self, order, basis):
-        initial = MonomialIdeal(self.ring, [g.leading_monomial(order) for g in basis])
+        """Cache a :class:`ReducedBasis` and the initial ideal of its leading
+        monomials; returns the cached tuple."""
+        initial = MonomialIdeal(self.ring, basis.leading_monomials)
         self.initial_ideals[order] = initial
-        self.gb_cache[order] = basis
+        self.gb_cache[order] = basis = tuple(basis)
         if not self.hilbert_witness:
             self.hilbert_witness.append(initial)
+        return basis
 
     def initial_ideal(self, order):
         self.groebner_basis(order)

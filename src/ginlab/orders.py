@@ -1,14 +1,28 @@
 """Degree-compatible term orders on exponent-tuple monomials.
 
 Every order compares total degree first; the within-degree refinement is what
-distinguishes them.  Each order exposes ``sort_key(exponents)`` such that
-sorting by the key ascending lists monomials in *descending* order (greatest
-first), which is the convention used throughout the package.
+distinguishes them.  Each order ranks monomials two ways, and both list them
+*descending* (greatest first), the convention used throughout the package:
+
+- ``sort_key(exponents)`` is a key for one tuple, sorted ascending.  Scalar
+  callers use it: a polynomial's leading term, Buchberger's pair selection
+  and its final sort, the sparse engine's heap, ``variable_ranking``.
+- ``key_columns(exps)`` takes an (N, nvars) int64 exponent matrix and returns
+  the same key as columns, most significant first: ascending lexicographic
+  order over the columns is ascending ``sort_key`` order.  A whole graded
+  piece is ordered by one ``np.lexsort`` over them
+  (``RingContext.graded_piece``), with no Python tuple per monomial.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
+
+
+def _degree_column(exps):
+    return -exps.sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -17,6 +31,9 @@ class Lex:
 
     def sort_key(self, exps):
         return (-sum(exps), tuple(-e for e in exps))
+
+    def key_columns(self, exps):
+        return [_degree_column(exps), *(-exps.T)]
 
     def __str__(self):
         return "lex"
@@ -28,6 +45,9 @@ class Revlex:
 
     def sort_key(self, exps):
         return (-sum(exps), tuple(reversed(exps)))
+
+    def key_columns(self, exps):
+        return [_degree_column(exps), *exps.T[::-1]]
 
     def __str__(self):
         return "revlex"
@@ -53,6 +73,14 @@ class WeightOrder:
             raise ValueError("weight vector length does not match variable count")
         w = sum(a * b for a, b in zip(self.weights, exps))
         return (-sum(exps), -w, self.tiebreak.sort_key(exps))
+
+    def key_columns(self, exps):
+        if exps.shape[1] != len(self.weights):
+            raise ValueError("weight vector length does not match variable count")
+        # int64 holds w.e while every weight and the degree stay below 2**31
+        dtype = np.int64 if max(self.weights) < 2**31 else object
+        w = exps.astype(dtype) @ np.array(self.weights, dtype=dtype)
+        return [_degree_column(exps), -w, *self.tiebreak.key_columns(exps)]
 
     def __str__(self):
         return "weight:" + ",".join(str(w) for w in self.weights)
@@ -83,22 +111,40 @@ class ProductOrder:
             start += size
         return (-sum(exps), tuple(parts))
 
+    def key_columns(self, exps):
+        if exps.shape[1] != sum(self.block_sizes):
+            raise ValueError("block sizes do not match variable count")
+        columns = [_degree_column(exps)]
+        start = 0
+        for size, inner in zip(self.block_sizes, self.inners):
+            columns += inner.key_columns(exps[:, start:start + size])
+            start += size
+        return columns
+
     def __str__(self):
         return "product(" + ",".join(map(str, self.block_sizes)) + ")"
 
 
 def elimination_order(nvars, inner=None):
     """Product order eliminating the first variable, with ``inner`` on the
-    remaining ones (defaults to revlex, the cheap choice).  A lex inner order
-    gives ``Lex()`` itself: a product of lex blocks compares exponents
-    variable by variable, as lex does, so both share one Groebner basis and
-    one table per graded piece."""
+    remaining ones (defaults to revlex, the cheap choice).
+
+    Where that product is lex it is built as ``Lex()`` itself, so it shares
+    lex's Groebner bases, graded pieces and multiplication maps:
+    - under a lex inner order, since a product of lex blocks compares
+      exponents variable by variable, as lex does;
+    - under a revlex inner order in at most 3 variables, since revlex on the
+      at most two remaining variables is lex (Cox-Little-O'Shea, *Ideals,
+      Varieties, and Algorithms*, ch. 3 sec. 1): two monomials of one degree
+      compare by their last exponent, the smaller one winning, which is by
+      the first, the larger one winning.  So counting K_1's points in P^2
+      eliminates under lex."""
     if nvars < 2:
         raise ValueError("elimination must leave at least one variable")
     if inner is None:
         inner = Revlex()
-    if isinstance(inner, Lex):
-        return inner
+    if isinstance(inner, Lex) or (isinstance(inner, Revlex) and nvars <= 3):
+        return Lex()
     return ProductOrder((1, nvars - 1), (Lex(), inner))
 
 

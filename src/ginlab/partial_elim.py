@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from math import gcd, lcm
 
 from .gin import apply_change, random_coordinate_change
-from .groebner import Ideal, reduce_groebner_basis
-from .monomial_ideals import MonomialIdeal, minimalize_monomials
+from .groebner import Ideal
+from .monomial_ideals import MonomialIdeal
 from .orders import Revlex, elimination_order
 from .poly import Polynomial
 
@@ -51,21 +51,26 @@ class PartialElimTower:
 
 
 def partial_elim_ideals(I, p_max, inner_order=None):
-    """Compute the tower K_0..K_{p_max} from one elimination-order basis."""
+    """Compute the tower K_0..K_{p_max} from one elimination-order basis.
+    ``I.towers`` keeps the longest tower harvested per inner order: a call
+    it covers returns that tower's first p_max + 1 levels, and a longer call
+    harvests only the levels past it."""
     inner = inner_order if inner_order is not None else Revlex()
-    elim = elimination_order(I.ring.nvars, inner)
-    G = I.groebner_basis(elim)
-    small = I.ring.drop_first_variable()
-    profiles = [x0_profile(g) for g in G]
-    levels = []
-    for p in range(p_max + 1):
-        gens = [prof.initial_coefficient for prof in profiles if prof.x0_degree <= p]
-        level = Ideal(gens, small, I.degree_cap)
-        # the harvested generators are a Groebner basis for K_p; installing
-        # the reduced form avoids ever rerunning Buchberger on a level
-        level.set_groebner_basis(inner, reduce_groebner_basis(gens, inner))
-        levels.append(level)
-    return PartialElimTower(levels, inner, G)
+    known = I.towers.get(inner)
+    if known is None or len(known.levels) <= p_max:
+        G = I.groebner_basis(elimination_order(I.ring.nvars, inner))
+        small = I.ring.drop_first_variable()
+        profiles = [x0_profile(g) for g in G]
+        levels = list(known.levels) if known is not None else []
+        for p in range(len(levels), p_max + 1):
+            gens = [prof.initial_coefficient for prof in profiles if prof.x0_degree <= p]
+            level = Ideal(gens, small, I.degree_cap)
+            # the harvested generators are a Groebner basis for K_p; installing
+            # their reduced form avoids ever rerunning Buchberger on a level
+            level.set_groebner_basis(inner, gens)
+            levels.append(level)
+        known = I.towers[inner] = PartialElimTower(levels, inner, G)
+    return PartialElimTower(known.levels[:p_max + 1], inner, known.source_basis)
 
 
 def monomial_partial_elim(J: MonomialIdeal, p: int) -> MonomialIdeal:
@@ -82,11 +87,9 @@ def tower_decomposition(tower):
         raise ValueError("empty tower has no decomposition")
     big_ring = tower.source_basis[0].ring
     inner = tower.inner_order
-    gens = []
-    for p, level in enumerate(tower.levels):
-        for g in level.groebner_basis(inner):
-            gens.append((p,) + g.leading_monomial(inner))
-    return MonomialIdeal(big_ring, minimalize_monomials(gens))
+    gens = [(p,) + m for p, level in enumerate(tower.levels)
+            for m in level.initial_ideal(inner).gens]
+    return MonomialIdeal(big_ring, gens)
 
 
 # ----------------------------------------------------------------------

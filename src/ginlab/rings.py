@@ -84,6 +84,15 @@ def _suffix_sums(exps):
     return np.ascontiguousarray(np.cumsum(exps[:, :0:-1], axis=1).T)
 
 
+def _exponents(suffix_sums, d):
+    """The (N, nvars) exponent matrix of degree-d monomials with these
+    suffix sums: the last exponent is T_1, exponent n - t is T_t - T_{t-1},
+    and the first is d - T_{n-1}."""
+    count = suffix_sums.shape[1]
+    sums = np.vstack([np.zeros((1, count), np.int64), suffix_sums, np.full((1, count), d)])
+    return np.ascontiguousarray(np.diff(sums, axis=0)[::-1].T)
+
+
 def _lex_ranks(table, suffix_sums, delta):
     """Lex ranks of the monomials with these suffix sums times x^delta.
 
@@ -165,8 +174,11 @@ class RingContext:
     def graded_piece(self, d, order=_LEX):
         """The degree-d monomials greatest first under ``order`` and the
         tables that rank them and their multiples; cached on the ring per
-        (degree, order).  Every other order's piece permutes the lex piece:
-        its monomial tuples, suffix sums and rank table are the lex piece's."""
+        (degree, order).  The lex piece is enumerated in order.  Every other
+        order's piece permutes it, by one ``np.lexsort`` over the order's
+        ``key_columns`` of the lex piece's exponent matrix (read back from
+        its suffix sums); its monomial tuples, suffix sums and rank table are
+        the lex piece's."""
         key = (d, order)
         piece = self._graded.get(key)
         if piece is None:
@@ -177,9 +189,9 @@ class RingContext:
                 by_lex = np.arange(len(mons), dtype=np.int64)
             else:
                 lex = self.graded_piece(d)
-                sort_key = order.sort_key
-                perm = sorted(range(len(lex.monomials)), key=lambda k: sort_key(lex.monomials[k]))
-                mons = tuple(lex.monomials[k] for k in perm)
+                columns = order.key_columns(_exponents(lex.suffix_sums, d))
+                perm = np.lexsort(columns[::-1])  # lexsort's primary key is its last
+                mons = tuple(map(lex.monomials.__getitem__, perm.tolist()))
                 suffix = lex.suffix_sums[:, perm]
                 table = lex.rank_table
                 by_lex = np.empty(len(mons), dtype=np.int64)

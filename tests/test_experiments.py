@@ -9,6 +9,7 @@ from ginlab.experiments import (
     expected_node_count,
     experiment_borel_census,
     experiment_curve,
+    experiment_nonsmooth,
     experiment_points,
     experiment_sylvester,
 )
@@ -60,6 +61,23 @@ def test_points_experiment_runs_the_lex_checks_for_any_spelling_of_lex():
     report = experiment_points(6, 2, orders=("LEX",), seed=1)
     names = [c.name for c in report.checks]
     assert "lex_regularity_is_point_count" in names and report.passed
+
+
+def test_every_report_names_each_check_once():
+    # elim is lex in P^2, so the lex-only checks follow the order name the
+    # user gave, not an order that compares equal to Lex()
+    reports = [
+        experiment_curve(2, 3, seed=1),
+        experiment_nonsmooth(seed=1),
+        experiment_points(12, 2, orders=("lex", "revlex", "elim"), seed=1),
+        experiment_points(6, 2, orders=("elim", "LEX"), seed=1),
+        experiment_sylvester(3, 4, 1, seed=1),
+        experiment_borel_census(),
+    ]
+    for report in reports:
+        names = [c.name for c in report.checks]
+        assert len(names) == len(set(names)), report.name
+        assert report.passed, report.name
 
 
 def test_sylvester_experiment_covers_equality_range():

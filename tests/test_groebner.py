@@ -481,6 +481,69 @@ def test_ideal_equal():
     assert not Ideal(polys(R, "x0^2")).equals(Ideal(polys(R, "x0")), Lex())
 
 
+def _spy_on_stores(monkeypatch):
+    """Record every (ideal, order) that ``Ideal._store`` caches, and count
+    the ``sort_key`` calls of every order class made while it runs."""
+    stored = []
+    keys_in_store = []
+    depth = []
+    store = Ideal._store
+
+    def spying_store(self, order, basis):
+        depth.append(1)
+        try:
+            return store(self, order, basis)
+        finally:
+            depth.pop()
+            stored.append((self, order))
+
+    monkeypatch.setattr(Ideal, "_store", spying_store)
+    for cls in (Lex, Revlex, WeightOrder, ProductOrder):
+        def spying_key(self, exps, _key=cls.sort_key):
+            if depth:
+                keys_in_store.append(type(self).__name__)
+            return _key(self, exps)
+        monkeypatch.setattr(cls, "sort_key", spying_key)
+    return stored, keys_in_store
+
+
+@pytest.mark.parametrize("pipeline", ["curve-3-3", "points-20-3"])
+def test_cached_initial_ideals_are_the_engines_leading_monomials(monkeypatch, pipeline):
+    # the engine hands its leading monomials to the cache; recomputing them
+    # from the cached basis with sort_key must give the same initial ideal
+    from ginlab.experiments import experiment_curve, experiment_points
+
+    stored, keys_in_store = _spy_on_stores(monkeypatch)
+    if pipeline == "curve-3-3":
+        report = experiment_curve(3, 3, seed=1)
+    else:
+        report = experiment_points(20, 3, seed=1)
+    assert report.passed
+    assert keys_in_store == []
+    assert len(stored) > 10
+    orders = {order for _, order in stored}
+    assert Revlex() in orders and Lex() in orders
+    for ideal, order in stored:
+        recomputed = [min(g.terms, key=order.sort_key) for g in ideal.gb_cache[order]]
+        assert ideal.initial_ideals[order] == MonomialIdeal(ideal.ring, recomputed)
+        assert len(recomputed) == len(ideal.initial_ideals[order].gens)
+
+
+def test_reduced_basis_carries_the_leading_monomials_of_both_engines():
+    R = ring(3)
+    texts = ("x0^2 - x1*x2", "x1^3 - x0*x2^2 + x2^3")
+    for order in (Lex(), Revlex(), WeightOrder((1, 2, 3), Lex())):
+        for field in (FP_DEFAULT, QQ):
+            basis = buchberger(polys(RingContext(3, field), *texts), order)
+            assert basis.leading_monomials == tuple(g.leading_monomial(order) for g in basis)
+    assert buchberger([], Lex()).leading_monomials == ()
+    assert groebner.reduce_groebner_basis([], Lex()).leading_monomials == ()
+    redundant = polys(R, "x0^2", "x0^3 + x0^2*x1", "x1^2")
+    reduced = groebner.reduce_groebner_basis(redundant, Lex())
+    assert list(reduced) == polys(R, "x0^2", "x1^2")
+    assert reduced.leading_monomials == ((2, 0, 0), (0, 2, 0))
+
+
 def test_gb_cache_regenerates_identically():
     R = ring(3)
     rng = random.Random(13)

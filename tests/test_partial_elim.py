@@ -354,3 +354,58 @@ def test_revlex_tower_reuses_the_elimination_basis_of_a_lex_gin_trial(monkeypatc
     assert runs == []
     assert tower.source_basis is moved.groebner_basis(elimination_order(4, Revlex()))
     assert runs == []
+
+
+def test_curve_pipeline_reads_the_tower_of_its_lex_gin_trial(monkeypatch):
+    # the lex gin trial harvests the revlex-inner tower of its moved ideal;
+    # the pipeline's own call on that ideal returns those levels and reduces
+    # no basis, while the chain check still sees each level's harvest
+    from ginlab import experiments
+
+    finalized = []
+    finalize = groebner._finalize
+
+    def counting_finalize(*args):
+        finalized.append(args)
+        return finalize(*args)
+
+    towers = []
+
+    def pipeline_call(I, p_max, inner_order=None):
+        before = len(finalized)
+        tower = partial_elim_ideals(I, p_max, inner_order)
+        towers.append((I, tower, len(finalized) - before))
+        return tower
+
+    monkeypatch.setattr(groebner, "_finalize", counting_finalize)
+    monkeypatch.setattr(experiments, "partial_elim_ideals", pipeline_call)
+    report = experiments.experiment_curve(3, 3, seed=1)
+    assert report.passed
+    [(moved, tower, reductions)] = towers
+    assert reductions == 0
+    known = moved.towers[Revlex()]
+    assert len(tower.levels) == 4 <= len(known.levels)
+    assert all(a is b for a, b in zip(tower.levels, known.levels))
+    assert tower.source_basis is known.source_basis
+    source = [x0_profile(g) for g in tower.source_basis]
+    for p, level in enumerate(tower.levels):
+        assert level.generators == tuple(
+            prof.initial_coefficient for prof in source if prof.x0_degree <= p)
+
+
+def test_a_longer_tower_extends_the_one_harvested():
+    R = ring(4)
+    f, g = sample_monic_pair(R, 2, 3, random.Random(2))
+    I = Ideal([f, g])
+    short = partial_elim_ideals(I, 1, Revlex())
+    longer = partial_elim_ideals(I, 3, Revlex())
+    assert longer.levels[:2] == short.levels
+    assert partial_elim_ideals(I, 2, Revlex()).levels == longer.levels[:3]
+    assert I.towers[Revlex()].levels == longer.levels
+    fresh = partial_elim_ideals(Ideal([f, g]), 3, Revlex())
+    for ours, theirs in zip(longer.levels, fresh.levels):
+        assert ours.generators == theirs.generators
+        assert ours.groebner_basis(Revlex()) == theirs.groebner_basis(Revlex())
+    assert Lex() not in I.towers
+    partial_elim_ideals(I, 1, Lex())
+    assert len(I.towers[Lex()].levels) == 2

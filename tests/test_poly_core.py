@@ -163,6 +163,67 @@ def test_elimination_order_pulls_x0_terms_first():
     assert greater((2, 0, 0), (1, 1, 0), order)
 
 
+def test_elimination_order_with_a_revlex_inner_order_is_lex_up_to_3_variables():
+    # revlex on the at most two remaining variables is lex, so the product
+    # is built as Lex() and shares lex's bases and tables
+    assert elimination_order(2, Revlex()) == Lex()
+    assert elimination_order(3, Revlex()) == Lex()
+    assert elimination_order(3) == Lex()
+    assert elimination_order(3, WeightOrder((1, 2), Lex())) == ProductOrder(
+        (1, 2), (Lex(), WeightOrder((1, 2), Lex())))
+
+
+@pytest.mark.parametrize("nvars", [2, 3])
+def test_product_order_with_a_revlex_inner_order_ranks_as_lex_up_to_3_variables(nvars):
+    # the identity elimination_order(n, Revlex()) == Lex() rests on, for n <= 3
+    product = ProductOrder((1, nvars - 1), (Lex(), Revlex()))
+    for d in range(9):
+        mons = ring(nvars).monomials_of_degree(d)
+        for m in mons:
+            for n in mons:
+                assert greater(m, n, product) == greater(m, n, Lex())
+
+
+def _orders(nvars):
+    """A strategy for the orders of ``nvars`` variables: lex, revlex, weight
+    orders with random positive weights and either tiebreak, and product
+    orders with random block splits and mixed inner orders."""
+    base = st.sampled_from([Lex(), Revlex()])
+
+    def weight(n):
+        return st.builds(WeightOrder, st.tuples(*[st.integers(1, 9)] * n), base)
+
+    def product(sizes):
+        inners = st.tuples(*[st.one_of(base, weight(size)) for size in sizes])
+        return inners.map(lambda inners: ProductOrder(sizes, inners))
+
+    def split(cut_after):
+        ends = [0, *(i + 1 for i, cut in enumerate(cut_after) if cut), nvars]
+        return tuple(b - a for a, b in zip(ends, ends[1:]))
+
+    blocks = st.lists(st.booleans(), min_size=nvars - 1, max_size=nvars - 1).map(split)
+    return st.one_of(base, weight(nvars), blocks.flatmap(product))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(st.just(n), _orders(n))),
+       st.integers(0, 8))
+def test_numpy_piece_order_is_the_sort_key_order(nvars_order, d):
+    nvars, order = nvars_order
+    R = ring(nvars)
+    lex = R.graded_piece(d, Lex()).monomials
+    assert R.graded_piece(d, order).monomials == tuple(sorted(lex, key=order.sort_key))
+
+
+def test_weights_past_int64_sort_a_piece_exactly():
+    # w.e leaves int64 here, so the weight column is built from Python ints
+    R = ring(3)
+    order = WeightOrder((2**62, 2**62 + 1, 1), Revlex())
+    for d in range(6):
+        lex = R.graded_piece(d, Lex()).monomials
+        assert R.graded_piece(d, order).monomials == tuple(sorted(lex, key=order.sort_key))
+
+
 # ----------------------------------------------------------------------
 # polynomials
 

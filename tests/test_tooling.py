@@ -220,3 +220,19 @@ def test_only_ideal_builders_take_a_degree_cap():
             if any(a.arg == "degree_cap" for a in params):
                 takers.add(name)
     assert sorted(takers) == sorted(CAP_TAKERS)
+
+
+def test_every_order_has_both_keys_and_pieces_sort_without_sort_key():
+    # scalar callers rank with sort_key; graded pieces sort whole columns
+    # with key_columns, so the ring's tables never call a per-tuple key
+    orders = ast.parse((SRC / "orders.py").read_text())
+    classes = {node.name: {f.name for f in node.body if isinstance(f, ast.FunctionDef)}
+               for node in orders.body if isinstance(node, ast.ClassDef)}
+    assert {"Lex", "Revlex", "WeightOrder", "ProductOrder"} <= set(classes)
+    assert [name for name, methods in classes.items()
+            if not {"sort_key", "key_columns"} <= methods] == []
+    rings = ast.parse((SRC / "rings.py").read_text())
+    uses = [node.lineno for node in ast.walk(rings)
+            if (isinstance(node, ast.Attribute) and node.attr == "sort_key")
+            or (isinstance(node, ast.Name) and node.id == "sort_key")]
+    assert uses == []
