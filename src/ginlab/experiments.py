@@ -250,6 +250,12 @@ def experiment_points(s, r, orders=("lex", "revlex"), seed=0, field=FP_DEFAULT,
         "points",
         {"s": s, "r": r, "orders": list(orders), "seed": seed, "field": repr(field)},
     )
+    seen = set()
+    for name in orders:
+        key = name.strip().lower()  # as order_from_spec reads it
+        if key in seen:
+            raise ValueError(f"order {name.strip()!r} is listed twice")
+        seen.add(key)
     named_orders = [(name, order_from_spec(name, r + 1)) for name in orders]
     pts = random_points(s, r, seed, field)
     I = vanishing_ideal(pts, degree_cap)

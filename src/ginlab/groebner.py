@@ -23,19 +23,26 @@ Reductions dominate the cost, so over a prime field they run on dense
 per-degree coefficient vectors (numpy int64, entries < 2**31, products safe
 in int64), with a per-degree table of the first listed divisor of each
 monomial; the structural algorithm is identical to the sparse path used for
-rational coefficients and inhomogeneous input.  A dense step scatters a
-basis element through a multiplication map, read from the cache that each
-graded piece of the ring keeps (``RingContext.multiplication_map``), so the
-gin trials and the other runs on one ring build each map once.  A dense run
-hands its basis to the sparse engine if it reaches a degree whose piece
-exceeds ``_DENSE_PIECE_LIMIT``.  The sparse engine runs on Python ints for both
-fields: over QQ it is fraction-free, with primitive basis elements and
-pseudo-division steps, and builds a ``Fraction`` only for the coefficients
-of a polynomial it returns.  Over QQ each new basis element also has its
-tail reduced.  Its leading monomial, and so every pair and criterion, is
-the same as after top reduction alone, but raw tails swell: for the lex
-gin of curve (2,4) at seed 1, top-reduced remainders reach coefficients of
-231k bits, against about 10k bits in the reduced basis.
+rational coefficients and inhomogeneous input.  Each divisor table is built
+from the table of the degree below, scattered through the ring's shifts by
+one variable (a lower-degree divisor of m divides some m/x_j), plus the
+leading monomials of its own degree; a sentinel above every basis index
+marks the monomials no leading monomial divides, so the first listed
+divisor is the least entry.  The Gebauer-Moeller update computes the lcm of
+a new leading monomial with each older one once, for both criteria.  A
+dense step scatters a basis element through a multiplication map, read from
+the cache that each graded piece of the ring keeps
+(``RingContext.multiplication_map``), so the gin trials and the other runs
+on one ring build each map once.  A dense run hands its basis to the sparse
+engine if it reaches a degree whose piece exceeds ``_DENSE_PIECE_LIMIT``.
+The sparse engine runs on Python ints for both fields: over QQ it is
+fraction-free, with primitive basis elements and pseudo-division steps, and
+builds a ``Fraction`` only for the coefficients of a polynomial it returns.
+Over QQ each new basis element also has its tail reduced.  Its leading
+monomial, and so every pair and criterion, is the same as after top
+reduction alone, but raw tails swell: for the lex gin of curve (2,4) at
+seed 1, top-reduced remainders reach coefficients of 231k bits, against
+about 10k bits in the reduced basis.
 """
 
 from __future__ import annotations
@@ -55,6 +62,9 @@ DEFAULT_DEGREE_CAP = 60
 
 # dense vectors are only worth it while a graded piece fits comfortably in memory
 _DENSE_PIECE_LIMIT = 400_000
+
+# a dense divisor table's entry where no leading monomial divides
+_NO_DIVISOR = np.iinfo(np.int64).max
 
 
 class DegreeCapExceeded(Exception):
@@ -97,7 +107,7 @@ class _DenseEngine:
         self.order = order
         self.p = ring.field.p
         self._pieces = {}  # degree -> the ring's graded piece under ``order``
-        self._divisors = {}  # degree -> (divisor table, basis elements entered)
+        self._divisors = {}  # degree -> divisor table of the whole basis
         self.basis = []  # (degree, vector) with monic leading coefficient
         self.lts = []  # leading exponent tuples
 
@@ -137,7 +147,13 @@ class _DenseEngine:
         v = v * inv % self.p
         self.basis.append((d, v))
         self.lts.append(self._piece(d).monomials[lead])
-        return len(self.basis) - 1
+        idx = len(self.basis) - 1
+        table = self._divisors.get(d)
+        if table is not None:
+            table[lead] = min(table[lead], idx)
+        for e in [e for e in self._divisors if e > d]:  # derived from degree d
+            del self._divisors[e]
+        return idx
 
     def keep(self, indices):
         """Drop every basis element but ``indices``, kept in that order."""
@@ -147,24 +163,34 @@ class _DenseEngine:
 
     def _divisor_table(self, d):
         """For each position of the degree-d piece, the first listed basis
-        element whose leading monomial divides the monomial there, or -1.
-        Kept per degree and extended by the elements added since.  Each
-        multiples map is read once, so it bypasses the ring's cache."""
-        table, entered = self._divisors.get(d, (None, 0))
-        if table is None:
-            table = np.full(self.ring.monomial_count(d), -1, dtype=np.int64)
-        dst = self._piece(d)
-        for g in range(entered, len(self.lts)):
-            gd = self.basis[g][0]
-            if gd <= d:
-                multiples = dst.positions_times(self._piece(d - gd), self.lts[g])
-                table[multiples[table[multiples] < 0]] = g
-        self._divisors[d] = (table, len(self.lts))
+        element whose leading monomial divides the monomial there, or
+        ``_NO_DIVISOR``, which is above every index, so the first listed
+        divisor is the least index.  A divisor of lower degree of m divides
+        some m/x_j, so the table is the elementwise minimum of the table of
+        degree d - 1 scattered through the ring's unit shifts, with the
+        leading monomials of degree exactly d entered at their positions.
+        Tables are cached per degree; ``add_basis`` keeps the cache exact."""
+        tables = self._divisors
+        if d in tables:
+            return tables[d]
+        low = min((gd for gd, _ in self.basis), default=d)
+        start = d
+        while start > low and start - 1 not in tables:
+            start -= 1
+        for e in range(start, d + 1):
+            table = np.full(self.ring.monomial_count(e), _NO_DIVISOR, dtype=np.int64)
+            if e - 1 in tables:
+                for shift in self.ring.variable_shifts(e - 1, self.order):
+                    table[shift] = np.minimum(table[shift], tables[e - 1])
+            gs = [g for g, (gd, _) in enumerate(self.basis) if gd == e]
+            if gs:
+                np.minimum.at(table, self._piece(e).positions([self.lts[g] for g in gs]), gs)
+            tables[e] = table
         return table
 
     def covered(self, d):
         """Number of degree-d monomials divisible by a leading monomial."""
-        return int(np.count_nonzero(self._divisor_table(d) >= 0))
+        return int(np.count_nonzero(self._divisor_table(d) < _NO_DIVISOR))
 
     def reduce(self, d, v, full=True):
         """Reduce v against the basis, greatest monomial first, first listed
@@ -178,13 +204,13 @@ class _DenseEngine:
         while True:
             ahead = v[i:] != 0
             if full:
-                ahead &= table[i:] >= 0
+                ahead &= table[i:] < _NO_DIVISOR
             k = int(ahead.argmax())
             if not ahead[k]:
                 break
             i += k
             g = int(table[i])
-            if g < 0:
+            if g == _NO_DIVISOR:
                 break  # only when not full: the leading monomial is irreducible
             gd, gv = self.basis[g]
             mp = self._mulmap(gd, mono_div(mons[i], self.lts[g]))
@@ -410,21 +436,25 @@ def _gm_add(engine, pairs, d, v, order):
     idx = engine.add_basis(d, v)
     lts = engine.lts
     t = lts[idx]
+    lcms = [mono_lcm(m, t) for m in lts[:idx]]
     for key in list(pairs):
         i, j = key
         l = pairs[key]
-        if mono_divides(t, l) and mono_lcm(lts[i], t) != l and mono_lcm(lts[j], t) != l:
+        if lcms[i] != l and lcms[j] != l and mono_divides(t, l):
             del pairs[key]
     classes = {}
-    for i in range(idx):
-        classes.setdefault(mono_lcm(lts[i], t), []).append(i)
+    for i, l in enumerate(lcms):
+        classes.setdefault(l, []).append(i)
     kept = []
+    dt = sum(t)
     for lcm in sorted(classes, key=lambda m: (sum(m), order.sort_key(m))):
         if any(mono_divides(k, lcm) for k in kept):
             continue
         kept.append(lcm)
-        if any(mono_lcm(lts[i], t) == mono_mul(lts[i], t) for i in classes[lcm]):
-            continue  # a coprime pair witnesses this lcm reduces to zero
+        # a coprime pair (its lcm has the degree of the product) witnesses
+        # that this lcm reduces to zero
+        if any(sum(lts[i]) + dt == sum(lcm) for i in classes[lcm]):
+            continue
         pairs[(min(classes[lcm]), idx)] = lcm
 
 

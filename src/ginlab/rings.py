@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from itertools import accumulate, chain
 from math import comb
-from operator import sub
+from operator import le, sub
 from typing import NamedTuple
 
 import numpy as np
@@ -40,7 +40,7 @@ def mono_mul(m, n):
 
 def mono_divides(m, n):
     """True if x^m divides x^n."""
-    return all(a <= b for a, b in zip(m, n))
+    return all(map(le, m, n))
 
 
 def mono_div(m, n):
@@ -137,7 +137,7 @@ class RingContext:
     coefficient field.  Immutable after creation; every polynomial refers to
     exactly one context."""
 
-    __slots__ = ("nvars", "field", "names", "_graded", "_small")
+    __slots__ = ("nvars", "field", "names", "_graded", "_small", "_units")
 
     def __init__(self, nvars, field, names=None):
         if nvars < 1:
@@ -153,6 +153,7 @@ class RingContext:
         self.names = names
         self._graded = {}
         self._small = None
+        self._units = tuple(tuple(int(i == j) for i in range(nvars)) for j in range(nvars))
 
     def __eq__(self, other):
         return (
@@ -217,11 +218,7 @@ class RingContext:
 
     def variable_shifts(self, d, order=_LEX):
         """Entry j: the multiplication map of the degree-d piece by x_j."""
-        n = self.nvars
-        return tuple(
-            self.multiplication_map(d, tuple(int(i == j) for i in range(n)), order)
-            for j in range(n)
-        )
+        return tuple(self.multiplication_map(d, unit, order) for unit in self._units)
 
     def monomials_of_degree(self, d):
         """All degree-d monomials in descending lex order (cached)."""

@@ -85,6 +85,14 @@ def test_exit_code_4_on_unknown_point_order(capsys):
     assert "bad input: unknown order 'foo'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("orders, name", [("lex,lex", "lex"), ("revlex,lex,Revlex", "Revlex")])
+def test_exit_code_4_on_a_repeated_point_order(capsys, orders, name):
+    # one gin per order: a repeated name would run its gin twice and
+    # report its checks twice under one name
+    assert run(["points", "--s", "6", "--r", "2", "--orders", orders, "--seed", "1"]) == 4
+    assert f"bad input: order '{name}' is listed twice" in capsys.readouterr().err
+
+
 def test_help_exits_0(capsys):
     assert run(["--help"]) == 0
     assert run(["points", "--help"]) == 0

@@ -4,7 +4,7 @@ Macaulay-matrix cross-checks."""
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from oracles import homogeneous_generators, macaulay_contains, macaulay_dimension
 
@@ -695,3 +695,124 @@ def test_second_gin_trial_adds_no_lex_map(monkeypatch):
     assert len(lex_maps) == 2
     assert lex_maps[0] > 0
     assert lex_maps[1] == lex_maps[0]
+
+
+# ----------------------------------------------------------------------
+# dense divisor tables and pair bookkeeping
+
+
+@st.composite
+def _engine_forms(draw):
+    """An order on 2-4 variables and nonzero forms of degree 1-5 over F_101;
+    some are multiples or copies of earlier ones, so their leading monomials
+    are redundant, and the degrees come in no particular order."""
+    nvars = draw(st.integers(2, 4))
+    R = RingContext(nvars, PrimeField(101))
+    weights = tuple(draw(st.lists(st.integers(1, 4), min_size=nvars, max_size=nvars)))
+    order = draw(st.sampled_from(
+        [Lex(), Revlex(), WeightOrder(weights, draw(st.sampled_from([Lex(), Revlex()])))]
+    ))
+    forms = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["new", "multiple", "copy"]) if forms else st.just("new"))
+        if kind == "new":
+            mons = R.monomials_of_degree(draw(st.integers(1, 5)))
+            terms = draw(st.lists(st.tuples(st.sampled_from(mons), st.integers(1, 100)),
+                                  min_size=1, max_size=3))
+            f = Polynomial.from_terms(R, terms)
+            if not f:
+                continue
+        else:
+            f = draw(st.sampled_from(forms))
+            if kind == "multiple" and f.total_degree() < 5:
+                x = [0] * nvars
+                x[draw(st.integers(0, nvars - 1))] = 1
+                f = f * Polynomial.from_terms(R, [(tuple(x), 1)])
+            else:
+                f = f.scale(draw(st.integers(1, 100)))
+        forms.append(f)
+    assume(forms)
+    return R, order, forms
+
+
+def _brute_force_divisor_table(lts, monomials):
+    """The first listed leading monomial dividing each monomial, or None."""
+    return [next((g for g, lt in enumerate(lts) if all(a <= b for a, b in zip(lt, m))), None)
+            for m in monomials]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_engine_forms(), st.data())
+def test_divisor_tables_match_a_brute_force_first_divisor(case, data):
+    R, order, forms = case
+    engine = groebner._DenseEngine(R, order)
+    split = data.draw(st.integers(0, len(forms)))
+    for f in forms[:split]:
+        engine.add_basis(*engine.prepare(f))
+    for d in data.draw(st.lists(st.integers(0, 8), max_size=3)):
+        engine._divisor_table(d)  # tables built before the later adds
+    for f in forms[split:]:
+        engine.add_basis(*engine.prepare(f))
+    lts = [f.leading_monomial(order) for f in forms]
+    for d in range(9):
+        got = [None if g == groebner._NO_DIVISOR else g
+               for g in engine._divisor_table(d).tolist()]
+        assert got == _brute_force_divisor_table(lts, R.graded_piece(d, order).monomials)
+
+
+def test_divisor_tables_rank_no_multiples(monkeypatch):
+    import sys
+
+    from ginlab.experiments import experiment_curve
+    from ginlab.rings import GradedPiece
+
+    callers = []
+    ranks = GradedPiece.positions_times
+
+    def spy(self, src, delta):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return ranks(self, src, delta)
+
+    monkeypatch.setattr(GradedPiece, "positions_times", spy)
+    experiment_curve(3, 3, seed=1)
+    assert "multiplication_map" in callers  # the ring still builds its maps
+    assert "_divisor_table" not in callers
+
+
+def test_gm_add_prunes_coprime_and_chain_pairs():
+    R = ring(3)
+    engine, pairs = groebner._DenseEngine(R, Lex()), {}
+
+    def add(text):
+        groebner._gm_add(engine, pairs, *engine.prepare(parse_polynomial(text, R)), Lex())
+
+    add("x0^2 + x1*x2")
+    add("x1^3 + x2^3")
+    assert pairs == {}  # x0^2 and x1^3 are coprime
+    add("x0*x1 + x2^2")
+    assert pairs == {(0, 2): (2, 1, 0), (1, 2): (1, 3, 0)}
+    # x1^2 divides lcm(x1^3, x0*x1) and its lcms with both differ from it:
+    # the pair (1, 2) goes; lcm(x0^2, x1^2) is coprime and a multiple of
+    # the kept lcm(x0*x1, x1^2)
+    add("x1^2 + x2^2")
+    assert pairs == {(0, 2): (2, 1, 0), (2, 3): (1, 2, 0), (1, 3): (0, 3, 0)}
+
+
+def test_gm_add_keeps_an_old_pair_whose_lcm_one_new_lcm_equals():
+    R = ring(3)
+    engine, pairs = groebner._DenseEngine(R, Lex()), {}
+    for text in ["x0^2*x1 + x2^3", "x1^2 + x2^2", "x0^2 + x2^2"]:
+        groebner._gm_add(engine, pairs, *engine.prepare(parse_polynomial(text, R)), Lex())
+    # x0^2 divides lcm(x0^2*x1, x1^2) = lcm(x1^2, x0^2): the old pair stays
+    assert pairs == {(0, 1): (2, 2, 0), (0, 2): (2, 1, 0)}
+
+
+@pytest.mark.parametrize("shape, count", [(("curve", 3, 3), 96), (("points", 20, 3), 174)])
+def test_spair_counts_at_seed_1_are_pinned(monkeypatch, shape, count):
+    # a change to the pair criteria or to the selection shows here
+    from ginlab import experiments
+
+    degrees = _spair_degrees(monkeypatch)
+    kind, *args = shape
+    getattr(experiments, f"experiment_{kind}")(*args, seed=1)
+    assert len(degrees) == count

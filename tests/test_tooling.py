@@ -48,6 +48,11 @@ def test_points_run_is_the_same_under_python_O(tmp_path):
     _same_under_python_O(tmp_path, ["points", "--s", "12", "--r", "3", "--seed", "2"])
 
 
+def test_curve_run_is_the_same_under_python_O(tmp_path):
+    # the dense divisor tables, the pair criteria and the partial elimination tower
+    _same_under_python_O(tmp_path, ["curve", "--a", "3", "--b", "3", "--seed", "1"])
+
+
 def test_segment_witness_is_the_same_under_python_O(tmp_path):
     # the 12-point revlex segment of P^3; its witness runs Fourier-Motzkin
     ideal = tmp_path / "J.txt"
