@@ -66,7 +66,13 @@ def _proportional(field, a, b):
 def random_points(s, r, seed, field):
     """s distinct points with uniform coordinates, normalized to last
     coordinate 1 (so distinct tuples are distinct projectively);
-    deterministic in the seed."""
+    deterministic in the seed.  Over F_p only p^r such points exist, so
+    s > p^r (or r < 1) raises ValueError rather than redraw forever."""
+    if r < 1:
+        raise ValueError(f"random points need r >= 1, got r = {r}")
+    if field.is_prime_field and s > field.p**r:
+        raise ValueError(f"cannot draw {s} distinct points of P^{r} with last coordinate 1 "
+                         f"over F_{field.p}: only {field.p**r} exist")
     rng = random.Random(seed)
     pts = set()
     while len(pts) < s:

@@ -306,7 +306,13 @@ def _parse_term(term, ring, sign):
         if not factor:
             raise PolynomialParseError(f"empty factor in term {term!r}")
         if _NUM_RE.match(factor):
-            coeff = field.mul(coeff, field.parse(factor))
+            try:
+                value = field.parse(factor)
+            except ZeroDivisionError:
+                raise PolynomialParseError(
+                    f"coefficient {factor!r} has a denominator that is zero in {field!r}"
+                ) from None
+            coeff = field.mul(coeff, value)
             continue
         m = _VAR_RE.match(factor)
         if not m:

@@ -3,9 +3,11 @@
 Monomials are bare tuples of non-negative ints of length ``ring.nvars``; the
 degree is the tuple sum.  The ring context owns the one table per (degree,
 order) of each graded piece -- its monomials greatest first and the suffix
-sums of their exponents -- which every dense computation indexes into.  A
-monomial's position in a piece is read off its lex rank, computed from its
-suffix sums by the combinatorial number system, so no piece keeps a
+sums of their exponents -- which every dense computation indexes into.  One
+numbering serves every order: a monomial's lex rank, computed from its
+suffix sums by the combinatorial number system.  A piece is built by
+unranking lex ranks 0..N-1 and sorting the rows under its order, and a
+monomial is located in it by ranking, so no piece keeps a
 monomial-to-position dict.  Each piece also caches its multiplication maps,
 one read-only position array per delta, so every Buchberger run on the ring,
 the substitution of a coordinate change, the vanishing ideal and segment
@@ -55,19 +57,6 @@ def mono_lcm(m, n):
     return tuple(a if a > b else b for a, b in zip(m, n))
 
 
-def _enumerate_degree(nvars, d):
-    """Degree-d exponent tuples in descending lex order."""
-    if nvars == 0:
-        return [()] if d == 0 else []
-    if nvars == 1:
-        return [(d,)]
-    out = []
-    for e in range(d, -1, -1):
-        for rest in _enumerate_degree(nvars - 1, d - e):
-            out.append((e,) + rest)
-    return out
-
-
 def _lex_rank_table(nvars, d):
     """table[t - 1, T] = C(T + t - 1, t), for 1 <= t < nvars and T <= d.
 
@@ -91,6 +80,20 @@ def _exponents(suffix_sums, d):
     count = suffix_sums.shape[1]
     sums = np.vstack([np.zeros((1, count), np.int64), suffix_sums, np.full((1, count), d)])
     return np.ascontiguousarray(np.diff(sums, axis=0)[::-1].T)
+
+
+def _unrank(table, count):
+    """Suffix sums of the degree-d monomials of lex ranks 0..count-1, the
+    inverse of ``_lex_ranks`` at delta 0 (``table`` is
+    ``_lex_rank_table(nvars, d)``).  The rank sum_t C(T_t + t - 1, t) is a
+    combinadic, so it is decoded greedily from t = nvars - 1 down: T_t is the
+    last T whose table entry fits in what is left of the rank."""
+    rest = np.arange(count, dtype=np.int64)
+    suffix = np.empty((len(table), count), dtype=np.int64)
+    for t in range(len(table), 0, -1):
+        suffix[t - 1] = np.searchsorted(table[t - 1], rest, side="right") - 1
+        rest -= table[t - 1, suffix[t - 1]]
+    return suffix
 
 
 def _lex_ranks(table, suffix_sums, delta):
@@ -175,28 +178,21 @@ class RingContext:
     def graded_piece(self, d, order=_LEX):
         """The degree-d monomials greatest first under ``order`` and the
         tables that rank them and their multiples; cached on the ring per
-        (degree, order).  The lex piece is enumerated in order.  Every other
-        order's piece permutes it, by one ``np.lexsort`` over the order's
-        ``key_columns`` of the lex piece's exponent matrix (read back from
-        its suffix sums); its monomial tuples, suffix sums and rank table are
-        the lex piece's."""
+        (degree, order).  Every piece is built the same way: unranking lex
+        ranks 0..N-1 gives the suffix sums and so the exponent matrix of the
+        whole degree, and one ``np.lexsort`` over the order's
+        ``key_columns`` orders its rows (the identity under lex)."""
         key = (d, order)
         piece = self._graded.get(key)
         if piece is None:
-            if order == _LEX:
-                mons = tuple(_enumerate_degree(self.nvars, d))  # already descending lex
-                suffix = _suffix_sums(np.array(mons, dtype=np.int64))
-                table = _lex_rank_table(self.nvars, d)
-                by_lex = np.arange(len(mons), dtype=np.int64)
-            else:
-                lex = self.graded_piece(d)
-                columns = order.key_columns(_exponents(lex.suffix_sums, d))
-                perm = np.lexsort(columns[::-1])  # lexsort's primary key is its last
-                mons = tuple(map(lex.monomials.__getitem__, perm.tolist()))
-                suffix = lex.suffix_sums[:, perm]
-                table = lex.rank_table
-                by_lex = np.empty(len(mons), dtype=np.int64)
-                by_lex[perm] = np.arange(len(mons))
+            table = _lex_rank_table(self.nvars, d)
+            lex_suffix = _unrank(table, self.monomial_count(d))
+            exps = _exponents(lex_suffix, d)
+            perm = np.lexsort(order.key_columns(exps)[::-1])  # lexsort's primary key is its last
+            mons = tuple(map(tuple, exps[perm].tolist()))
+            suffix = np.ascontiguousarray(lex_suffix[:, perm])
+            by_lex = np.empty(len(mons), dtype=np.int64)
+            by_lex[perm] = np.arange(len(mons))
             for array in (suffix, table, by_lex):
                 array.setflags(write=False)
             piece = GradedPiece(mons, suffix, table, by_lex, {})

@@ -18,7 +18,6 @@ from .fourier_motzkin import feasible_point, primitive_integers
 from .groebner import ResourceLimitExceeded
 from .monomial_ideals import (
     HilbertFunction, MonomialIdeal, SelfCheckFailed, hilbert_data, is_borel_fixed,
-    minimalize_monomials,
 )
 from .orders import Lex
 
@@ -123,7 +122,7 @@ def enumerate_borel_by_hf(hf: HilbertFunction, ring, bound):
         mons = ring.monomials_of_degree(d)
         nxt = {}
         for space, gens in branches:
-            base = frozenset(m for m in _expand(space, ring) if len(m) == ring.nvars)
+            base = frozenset(_expand(space, ring))
             if len(base) > want:
                 continue
             for filled in _borel_closed_fills(base, want, mons):
@@ -135,7 +134,7 @@ def enumerate_borel_by_hf(hf: HilbertFunction, ring, bound):
             return []
     out = {}
     for space, gens in branches:
-        J = MonomialIdeal(ring, minimalize_monomials(gens))
+        J = MonomialIdeal(ring, gens)
         if J in out:
             continue
         if not is_borel_fixed(J):

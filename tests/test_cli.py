@@ -62,6 +62,27 @@ def test_exit_code_4_on_bad_input(capsys):
     assert "bad input: modulus 4 is not prime" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--s", "2", "--r", "0"], "random points need r >= 1, got r = 0"),
+    (["--s", "8", "--r", "1", "--field", "fp:7"],
+     "cannot draw 8 distinct points of P^1 with last coordinate 1 over F_7: only 7 exist"),
+])
+def test_exit_code_4_when_too_few_points_have_last_coordinate_1(argv, message, capsys):
+    # over F_p only p^r points have last coordinate 1; drawing more used to
+    # redraw forever
+    assert run(["points", *argv, "--seed", "1"]) == 4
+    assert f"bad input: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("coefficient, field", [("1/7", "fp:7"), ("1/0", "qq")])
+def test_exit_code_4_on_a_zero_denominator(coefficient, field, tmp_path, capsys):
+    ideal = tmp_path / "ideal.txt"
+    ideal.write_text(f"x0^2 + {coefficient}*x1^2\nx1^3\n")
+    assert run(["gin", "--in", str(ideal), "--field", field]) == 4
+    assert (f"bad input: coefficient '{coefficient}' has a denominator that is zero "
+            f"in {field}") in capsys.readouterr().err
+
+
 def test_exit_code_4_on_degree_cap_below_generator_degree(capsys):
     # rejected when the ideal is built, before any gin trial is drawn
     assert run(["curve", "--a", "3", "--b", "3", "--degree-cap", "2", "--seed", "1"]) == 4

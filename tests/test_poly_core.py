@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -209,10 +210,21 @@ def _orders(nvars):
 @given(st.integers(1, 5).flatmap(lambda n: st.tuples(st.just(n), _orders(n))),
        st.integers(0, 8))
 def test_numpy_piece_order_is_the_sort_key_order(nvars_order, d):
+    # the tuples are built here, from combinations_with_replacement, so the
+    # expected side reads no ring table; each monomial's position is then
+    # found again by ranking
     nvars, order = nvars_order
-    R = ring(nvars)
-    lex = R.graded_piece(d, Lex()).monomials
-    assert R.graded_piece(d, order).monomials == tuple(sorted(lex, key=order.sort_key))
+    tuples = [tuple(combo.count(j) for j in range(nvars))
+              for combo in combinations_with_replacement(range(nvars), d)]
+    piece = ring(nvars).graded_piece(d, order)
+    assert piece.monomials == tuple(sorted(tuples, key=order.sort_key))
+    assert piece.positions(piece.monomials).tolist() == list(range(len(tuples)))
+
+
+def test_a_non_lex_piece_is_built_without_the_lex_piece():
+    R = ring(4)
+    R.graded_piece(5, Revlex())
+    assert list(R._graded) == [(5, Revlex())]
 
 
 def test_weights_past_int64_sort_a_piece_exactly():
@@ -240,6 +252,12 @@ def test_parse_rejects_bad_grammar():
     for bad in ["x4", "3x0", "x0^", "x0*", "", "x0^-2"]:
         with pytest.raises(PolynomialParseError):
             parse_polynomial(bad, R)
+
+
+@pytest.mark.parametrize("text, field", [("1/7*x1^2", PrimeField(7)), ("1/0*x1", QQ)])
+def test_parse_rejects_a_zero_denominator(text, field):
+    with pytest.raises(PolynomialParseError, match="denominator that is zero"):
+        parse_polynomial(text, ring(2, field))
 
 
 def test_addition_cancels():

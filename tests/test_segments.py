@@ -19,6 +19,7 @@ from oracles import (
 from ginlab import segments
 from ginlab.fields import FP_DEFAULT
 from ginlab.fourier_motzkin import feasible_point
+from ginlab.gin import gin
 from ginlab.groebner import ResourceLimitExceeded
 from ginlab.monomial_ideals import (
     HilbertFunction,
@@ -28,7 +29,7 @@ from ginlab.monomial_ideals import (
     is_borel_fixed,
 )
 from ginlab.orders import Lex, Revlex, WeightOrder
-from ginlab.points import vanishing_ideal
+from ginlab.points import random_points, vanishing_ideal
 from ginlab.rings import RingContext
 from ginlab.segments import (
     enumerate_borel_by_hf,
@@ -304,6 +305,38 @@ def test_segment_closure_matches_set_oracle_where_segments_fail(s, r, verdicts):
     # x_{r-2}, yet Seg(2) ends before x_{r-2}*x_r
     hf = HilbertFunction(tuple(min(d + 1, s) for d in range(s + 3)), s + 2, s)
     assert _check_against_segment_oracle(hf, r + 1, s + 2) == verdicts
+
+
+@st.composite
+def weighted_point_sets(draw):
+    """(order, s, r, seed): a weight order with weights 1-9, so any ranking
+    of the variables, and either tiebreak; s random points of P^2 (s <= 10)
+    or P^3 (s <= 12)."""
+    r = draw(st.sampled_from([2, 3]))
+    s = draw(st.integers(1, 10 if r == 2 else 12))
+    weights = tuple(draw(st.lists(st.integers(1, 9), min_size=r + 1, max_size=r + 1)))
+    order = WeightOrder(weights, draw(st.sampled_from([Lex(), Revlex()])))
+    return order, s, r, draw(st.integers(0, 10**6))
+
+
+@settings(max_examples=40, deadline=None)
+@given(weighted_point_sets())
+def test_gin_of_random_points_is_the_segment_ideal_under_any_weight_order(case):
+    # the paper's second result: for any term order the gin of generic points
+    # is Borel-fixed for that order's ranking of the variables and, where
+    # the order's segments close, it is their ideal
+    order, s, r, seed = case
+    I = vanishing_ideal(random_points(s, r, seed, FP_DEFAULT))
+    result = gin(I, order, trials=2, seed=seed)
+    assert is_borel_fixed(result.gin, order)
+    hf = I.hilbert_function(Revlex(), bound=s + 2)
+    seg = segment_ideal_of(hf, order, I.ring, s + 2)
+    ideal_dims = [I.ring.monomial_count(d) - hf.h(d) for d in range(s + 3)]
+    closed, gens = segment_oracle(ideal_dims, order, r + 1)
+    assert seg.is_ideal == closed
+    if closed:
+        assert set(seg.monomial_ideal().gens) == gens
+        assert seg.monomial_ideal() == result.gin
 
 
 def test_segment_closure_dimension_drop_lemma():

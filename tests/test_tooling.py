@@ -10,6 +10,8 @@ import sys
 from pathlib import Path
 
 from ginlab.cli import build_parser
+from ginlab.experiments import expected_curve_regularity
+from ginlab.groebner import DEFAULT_DEGREE_CAP
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "ginlab"
@@ -241,3 +243,28 @@ def test_every_order_has_both_keys_and_pieces_sort_without_sort_key():
             if (isinstance(node, ast.Attribute) and node.attr == "sort_key")
             or (isinstance(node, ast.Name) and node.id == "sort_key")]
     assert uses == []
+
+
+def _acceptance_curve_grid():
+    # the (a, b, cap) list test_criterion_1_curve_grid is parametrized over
+    path = ROOT / "tests" / "test_acceptance.py"
+    test = next(node for node in ast.parse(path.read_text(), filename=str(path)).body
+                if isinstance(node, ast.FunctionDef) and node.name == "test_criterion_1_curve_grid")
+    params = next(dec for dec in test.decorator_list
+                  if isinstance(dec, ast.Call) and getattr(dec.func, "attr", None) == "parametrize")
+    return ast.literal_eval(params.args[1])
+
+
+def test_readme_curve_grid_matches_the_theorem_and_the_acceptance_caps():
+    # the README grid has drifted from the code before: every row must print
+    # the theorem's regularity, and the rows past (3,4) must name the caps
+    # the slow acceptance test runs, each past its regularity
+    rows = [tuple(map(int, row)) for row in re.findall(
+        r"^\| \((\d+),(\d+)\) \| (\d+)(?: \(default\))? \| (\d+) \|",
+        (ROOT / "README.md").read_text(), re.M)]
+    assert [(a, b) for a, b, _, _ in rows[:2]] == [(3, 3), (3, 4)]
+    assert [reg for _, _, _, reg in rows] == [expected_curve_regularity(a, b)
+                                              for a, b, _, _ in rows]
+    assert [cap for _, _, cap, _ in rows[:2]] == [DEFAULT_DEGREE_CAP] * 2
+    assert [(a, b, cap) for a, b, cap, _ in rows[2:]] == _acceptance_curve_grid()
+    assert [(a, b) for a, b, cap, reg in rows[2:] if cap <= reg] == []
