@@ -177,11 +177,9 @@ def experiment_curve(a, b, seed=0, field=FP_DEFAULT, degree_cap=DEFAULT_DEGREE_C
 def _embed_tower_checks(report, moved, tower):
     """Invariant verdicts for a partial elimination tower: the initial-ideal
     decomposition, commutation with initial ideals, and the ascending
-    chain.  The chain test runs on each level's harvested generators, not
-    on its reduced basis: the harvest is what it checks, so it must see
-    the harvested list as built.  The tower is the one a lex gin trial
-    reads in_lex off, with a revlex inner order, so the comparisons are
-    under the elimination order with that inner order."""
+    chain.  The tower is the one a lex gin trial reads in_lex off, with a
+    revlex inner order, so the comparisons are under the elimination order
+    with that inner order."""
     inner = tower.inner_order
     big_initial = moved.initial_ideal(elimination_order(moved.ring.nvars, inner))
     report.check(

@@ -171,10 +171,10 @@ def _one_trial(I, order, trial_seed):
 def _tower_lex_initial_ideal(moved):
     """in_lex(moved) as the sum of x0^p * in_lex(K_p) for p up to the largest
     x0-degree in the moved ideal's elimination basis (revlex inner order),
-    where the levels stop growing.  Each level's lex basis is computed from
-    its reduced revlex basis, which is short and of low degree, with that
-    basis's initial ideal as the Hilbert witness.  A level of at most one
-    form has no S-pair, so it runs nothing."""
+    where the levels stop growing.  Each level is generated by its reduced
+    revlex basis, which is short and of low degree, and its lex run is
+    pruned by that basis's initial ideal, the level's Hilbert witness.  A
+    level of at most one form has no S-pair, so it runs nothing."""
     from .partial_elim import partial_elim_ideals  # partial_elim imports this module
 
     basis = moved.groebner_basis(elimination_order(moved.ring.nvars, Revlex()))
@@ -182,13 +182,10 @@ def _tower_lex_initial_ideal(moved):
     tower = partial_elim_ideals(moved, p_max, Revlex())
     gens = []
     for p, level in enumerate(tower.levels):
-        revlex_basis = level.groebner_basis(Revlex())
-        if len(revlex_basis) <= 1:  # one form is a Groebner basis under any order
-            level_lex = [g.leading_monomial(Lex()) for g in revlex_basis]
+        if len(level.generators) <= 1:  # one form is a Groebner basis under any order
+            level_lex = [g.leading_monomial(Lex()) for g in level.generators]
         else:
-            reduced = Ideal(revlex_basis, level.ring, level.degree_cap)
-            reduced.hilbert_witness = level.hilbert_witness
-            level_lex = reduced.initial_ideal(Lex()).gens
+            level_lex = level.initial_ideal(Lex()).gens
         gens.extend((p,) + m for m in level_lex)
     return MonomialIdeal(moved.ring, gens)
 

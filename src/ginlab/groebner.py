@@ -593,12 +593,13 @@ class Ideal:
     :class:`MonomialIdeal` per order, so its memoised Hilbert numerator is
     computed once per order.  Each cache insertion is a single atomic dict
     store, the initial ideal's before the basis's, so concurrent readers are
-    safe; computations themselves run single-threaded.
+    safe; computations themselves run single-threaded.  Only
+    :meth:`set_groebner_basis` caches, and only a :class:`ReducedBasis`.
 
     ``hilbert_witness`` is a list that holds at most one
     :class:`MonomialIdeal`: the leading monomials of the first reduced basis
-    computed for the ideal or installed by :meth:`set_groebner_basis`, under
-    whichever order came first; it is that order's cached initial ideal.
+    cached for the ideal, under whichever order came first; it is that
+    order's cached initial ideal.
     ``apply_change`` hands the same list to the image, because a linear
     change keeps the Hilbert function; so the first basis of an ideal or of
     any of its images prunes the Buchberger runs of all the others, and the
@@ -654,20 +655,17 @@ class Ideal:
         hit = self.gb_cache.get(order)
         if hit is None:
             witness = self.hilbert_witness[0] if self.hilbert_witness else None
-            hit = self._store(order, buchberger(self.generators, order, self.degree_cap,
-                                                witness=witness))
+            hit = self.set_groebner_basis(
+                order, buchberger(self.generators, order, self.degree_cap, witness=witness))
         return hit
 
     def set_groebner_basis(self, order, basis):
-        """Install a known Groebner basis (e.g. harvested from an elimination
-        run certified by the Groebner property of initial coefficients),
-        reduced here by :func:`reduce_groebner_basis`, which runs no
-        S-pair."""
-        self._store(order, reduce_groebner_basis(basis, order))
-
-    def _store(self, order, basis):
-        """Cache a :class:`ReducedBasis` and the initial ideal of its leading
-        monomials; returns the cached tuple."""
+        """Cache the ideal's reduced basis under ``order``, as
+        :func:`buchberger` or :func:`reduce_groebner_basis` returns it, with
+        its initial ideal (the witness if there is none yet); returns the
+        cached tuple.  Anything but a :class:`ReducedBasis` is a TypeError."""
+        if not isinstance(basis, ReducedBasis):
+            raise TypeError(f"expected a ReducedBasis, got {type(basis).__name__}")
         initial = MonomialIdeal(self.ring, basis.leading_monomials)
         self.initial_ideals[order] = initial
         self.gb_cache[order] = basis = tuple(basis)

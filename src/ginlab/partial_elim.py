@@ -5,7 +5,8 @@ of ideal elements of x0-degree p; it lives in the small ring without x0 and,
 set-theoretically, cuts out the points of the projection whose fiber has
 length > p.  One Groebner basis under an elimination order yields the whole
 ascending tower: the initial coefficients of basis elements of x0-degree
-<= p form a Groebner basis of K_p.
+<= p form a Groebner basis of K_p.  Its reduced form generates the level
+and is its cached basis; ``PartialElimTower.source_basis`` keeps the harvest.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from math import gcd, lcm
 
 from .gin import apply_change, random_coordinate_change
-from .groebner import Ideal
+from .groebner import Ideal, reduce_groebner_basis
 from .monomial_ideals import MonomialIdeal
 from .orders import Revlex, elimination_order
 from .poly import Polynomial
@@ -41,9 +42,9 @@ def x0_profile(f):
 @dataclass
 class PartialElimTower:
     """Levels K_0 <= K_1 <= ... <= K_{p_max} as ideals of the small ring,
-    each carrying its certified reduced Groebner basis under ``inner_order``
-    and the degree cap of the source ideal, plus the big-ring basis they were
-    harvested from."""
+    each generated by its reduced Groebner basis under ``inner_order``,
+    which is also its cached basis, and carrying the degree cap of the
+    source ideal, plus the big-ring basis they were harvested from."""
 
     levels: list
     inner_order: object
@@ -55,6 +56,8 @@ def partial_elim_ideals(I, p_max, inner_order=None):
     ``I.towers`` keeps the longest tower harvested per inner order: a call
     it covers returns that tower's first p_max + 1 levels, and a longer call
     harvests only the levels past it."""
+    if p_max < 0:
+        raise ValueError(f"p_max must be at least 0, got {p_max}")
     inner = inner_order if inner_order is not None else Revlex()
     known = I.towers.get(inner)
     if known is None or len(known.levels) <= p_max:
@@ -63,12 +66,10 @@ def partial_elim_ideals(I, p_max, inner_order=None):
         profiles = [x0_profile(g) for g in G]
         levels = list(known.levels) if known is not None else []
         for p in range(len(levels), p_max + 1):
-            gens = [prof.initial_coefficient for prof in profiles if prof.x0_degree <= p]
-            level = Ideal(gens, small, I.degree_cap)
-            # the harvested generators are a Groebner basis for K_p; installing
-            # their reduced form avoids ever rerunning Buchberger on a level
-            level.set_groebner_basis(inner, gens)
-            levels.append(level)
+            basis = reduce_groebner_basis(
+                [prof.initial_coefficient for prof in profiles if prof.x0_degree <= p], inner)
+            levels.append(Ideal(basis, small, I.degree_cap))
+            levels[-1].set_groebner_basis(inner, basis)
         known = I.towers[inner] = PartialElimTower(levels, inner, G)
     return PartialElimTower(known.levels[:p_max + 1], inner, known.source_basis)
 
@@ -109,15 +110,7 @@ def count_distinct_points(J, seed=0):
     eliminated, and the degree of the squarefree part of the resulting
     principal generator is returned.  Two seeds must agree, guarding the
     genericity assumption.  The projections run under the degree cap of
-    ``J``.
-
-    What is moved is the reduced revlex basis of ``J`` that the dimension
-    check computes, not ``J.generators``: a partial elimination level
-    carries its long harvested generator list, while its reduced basis is
-    short and of low degree.  Both generate the same ideal, so the moved
-    ideals are equal, their reduced elimination-order bases (which are
-    unique) agree, and so does the count.
-    """
+    ``J``."""
     if J.ring.nvars != 3:
         raise PointCountError("point counting expects an ideal in 3 variables")
     data = J.hilbert_data(Revlex(), bound=4)
@@ -125,9 +118,7 @@ def count_distinct_points(J, seed=0):
         raise PointCountError(
             f"expected a finite point set (dimension 1), got dimension {data.dimension}"
         )
-    reduced = Ideal(J.groebner_basis(Revlex()), J.ring, J.degree_cap)
-    reduced.hilbert_witness = J.hilbert_witness
-    counts = [_projected_distinct_count(reduced, s) for s in (seed, seed + 1)]
+    counts = [_projected_distinct_count(J, s) for s in (seed, seed + 1)]
     if counts[0] != counts[1]:
         raise PointCountError(f"projection counts disagree across seeds: {counts}")
     return counts[0]

@@ -77,6 +77,8 @@ def segment_ideal_of(hf: HilbertFunction, order, ring, bound) -> SegmentIdealRes
     (S_1 * Seg(d) inside Seg(d+1) for every d < bound).  A segment is a
     prefix of its piece, so the closure test is that x_j maps the first
     u_d positions of degree d below position u_{d+1}, for every j."""
+    if bound < 0:
+        raise ValueError(f"segment bound must be at least 0, got {bound}")
     spaces = []
     for d in range(bound + 1):
         u = hf.ideal_dimension(ring, d)

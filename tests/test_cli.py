@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from ginlab import cli, segments
+from ginlab import cli, groebner, segments
 from ginlab.cli import run
 from ginlab.experiments import ExperimentReport
 
@@ -174,6 +174,25 @@ def test_pei_subcommand(tmp_path):
     report = json.loads(out.read_text())
     assert report["outputs"]["k1_basis"] == ["x1"]
     assert report["outputs"]["k2_basis"] == ["1"]
+
+
+def test_exit_code_4_on_a_negative_pmax(tmp_path, monkeypatch, capsys):
+    # a tower with no level is an input error, caught before any Groebner run
+    ideal = tmp_path / "ci.txt"
+    ideal.write_text("x0^2+x1*x2+x2^2\nx1^3+x0*x2^2+x0^3\n")
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("buchberger ran on an invalid p_max")
+
+    monkeypatch.setattr(groebner, "buchberger", no_run)
+    assert run(["pei", "--in", str(ideal), "--pmax", "-1"]) == 4
+    assert "bad input: p_max must be at least 0, got -1" in capsys.readouterr().err
+
+
+def test_exit_code_4_on_a_negative_segment_bound(capsys):
+    # no degree lies below a negative bound, so there are no segments to report
+    assert run(["segment", "--hf", "1,3,5", "--nvars", "3", "--bound", "-1"]) == 4
+    assert "bad input: segment bound must be at least 0, got -1" in capsys.readouterr().err
 
 
 def test_segment_subcommand_hf(tmp_path):

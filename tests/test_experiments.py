@@ -2,9 +2,13 @@
 invariant verdicts."""
 
 import json
+import random
+import sys
 from pathlib import Path
 
 from ginlab.experiments import (
+    ExperimentReport,
+    _embed_tower_checks,
     expected_curve_regularity,
     expected_node_count,
     experiment_borel_census,
@@ -13,7 +17,12 @@ from ginlab.experiments import (
     experiment_points,
     experiment_sylvester,
 )
-from ginlab.fields import QQ
+from ginlab.fields import FP_DEFAULT, QQ
+from ginlab.groebner import Ideal
+from ginlab.orders import Revlex
+from ginlab.partial_elim import PartialElimTower, partial_elim_ideals
+from ginlab.rings import RingContext
+from ginlab.sylvester import sample_monic_pair
 
 
 def test_expected_value_formulas():
@@ -88,6 +97,42 @@ def test_sylvester_experiment_covers_equality_range():
         byname = {c.name: c for c in report.checks}
         assert byname["minors_equal_kp"].got is True
         assert byname["minors_contained_in_kp"].got is True
+
+
+def test_sylvester_gin_of_kp_moves_its_reduced_basis(monkeypatch):
+    # K_p is generated by its reduced revlex basis, so each gin trial moves
+    # that short basis, not the harvest it was reduced from
+    gin_module = sys.modules["ginlab.gin"]  # the package re-exports the function as ``gin``
+    moves = []
+    apply = gin_module._apply_invertible
+
+    def spy(I, matrix):
+        moves.append((I, len(I.generators)))
+        return apply(I, matrix)
+
+    monkeypatch.setattr(gin_module, "_apply_invertible", spy)
+    report = experiment_sylvester(3, 4, 1, seed=1)
+    assert report.passed
+    kp = moves[0][0]
+    assert len(moves) >= 2 and all(I is kp for I, _ in moves)
+    assert [n for _, n in moves] == [len(kp.groebner_basis(Revlex()))] * len(moves)
+
+
+def test_chain_check_fails_on_a_descending_tower():
+    # K_0 is principal and K_1 is not, so read top down the levels do not
+    # ascend: the chain verdict, and so the report, must fail
+    f, g = sample_monic_pair(RingContext(4, FP_DEFAULT), 2, 3, random.Random(3))
+    I = Ideal([f, g])
+    tower = partial_elim_ideals(I, 2, Revlex())
+    descending = PartialElimTower(tower.levels[::-1], tower.inner_order, tower.source_basis)
+    report = ExperimentReport("chain", {})
+    _embed_tower_checks(report, I, descending)
+    byname = {c.name: c for c in report.checks}
+    assert byname["tower_chain_ascending"].got is False
+    assert not report.passed
+    ascending = ExperimentReport("chain", {})
+    _embed_tower_checks(ascending, I, tower)
+    assert ascending.passed
 
 
 def test_sylvester_experiment_above_equality_range():

@@ -482,12 +482,13 @@ def test_ideal_equal():
 
 
 def _spy_on_stores(monkeypatch):
-    """Record every (ideal, order) that ``Ideal._store`` caches, and count
-    the ``sort_key`` calls of every order class made while it runs."""
+    """Record every (ideal, order) that ``Ideal.set_groebner_basis`` caches,
+    and count the ``sort_key`` calls of every order class made while it
+    runs."""
     stored = []
     keys_in_store = []
     depth = []
-    store = Ideal._store
+    store = Ideal.set_groebner_basis
 
     def spying_store(self, order, basis):
         depth.append(1)
@@ -497,7 +498,7 @@ def _spy_on_stores(monkeypatch):
             depth.pop()
             stored.append((self, order))
 
-    monkeypatch.setattr(Ideal, "_store", spying_store)
+    monkeypatch.setattr(Ideal, "set_groebner_basis", spying_store)
     for cls in (Lex, Revlex, WeightOrder, ProductOrder):
         def spying_key(self, exps, _key=cls.sort_key):
             if depth:
@@ -542,6 +543,19 @@ def test_reduced_basis_carries_the_leading_monomials_of_both_engines():
     reduced = groebner.reduce_groebner_basis(redundant, Lex())
     assert list(reduced) == polys(R, "x0^2", "x1^2")
     assert reduced.leading_monomials == ((2, 0, 0), (0, 2, 0))
+
+
+def test_set_groebner_basis_caches_only_a_reduced_basis():
+    # an unreduced list must never enter the cache, nor become the witness
+    R = ring(3)
+    I = Ideal(polys(R, "x0^2", "x0^3 + x0^2*x1", "x1^2"))
+    with pytest.raises(TypeError, match="ReducedBasis"):
+        I.set_groebner_basis(Lex(), list(I.generators))
+    assert I.gb_cache == {} and I.initial_ideals == {} and I.hilbert_witness == []
+    reduced = groebner.reduce_groebner_basis(I.generators, Lex())
+    assert I.set_groebner_basis(Lex(), reduced) == tuple(reduced)
+    assert I.groebner_basis(Lex()) == tuple(polys(R, "x0^2", "x1^2"))
+    assert I.hilbert_witness == [I.initial_ideal(Lex())]
 
 
 def test_gb_cache_regenerates_identically():

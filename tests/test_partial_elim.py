@@ -259,14 +259,18 @@ def test_count_rejects_wrong_dimension():
 
 
 def test_count_projects_the_reduced_revlex_basis(monkeypatch):
-    # K_1 of a generic (3,3) curve: its harvested generator list is long,
-    # its reduced revlex basis short; the projections move the latter
+    # K_1 of a generic (3,3) curve: its harvest is long, its reduced revlex
+    # basis short; the level is generated by the latter, and the
+    # projections move exactly those generators
     R = ring(4)
     f, g = sample_monic_pair(R, 3, 3, random.Random(1))
     moved = gin(Ideal([f, g]), Lex(), trials=2, seed=1).trial_ideals[0]
-    k1 = partial_elim_ideals(moved, p_max=1, inner_order=Lex()).levels[1]
+    tower = partial_elim_ideals(moved, p_max=1, inner_order=Revlex())
+    k1 = tower.levels[1]
     basis = k1.groebner_basis(Revlex())
-    assert len(basis) < len(k1.generators)
+    harvest = [prof for prof in map(x0_profile, tower.source_basis) if prof.x0_degree <= 1]
+    assert len(basis) < len(harvest)
+    assert k1.generators == basis
     calls = []
     substitute = Polynomial.substitute
 
@@ -276,7 +280,7 @@ def test_count_projects_the_reduced_revlex_basis(monkeypatch):
 
     monkeypatch.setattr(Polynomial, "substitute", spy)
     assert count_distinct_points(k1, seed=102) == 18
-    assert len(calls) == 2 * len(basis)
+    assert calls == 2 * list(k1.generators)
 
 
 def binary_form(R, factors):
@@ -359,7 +363,7 @@ def test_revlex_tower_reuses_the_elimination_basis_of_a_lex_gin_trial(monkeypatc
 def test_curve_pipeline_reads_the_tower_of_its_lex_gin_trial(monkeypatch):
     # the lex gin trial harvests the revlex-inner tower of its moved ideal;
     # the pipeline's own call on that ideal returns those levels and reduces
-    # no basis, while the chain check still sees each level's harvest
+    # no basis, and each level is generated by its harvest's reduced form
     from ginlab import experiments
 
     finalized = []
@@ -389,8 +393,9 @@ def test_curve_pipeline_reads_the_tower_of_its_lex_gin_trial(monkeypatch):
     assert tower.source_basis is known.source_basis
     source = [x0_profile(g) for g in tower.source_basis]
     for p, level in enumerate(tower.levels):
-        assert level.generators == tuple(
-            prof.initial_coefficient for prof in source if prof.x0_degree <= p)
+        harvest = [prof.initial_coefficient for prof in source if prof.x0_degree <= p]
+        assert level.generators == tuple(groebner.reduce_groebner_basis(harvest, Revlex()))
+        assert level.generators == level.groebner_basis(Revlex())
 
 
 def test_a_longer_tower_extends_the_one_harvested():

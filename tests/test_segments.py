@@ -256,6 +256,15 @@ def test_lex_ideal_rejects_non_o_sequence():
         lex_ideal_of_hf(bad, ring(3), bound=3)
 
 
+def test_segments_reject_a_negative_bound():
+    # with no degree to take a segment in, there is no ideal to read off
+    with pytest.raises(ValueError, match="segment bound must be at least 0, got -1"):
+        segment_ideal_of(points_hf(3, 2, 8), Lex(), ring(3), bound=-1)
+    with pytest.raises(ValueError, match="got -2"):
+        lex_ideal_of_hf(points_hf(3, 2, 8), ring(3), bound=-2)
+    assert segment_ideal_of(points_hf(3, 2, 8), Lex(), ring(3), bound=0).is_ideal
+
+
 def _closure_orders(nvars):
     weights = tuple(1 + (3 * i) % (nvars + 1) for i in range(nvars))  # ranks x1 first
     return [Lex(), Revlex(), WeightOrder(weights, Revlex())]

@@ -229,6 +229,21 @@ def test_only_ideal_builders_take_a_degree_cap():
     assert sorted(takers) == sorted(CAP_TAKERS)
 
 
+def test_only_the_constructor_and_linear_images_assign_a_hilbert_witness():
+    # a copy of an ideal with other generators needs its witness handed
+    # over by hand; an ideal starts a fresh witness list and only a linear
+    # image shares its source's, so a level has no reduced copy beside it
+    assigners = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owner = {id(sub): name for name, node in _functions(tree.body, f"{path.stem}.")
+                 for sub in ast.walk(node)}  # inner functions come later and win
+        assigners += [owner.get(id(node), path.stem) for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute) and node.attr == "hilbert_witness"
+                      and isinstance(node.ctx, ast.Store)]
+    assert sorted(assigners) == ["gin._apply_invertible", "groebner.Ideal.__init__"]
+
+
 def test_every_order_has_both_keys_and_pieces_sort_without_sort_key():
     # scalar callers rank with sort_key; graded pieces sort whole columns
     # with key_columns, so the ring's tables never call a per-tuple key
