@@ -30,11 +30,12 @@ leading monomials of its own degree; a sentinel above every basis index
 marks the monomials no leading monomial divides, so the first listed
 divisor is the least entry.  The Gebauer-Moeller update computes the lcm of
 a new leading monomial with each older one once, for both criteria.  A
-dense step scatters a basis element through a multiplication map, read from
-the cache that each graded piece of the ring keeps
-(``RingContext.multiplication_map``), so the gin trials and the other runs
-on one ring build each map once.  A dense run hands its basis to the sparse
-engine if it reaches a degree whose piece exceeds ``_DENSE_PIECE_LIMIT``.
+basis element is held by its support: positions, values, and rank columns
+(see ``rings.GradedPiece``) less those of its leading monomial.  A step at
+x^delta * lt(g) adds the rank columns there to g's and ranks only g's
+support, so no map the size of a piece is built per delta; the ring caches
+only its unit shifts.  A dense run hands its basis to the sparse engine if
+it reaches a degree whose piece exceeds ``_DENSE_PIECE_LIMIT``.
 The sparse engine runs on Python ints for both fields: over QQ it is
 fraction-free, with primitive basis elements and pseudo-division steps, and
 builds a ``Fraction`` only for the coefficients of a polynomial it returns.
@@ -49,6 +50,7 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
 
 import numpy as np
@@ -108,7 +110,7 @@ class _DenseEngine:
         self.p = ring.field.p
         self._pieces = {}  # degree -> the ring's graded piece under ``order``
         self._divisors = {}  # degree -> divisor table of the whole basis
-        self.basis = []  # (degree, vector) with monic leading coefficient
+        self.basis = []  # (degree, support, monic values, rank columns less the lead's)
         self.lts = []  # leading exponent tuples
 
     def _piece(self, d):
@@ -133,20 +135,14 @@ class _DenseEngine:
         nz = np.flatnonzero(v)
         return Polynomial(self.ring, {mons[i]: int(v[i]) for i in nz})
 
-    def _mulmap(self, d, delta):
-        """Positions in the degree d + |delta| piece of the degree-d
-        monomials multiplied by x^delta, from the ring's shared cache."""
-        mp = self._piece(d).maps.get(delta)
-        if mp is None:
-            mp = self.ring.multiplication_map(d, delta, self.order)
-        return mp
-
     def add_basis(self, d, v):
-        lead = int(np.flatnonzero(v)[0])
+        support = np.flatnonzero(v)
+        lead = int(support[0])
         inv = pow(int(v[lead]), -1, self.p)
-        v = v * inv % self.p
-        self.basis.append((d, v))
-        self.lts.append(self._piece(d).monomials[lead])
+        piece = self._piece(d)
+        columns = piece.columns[:, support]
+        self.basis.append((d, support, v[support] * inv % self.p, columns - columns[:, :1]))
+        self.lts.append(piece.monomials[lead])
         idx = len(self.basis) - 1
         table = self._divisors.get(d)
         if table is not None:
@@ -173,7 +169,7 @@ class _DenseEngine:
         tables = self._divisors
         if d in tables:
             return tables[d]
-        low = min((gd for gd, _ in self.basis), default=d)
+        low = min((gd for gd, *_ in self.basis), default=d)
         start = d
         while start > low and start - 1 not in tables:
             start -= 1
@@ -182,9 +178,9 @@ class _DenseEngine:
             if e - 1 in tables:
                 for shift in self.ring.variable_shifts(e - 1, self.order):
                     table[shift] = np.minimum(table[shift], tables[e - 1])
-            gs = [g for g, (gd, _) in enumerate(self.basis) if gd == e]
+            gs = [g for g, (gd, *_) in enumerate(self.basis) if gd == e]
             if gs:
-                np.minimum.at(table, self._piece(e).positions([self.lts[g] for g in gs]), gs)
+                np.minimum.at(table, [self.basis[g][1][0] for g in gs], gs)
             tables[e] = table
         return table
 
@@ -198,7 +194,8 @@ class _DenseEngine:
         irreducible.  Returns None when the result is zero."""
         p = self.p
         table = self._divisor_table(d)
-        mons = self._piece(d).monomials
+        piece = self._piece(d)
+        columns, positions_at = piece.columns, piece.positions_at
         v = v % p
         i = 0
         while True:
@@ -212,40 +209,44 @@ class _DenseEngine:
             g = int(table[i])
             if g == _NO_DIVISOR:
                 break  # only when not full: the leading monomial is irreducible
-            gd, gv = self.basis[g]
-            mp = self._mulmap(gd, mono_div(mons[i], self.lts[g]))
-            v[mp] = (v[mp] - int(v[i]) * gv) % p
+            _, _, values, shift = self.basis[g]
+            at = positions_at(shift + columns[:, i:i + 1])  # g's support times x^delta
+            v[at] = (v[at] - int(v[i]) * values) % p
         return v if v.any() else None
 
     def tail_reduced(self, k):
         """Basis element k with its tail fully reduced, as a polynomial."""
-        d, v = self.basis[k]
-        lead = int(np.flatnonzero(v)[0])
-        tail = v.copy()
-        tail[lead] = 0
+        d, support, values, _ = self.basis[k]
+        tail = np.zeros(self.ring.monomial_count(d), dtype=np.int64)
+        tail[support[1:]] = values[1:]
         out = self.reduce(d, tail, full=True)
         if out is None:
-            out = np.zeros_like(v)
-        out[lead] = 1
+            out = np.zeros_like(tail)
+        out[support[0]] = 1
         return self.to_polynomial(d, out)
 
     def spair(self, i, j):
         """S-polynomial vector of two (monic) basis elements."""
         lcm = mono_lcm(self.lts[i], self.lts[j])
         d = sum(lcm)
-        out = np.zeros(self.ring.monomial_count(d), dtype=np.int64)
-        di, vi = self.basis[i]
-        dj, vj = self.basis[j]
-        out[self._mulmap(di, mono_div(lcm, self.lts[i]))] += vi
-        out[self._mulmap(dj, mono_div(lcm, self.lts[j]))] -= vj
+        piece = self._piece(d)
+        # the rank columns of the lcm (see ``rings._rank_columns``)
+        top = np.array([t * (d + 1) + T for t, T in enumerate(accumulate(reversed(lcm[1:])))],
+                       dtype=np.int64).reshape(-1, 1)
+        out = np.zeros(len(piece.monomials), dtype=np.int64)
+        _, _, vi, si = self.basis[i]
+        _, _, vj, sj = self.basis[j]
+        out[piece.positions_at(si + top)] += vi
+        out[piece.positions_at(sj + top)] -= vj
         return d, out % self.p
 
     def to_sparse(self):
         """A sparse engine holding the same basis in the same order, so pair
         keys (basis indices) stay valid."""
         sparse = _SparseEngine(self.ring, self.order)
-        for d, v in self.basis:
-            sparse.add_basis(*sparse.prepare(self.to_polynomial(d, v)))
+        for d, support, values, _ in self.basis:
+            mons = self._piece(d).monomials
+            sparse.add_basis(d, ({mons[i]: c for i, c in zip(support.tolist(), values.tolist())}, 1))
         return sparse
 
 

@@ -104,17 +104,16 @@ class MonomialIdeal:
 
 
 def is_borel_fixed(J: MonomialIdeal, order=Lex()) -> bool:
-    """True if for every generator m, every x_i | m and every x_j ranked
-    above x_i the swap (m / x_i) * x_j stays inside the ideal.  The ranking
-    is the one ``order`` gives the variables (see :func:`variable_ranking`),
-    x0 > x1 > ... under lex and revlex.  A gin under an order is
-    Borel-fixed for that order's ranking."""
+    """True if (m / x_i) * x_j is in J for every monomial m of J, x_i | m and
+    x_j ranked above x_i, in the ranking ``order`` gives the variables (see
+    :func:`variable_ranking`).  A gin under an order is Borel-fixed for that
+    order's ranking.  Only generators and adjacent x_j are tested: a move on
+    m * w moves a variable of the generator m, or one of w, which leaves a
+    multiple of m, and every move is a chain of adjacent ones."""
     ranking = variable_ranking(order, J.ring.nvars)
     for m in J.gens:
-        for k, i in enumerate(ranking):
-            if m[i] == 0:
-                continue
-            for j in ranking[:k]:
+        for j, i in zip(ranking, ranking[1:]):
+            if m[i]:
                 swapped = list(m)
                 swapped[i] -= 1
                 swapped[j] += 1

@@ -2,20 +2,18 @@
 
 Monomials are bare tuples of non-negative ints of length ``ring.nvars``; the
 degree is the tuple sum.  The ring context owns the one table per (degree,
-order) of each graded piece -- its monomials greatest first and the suffix
-sums of their exponents -- which every dense computation indexes into.  One
-numbering serves every order: a monomial's lex rank, computed from its
-suffix sums by the combinatorial number system.  A piece is built by
-unranking lex ranks 0..N-1 and sorting the rows under its order, and a
-monomial is located in it by ranking, so no piece keeps a
-monomial-to-position dict.  Each piece also caches its multiplication maps,
-one read-only position array per delta, so every Buchberger run on the ring,
-the substitution of a coordinate change, the vanishing ideal and segment
-closure share them.  The cache has no eviction rule: the next run on a ring
-(the next gin trial, say) needs the same maps in the same degrees as the
-last, so a rule that dropped a degree once a run had passed it would drop
-exactly what the next run rebuilds.  Its size is bounded by the union of the
-maps the runs on one ring use.
+order) of each graded piece -- its monomials greatest first and the rank
+columns of their exponents -- which every dense computation indexes into.
+One numbering serves every order: a monomial's lex rank, computed from the
+suffix sums of its exponents by the combinatorial number system.  A piece
+is built by unranking lex ranks 0..N-1 and sorting the rows under its
+order, and a monomial is located in it by ranking, so no piece keeps a
+monomial-to-position dict.  A multiple m*x^delta is located the same way,
+from the rank columns of m shifted by delta, so a dense reduction step
+ranks only the support of its reducer.  The one map the ring caches is the
+tuple of unit shifts per (degree, order), the positions of the degree-d
+monomials times each variable, which divisor tables, the substitution of a
+coordinate change, the vanishing ideal and segment closure all reuse.
 """
 
 from __future__ import annotations
@@ -83,11 +81,11 @@ def _exponents(suffix_sums, d):
 
 
 def _unrank(table, count):
-    """Suffix sums of the degree-d monomials of lex ranks 0..count-1, the
-    inverse of ``_lex_ranks`` at delta 0 (``table`` is
-    ``_lex_rank_table(nvars, d)``).  The rank sum_t C(T_t + t - 1, t) is a
-    combinadic, so it is decoded greedily from t = nvars - 1 down: T_t is the
-    last T whose table entry fits in what is left of the rank."""
+    """Suffix sums of the degree-d monomials of lex ranks 0..count-1
+    (``table`` is ``_lex_rank_table(nvars, d)``).  The rank
+    sum_t C(T_t + t - 1, t) is a combinadic, so it is decoded greedily from
+    t = nvars - 1 down: T_t is the last T whose table entry fits in what is
+    left of the rank."""
     rest = np.arange(count, dtype=np.int64)
     suffix = np.empty((len(table), count), dtype=np.int64)
     for t in range(len(table), 0, -1):
@@ -96,43 +94,42 @@ def _unrank(table, count):
     return suffix
 
 
-def _lex_ranks(table, suffix_sums, delta):
-    """Lex ranks of the monomials with these suffix sums times x^delta.
-
-    The last t exponents of m*x^delta sum to T_t(m) + D_t, so its rank is
-    sum_t C(T_t(m) + D_t + t - 1, t): one table column per t, read at the
-    suffix sums of m shifted by those of delta."""
-    rank = np.zeros(suffix_sums.shape[1], dtype=np.int64)
-    for column, sums, shift in zip(table, suffix_sums, accumulate(reversed(delta[1:]))):
-        rank += column[sums + shift]
-    return rank
+def _rank_columns(suffix_sums, d):
+    """Row t - 1: (t - 1)(d + 1) + T_t, the index of C(T_t + t - 1, t) in the
+    flattened ``_lex_rank_table(nvars, d)``, for each column of suffix sums."""
+    return suffix_sums + np.arange(0, len(suffix_sums) * (d + 1), d + 1)[:, None]
 
 
 class GradedPiece(NamedTuple):
-    """The degree-d monomials of a ring, greatest first under one order.
-    A monomial's position is ``by_lex_rank`` at its lex rank, so ranking a
-    batch of exponent tuples (``positions``) or a piece's multiples
-    (``positions_times``) is one vectorised pass.  Shared by every caller on
-    the ring, so read-only; ``maps`` only gains entries, each in one atomic
-    dict store, so concurrent readers are safe."""
+    """The degree-d monomials of a ring, greatest first under one order.  A
+    monomial's lex rank is the sum of ``rank_table`` at its rank columns,
+    and its position is ``by_lex_rank`` there.  The last t exponents of
+    m*x^delta sum to T_t(m) + D_t, so the columns of a multiple are those of
+    m shifted row by row.  Shared by every caller on the ring, so read-only."""
 
     monomials: tuple
-    suffix_sums: np.ndarray  # row t - 1: sum of the last t exponents of each monomial
-    rank_table: np.ndarray  # _lex_rank_table(nvars, d)
+    columns: np.ndarray  # the _rank_columns of each monomial
+    rank_table: np.ndarray  # _lex_rank_table(nvars, d), flattened
     by_lex_rank: np.ndarray  # position in ``monomials`` of the k-th lex monomial
-    maps: dict  # delta -> RingContext.multiplication_map of this piece
+
+    def positions_at(self, columns):
+        """Position of each monomial of the piece's degree with these rank
+        columns (one column per monomial)."""
+        return self.by_lex_rank[np.add.reduce(self.rank_table.take(columns), 0)]
 
     def positions(self, monomials):
         """Position in ``monomials`` of each of these exponent tuples, all of
         the piece's degree."""
-        nvars = len(self.rank_table) + 1
+        nvars = len(self.columns) + 1
         exps = np.fromiter(chain.from_iterable(monomials), np.int64, len(monomials) * nvars)
         suffix = _suffix_sums(exps.reshape(-1, nvars))
-        return self.by_lex_rank[_lex_ranks(self.rank_table, suffix, (0,) * nvars)]
+        return self.positions_at(_rank_columns(suffix, sum(self.monomials[0])))
 
     def positions_times(self, src, delta):
-        """Position of each monomial of the piece ``src`` times x^delta."""
-        return self.by_lex_rank[_lex_ranks(self.rank_table, src.suffix_sums, delta)]
+        """Position of each monomial of the piece ``src`` times x^delta: row
+        t - 1 moves by D_t, and by (t - 1)|delta| for this piece's wider rows."""
+        shift = [D + t * sum(delta) for t, D in enumerate(accumulate(reversed(delta[1:])))]
+        return self.positions_at(src.columns + np.array(shift, dtype=np.int64)[:, None])
 
 
 class RingContext:
@@ -140,7 +137,7 @@ class RingContext:
     coefficient field.  Immutable after creation; every polynomial refers to
     exactly one context."""
 
-    __slots__ = ("nvars", "field", "names", "_graded", "_small", "_units")
+    __slots__ = ("nvars", "field", "names", "_graded", "_shifts", "_small", "_units")
 
     def __init__(self, nvars, field, names=None):
         if nvars < 1:
@@ -155,6 +152,7 @@ class RingContext:
         self.field = field
         self.names = names
         self._graded = {}
+        self._shifts = {}
         self._small = None
         self._units = tuple(tuple(int(i == j) for i in range(nvars)) for j in range(nvars))
 
@@ -190,31 +188,28 @@ class RingContext:
             exps = _exponents(lex_suffix, d)
             perm = np.lexsort(order.key_columns(exps)[::-1])  # lexsort's primary key is its last
             mons = tuple(map(tuple, exps[perm].tolist()))
-            suffix = np.ascontiguousarray(lex_suffix[:, perm])
+            columns = _rank_columns(lex_suffix[:, perm], d)
             by_lex = np.empty(len(mons), dtype=np.int64)
             by_lex[perm] = np.arange(len(mons))
-            for array in (suffix, table, by_lex):
+            piece = GradedPiece(mons, columns, table.ravel(), by_lex)
+            for array in piece[1:]:
                 array.setflags(write=False)
-            piece = GradedPiece(mons, suffix, table, by_lex, {})
             self._graded[key] = piece
         return piece
 
-    def multiplication_map(self, d, delta, order=_LEX):
-        """Positions in the degree d + |delta| piece under ``order`` of the
-        degree-d monomials times x^delta: a read-only int64 array, built on
-        first use and cached on the degree-d piece (see the module
-        docstring)."""
-        src = self.graded_piece(d, order)
-        out = src.maps.get(delta)
-        if out is None:
-            out = self.graded_piece(d + sum(delta), order).positions_times(src, delta)
-            out.setflags(write=False)
-            src.maps[delta] = out
-        return out
-
     def variable_shifts(self, d, order=_LEX):
-        """Entry j: the multiplication map of the degree-d piece by x_j."""
-        return tuple(self.multiplication_map(d, unit, order) for unit in self._units)
+        """Entry j: the positions in the degree d + 1 piece under ``order``
+        of the degree-d monomials times x_j, as read-only int64 arrays;
+        cached on the ring per (degree, order)."""
+        key = (d, order)
+        shifts = self._shifts.get(key)
+        if shifts is None:
+            src, dst = self.graded_piece(d, order), self.graded_piece(d + 1, order)
+            shifts = tuple(dst.positions_times(src, unit) for unit in self._units)
+            for shift in shifts:
+                shift.setflags(write=False)
+            self._shifts[key] = shifts  # published read-only
+        return shifts
 
     def monomials_of_degree(self, d):
         """All degree-d monomials in descending lex order (cached)."""

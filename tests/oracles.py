@@ -8,6 +8,8 @@ path calls.
   partial elimination ideals K_p read straight off their definition.
 - ``ek_betti``: the Eliahou-Kervaire Betti table of a Borel-fixed ideal,
   whose Euler characteristic checks the Hilbert numerator.
+- ``borel_fixed_oracle``: the Borel property by every move on every
+  monomial of the ideal up to its top generator degree.
 - ``evaluate``: a polynomial at a point, for vanishing-ideal checks.
 - ``naive_feasible_point``: all-pairs Fourier-Motzkin elimination.
 - ``segment_oracle``: set-based segment closure.
@@ -117,6 +119,30 @@ def ek_betti(gens):
             key = (i, i + sum(u))
             table[key] = table.get(key, 0) + comb(top, i)
     return table
+
+
+def borel_fixed_oracle(gens, order, nvars):
+    """Whether the monomial ideal generated by the exponent tuples ``gens``
+    is Borel-fixed for the ranking ``order`` gives the variables: every
+    monomial of the ideal up to the top generator degree, every x_i dividing
+    it and every x_j ranked above x_i, with membership read off divisibility
+    by a generator."""
+    units = [tuple(int(i == j) for i in range(nvars)) for j in range(nvars)]
+    ranked = sorted(range(nvars), key=lambda j: order.sort_key(units[j]))  # greatest first
+
+    def member(m):
+        return any(all(a <= b for a, b in zip(g, m)) for g in gens)
+
+    for d in range(max((sum(g) for g in gens), default=0) + 1):
+        for m in filter(member, _monomials(nvars, d)):
+            for k, i in enumerate(ranked):
+                for j in ranked[:k] if m[i] else ():
+                    moved = list(m)
+                    moved[i] -= 1
+                    moved[j] += 1
+                    if not member(moved):
+                        return False
+    return True
 
 
 def evaluate(f, point):

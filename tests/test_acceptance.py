@@ -95,9 +95,9 @@ def test_criterion_1_curve_3_4():
 
 
 @pytest.mark.skipif(os.environ.get("GINLAB_SLOW") != "1",
-                    reason="0.5-15 s per shape; set GINLAB_SLOW=1 to run the curve grid")
+                    reason="0.5-20 s per shape; set GINLAB_SLOW=1 to run the curve grid")
 @pytest.mark.parametrize("a, b, cap", [(3, 5, 80), (4, 4, 80), (3, 6, 130), (4, 5, 130),
-                                       (5, 5, 210)])
+                                       (3, 7, 140), (4, 6, 190), (5, 5, 210), (4, 7, 260)])
 def test_criterion_1_curve_grid(a, b, cap):
     # the README grid past (3,4), at seed 1: reg = 1 + ab(a-1)(b-1)/2 and K_1
     # has ab(a-1)(b-1)/2 distinct points; the caps reach past each regularity

@@ -89,6 +89,28 @@ def test_exit_code_4_on_degree_cap_below_generator_degree(capsys):
     assert "bad input: degree cap 2 is below generator degree 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["curve", "--a", "0", "--b", "3", "--seed", "1"], 4),
+    (["curve", "--a", "3", "--b", "3", "--field", "fp:1", "--seed", "1"], 4),
+    (["curve", "--a", "3", "--b", "3", "--field", "fp:4", "--seed", "1"], 4),
+    (["curve", "--a", "3", "--b", "3", "--degree-cap", "0", "--seed", "1"], 4),
+    (["points", "--s", "0", "--r", "2", "--seed", "1"], 4),
+    (["points", "--s", "3", "--r", "0", "--seed", "1"], 4),
+    (["points", "--s", "5", "--r", "2", "--field", "fp:2", "--seed", "1"], 4),
+    (["sylvester", "--a", "0", "--b", "4", "--p", "1", "--seed", "1"], 4),
+    (["sylvester", "--a", "3", "--b", "4", "--p", "5", "--seed", "1"], 4),
+    (["segment", "--hf", "1,3,5", "--nvars", "0"], 4),
+    (["curve", "--a", "3", "--b", "3", "--field", "fp:2", "--seed", "1"], 3),
+])
+def test_degenerate_numbers_end_in_an_exit_code_not_a_traceback(argv, code, capsys):
+    # an exception that escaped ``run`` (a ZeroDivisionError, say) would fail
+    # the call itself; each of these ends in one line naming the failure
+    assert run(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("bad input: " if code == 4 else "computation failed: ")
+    assert err.count("\n") == 1
+
+
 def test_points_takes_a_weight_order(tmp_path):
     # the commas inside a weight vector do not split the order list
     out = tmp_path / "points.json"

@@ -3,6 +3,7 @@ Macaulay-matrix cross-checks."""
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -611,7 +612,7 @@ def test_hilbert_invariant_under_coordinate_change():
 
 
 # ----------------------------------------------------------------------
-# dense multiplication maps
+# ranking multiples: unit shifts and a dense step's support
 
 
 def _mulmap_orders(nvars):
@@ -624,14 +625,28 @@ def _index(piece):
 
 
 def _check_mulmaps(R, order, shapes):
-    for src_deg, delta_deg in shapes:
+    units = [tuple(int(i == j) for i in range(R.nvars)) for j in range(R.nvars)]
+    for src_deg in sorted({src_deg for src_deg, _ in shapes}):
         src = R.graded_piece(src_deg, order).monomials
-        index = _index(R.graded_piece(src_deg + delta_deg, order))
+        index = _index(R.graded_piece(src_deg + 1, order))
+        shifts = R.variable_shifts(src_deg, order)
+        assert R.variable_shifts(src_deg, order) is shifts  # cached per (degree, order)
+        assert [shift.dtype.name for shift in shifts] == ["int64"] * R.nvars
+        assert [shift.tolist() for shift in shifts] == [
+            [index[mono_mul(m, unit)] for m in src] for unit in units]
+    for src_deg, delta_deg in shapes:
+        # one basis element whose support is the whole degree-src_deg piece
+        src = R.graded_piece(src_deg, order).monomials
+        engine = groebner._DenseEngine(R, order)
+        engine.add_basis(*engine.prepare(
+            Polynomial.from_terms(R, [(m, k + 1) for k, m in enumerate(src)])))
+        dst = R.graded_piece(src_deg + delta_deg, order)
+        index = _index(dst)
         for delta in R.monomials_of_degree(delta_deg):
-            got = R.multiplication_map(src_deg, delta, order)
+            at = index[mono_mul(src[0], delta)]
+            got = dst.positions_at(engine.basis[0][3] + dst.columns[:, at:at + 1])
             assert got.dtype.name == "int64"
             assert got.tolist() == [index[mono_mul(m, delta)] for m in src]
-            assert R.graded_piece(src_deg, order).maps[delta] is got
 
 
 @pytest.mark.parametrize("nvars", [2, 3, 4, 5])
@@ -666,49 +681,47 @@ def test_piece_positions_match_an_index_built_from_its_monomials(nvars):
             assert piece.positions(sample).tolist() == [index[m] for m in sample]
 
 
-@pytest.mark.parametrize("order", _mulmap_orders(4), ids=str)
-def test_engines_on_one_ring_share_each_map(order):
-    R = ring(4)
-    first, second = groebner._DenseEngine(R, order), groebner._DenseEngine(R, order)
-    for delta in R.monomials_of_degree(2):
-        got = first._mulmap(3, delta)
-        assert second._mulmap(3, delta) is got
-        assert R.multiplication_map(3, delta, order) is got
-    # an equal ring is another cache
-    assert groebner._DenseEngine(ring(4), order)._mulmap(3, delta) is not got
+def _arrays(value):
+    """Every numpy array inside ``value``, through dicts, tuples and lists."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (tuple, list)):
+        return [array for item in value for array in _arrays(item)]
+    return []
+
+
+def test_rings_cache_only_piece_tables_and_unit_shifts(monkeypatch):
+    # no map keyed by a non-unit delta outlives a run: after a whole curve
+    # pipeline, each ring holds its pieces' tables and its unit shifts only
+    from ginlab.experiments import experiment_curve
+
+    rings = []
+    init = RingContext.__init__
+
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        rings.append(self)
+
+    monkeypatch.setattr(RingContext, "__init__", spy)
+    experiment_curve(3, 3, seed=1)
+    assert [R.nvars for R in rings] == [4, 3]
+    for R in rings:
+        tables = [array for piece in R._graded.values() for array in piece[1:]]
+        shifts = [shift for key in R._shifts for shift in R.variable_shifts(*key)]
+        assert len(shifts) == R.nvars * len(R._shifts) > 0
+        known = {id(array) for array in tables + shifts}
+        assert [array.shape for slot in RingContext.__slots__
+                for array in _arrays(getattr(R, slot)) if id(array) not in known] == []
 
 
 def test_cached_maps_are_read_only():
     R = ring(3)
-    got = groebner._DenseEngine(R, Revlex())._mulmap(2, (0, 1, 1))
-    with pytest.raises(ValueError):
-        got[0] = 0
-    for shift in R.variable_shifts(2):
+    piece = R.graded_piece(2, Revlex())
+    for array in (*piece[1:], *R.variable_shifts(2, Revlex())):
         with pytest.raises(ValueError):
-            shift[:] = 0
-
-
-def test_second_gin_trial_adds_no_lex_map(monkeypatch):
-    import sys
-
-    gin_module = sys.modules["ginlab.gin"]  # the package re-exports the function as ``gin``
-    R = ring(4)
-    f, g = sample_monic_pair(R, 3, 3, random.Random(5))  # curve (3,3), seed 5
-    lex_maps = []  # maps held by the lex pieces after each trial
-    trial = gin_module._one_trial
-
-    def counting(*args):
-        out = trial(*args)
-        # the lex runs are on the partial elimination levels, in the small ring
-        lex_maps.append(sum(len(p.maps) for S in (R, R.drop_first_variable())
-                            for (_, o), p in S._graded.items() if o == Lex()))
-        return out
-
-    monkeypatch.setattr(gin_module, "_one_trial", counting)
-    gin_module.gin(Ideal([f, g]), Lex(), trials=2, seed=5)
-    assert len(lex_maps) == 2
-    assert lex_maps[0] > 0
-    assert lex_maps[1] == lex_maps[0]
+            array[...] = 0
 
 
 # ----------------------------------------------------------------------
@@ -784,13 +797,17 @@ def test_divisor_tables_rank_no_multiples(monkeypatch):
     ranks = GradedPiece.positions_times
 
     def spy(self, src, delta):
-        callers.append(sys._getframe(1).f_code.co_name)
+        frame = sys._getframe(1)
+        while frame.f_code.co_name.startswith("<"):  # a comprehension's frame
+            frame = frame.f_back
+        callers.append(frame.f_code.co_name)
         return ranks(self, src, delta)
 
     monkeypatch.setattr(GradedPiece, "positions_times", spy)
     experiment_curve(3, 3, seed=1)
-    assert "multiplication_map" in callers  # the ring still builds its maps
-    assert "_divisor_table" not in callers
+    # the unit shifts are the one caller that ranks a whole piece's multiples;
+    # the divisor tables read them
+    assert set(callers) == {"variable_shifts"}
 
 
 def test_gm_add_prunes_coprime_and_chain_pairs():

@@ -2,7 +2,8 @@
 with the Eliahou-Kervaire Betti table of ``oracles`` as the independent
 check of the Hilbert numerator."""
 
-from oracles import ek_betti
+from hypothesis import given, settings, strategies as st
+from oracles import borel_fixed_oracle, ek_betti
 
 from ginlab.fields import FP_DEFAULT
 from ginlab.monomial_ideals import MonomialIdeal, hilbert_data, is_borel_fixed
@@ -96,6 +97,44 @@ def test_borel_fixed_for_the_ranking_of_an_order():
     assert not is_borel_fixed(mirrored, Lex())
     assert is_borel_fixed(mirrored, WeightOrder((1, 2, 3), Lex()))
     assert not is_borel_fixed(J(3, "x0^2", "x0*x1^2", "x1^4"), WeightOrder((1, 2, 3), Lex()))
+
+
+@st.composite
+def _monomial_ideals(draw):
+    """A monomial ideal in 2-4 variables and an order ranking them: random
+    generators, the closure of random generators under every move up the
+    ranking (so Borel-fixed), or that closure less one minimal generator
+    (often just short of Borel-fixed)."""
+    nvars = draw(st.integers(2, 4))
+    weights = tuple(draw(st.lists(st.integers(1, 3), min_size=nvars, max_size=nvars)))
+    order = draw(st.sampled_from([Lex(), Revlex(), WeightOrder(weights, Lex())]))
+    exps = st.lists(st.integers(0, 3), min_size=nvars, max_size=nvars).map(tuple).filter(any)
+    gens = set(draw(st.lists(exps, min_size=1, max_size=4)))
+    kind = draw(st.sampled_from(["random", "closed", "closed less one"]))
+    if kind != "random":
+        ranked = variable_ranking(order, nvars)
+        frontier = list(gens)
+        while frontier:
+            m = frontier.pop()
+            for k, i in enumerate(ranked):
+                for j in ranked[:k] if m[i] else ():
+                    moved = tuple(e - (v == i) + (v == j) for v, e in enumerate(m))
+                    if moved not in gens:
+                        gens.add(moved)
+                        frontier.append(moved)
+    ideal = MonomialIdeal(ring(nvars), gens)
+    if kind == "closed less one" and len(ideal.gens) > 1:
+        drop = draw(st.sampled_from(ideal.gens))
+        ideal = MonomialIdeal(ideal.ring, [g for g in ideal.gens if g != drop])
+    return ideal, order
+
+
+@settings(max_examples=300, deadline=None)
+@given(_monomial_ideals())
+def test_adjacent_moves_decide_borel_fixedness_as_every_move_does(case):
+    ideal, order = case
+    assert is_borel_fixed(ideal, order) == borel_fixed_oracle(ideal.gens, order,
+                                                              ideal.ring.nvars)
 
 
 # ----------------------------------------------------------------------

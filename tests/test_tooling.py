@@ -128,7 +128,7 @@ def test_every_export_has_a_reader():
 #: those paths index into.
 CHECKED_MODULES = {"groebner", "partial_elim", "segments", "fourier_motzkin", "gin",
                    "monomial_ideals"}
-SHARED_TABLES = {"graded_piece", "multiplication_map", "positions", "positions_times",
+SHARED_TABLES = {"graded_piece", "positions", "positions_at", "positions_times",
                  "variable_shifts"}
 
 
