@@ -716,6 +716,48 @@ def test_rings_cache_only_piece_tables_and_unit_shifts(monkeypatch):
                 for array in _arrays(getattr(R, slot)) if id(array) not in known] == []
 
 
+@pytest.mark.parametrize("order", _mulmap_orders(4), ids=str)
+def test_engines_on_one_ring_share_each_map(order):
+    # the maps a dense step reads are the ring's piece tables and unit shifts
+    R = ring(4)
+    first, second = groebner._DenseEngine(R, order), groebner._DenseEngine(R, order)
+    x0 = Polynomial.from_terms(R, [((1, 0, 0, 0), 1)])
+    for engine in (first, second):
+        engine.add_basis(*engine.prepare(x0))
+        engine._divisor_table(4)  # scatters through the unit shifts of degrees 1-3
+    for d in range(1, 5):
+        got = first._piece(d)
+        assert second._piece(d) is got
+        assert R.graded_piece(d, order) is got
+    assert set(R._shifts) == {(d, order) for d in range(1, 4)}
+    # an equal ring is another cache
+    assert groebner._DenseEngine(ring(4), order)._piece(3) is not first._piece(3)
+
+
+def test_second_gin_trial_adds_no_lex_map(monkeypatch):
+    import sys
+
+    gin_module = sys.modules["ginlab.gin"]  # the package re-exports the function as ``gin``
+    R = ring(4)
+    f, g = sample_monic_pair(R, 3, 3, random.Random(5))  # curve (3,3), seed 5
+    lex_maps = []  # lex pieces and unit shifts cached after each trial
+    trial = gin_module._one_trial
+
+    def counting(*args):
+        out = trial(*args)
+        # the lex runs are on the partial elimination levels, in the small ring
+        lex_maps.append(sum(1 for S in (R, R.drop_first_variable())
+                            for cache in (S._graded, S._shifts)
+                            for _, o in cache if o == Lex()))
+        return out
+
+    monkeypatch.setattr(gin_module, "_one_trial", counting)
+    gin_module.gin(Ideal([f, g]), Lex(), trials=2, seed=5)
+    assert len(lex_maps) == 2
+    assert lex_maps[0] > 0
+    assert lex_maps[1] == lex_maps[0]
+
+
 def test_cached_maps_are_read_only():
     R = ring(3)
     piece = R.graded_piece(2, Revlex())
