@@ -5,7 +5,21 @@ random changes agreeing is overwhelming evidence of genericity over a large
 field; a Borel-fixedness check certifies the outcome's shape independently.
 Disagreement escalates to a third trial and then fails loudly rather than
 silently reporting a non-generic result, and so does agreement on an ideal
-that is not Borel-fixed where gins must be.  Every trial is a linear change
+that is not Borel-fixed where gins must be.
+
+Where an upper bound is known, one trial can be proved generic instead.  In
+each degree d, gin(I)_d is the largest initial space that any coordinate
+change gives, spaces of one dimension compared by their leading Pluecker
+coordinate (Green, "Generic initial ideals", 1998, section 1; Eisenbud,
+"Commutative Algebra", 15.9).  So a trial whose initial ideal equals a
+monomial ideal C that bounds every initial space of I from above, in each
+degree up to C's largest generator degree D, is the gin: up to D the gin
+lies between the trial and C, and above D it contains the ideal that its
+degree-D part generates, which is C's, and has the same dimension.  For
+points the tau-segment ideal of their Hilbert function is such a bound,
+since the top dim I_d monomials of degree d span the largest space of that
+dimension.  A trial that reaches it proves the segment theorem for that
+instance, and no second trial runs.  Every trial is a linear change
 of the same ideal, so all of them share one Hilbert witness: the revlex
 basis that the first trial computes before its own order's, which prunes
 the Buchberger runs of that order and of every later trial.
@@ -88,25 +102,38 @@ class GinResult:
     Borel-fixed for its order's variable ranking, so ``regularity`` is the
     largest generator degree and a Borel-fixedness check reads
     ``is_borel_fixed(result.gin, order)``;
-    ``trial_ideals`` keeps the transformed ideals so callers can reuse
-    their Groebner caches."""
+    ``certified`` says that one trial reached the ceiling passed to
+    :func:`gin`, which proves it is the gin; ``trial_ideals`` keeps the
+    transformed ideals so callers can reuse their Groebner caches."""
 
     gin: MonomialIdeal
     trials_used: int
     agreed: bool
     regularity: int
+    certified: bool = False
     trial_ideals: list = dc_field(default_factory=list, repr=False)
 
 
-def gin(I, order, trials=2, seed=0):
+def gin(I, order, trials=2, seed=0, ceiling=None):
     """Generic initial ideal with a trial-agreement protocol.
 
     Runs ``trials`` independent random coordinate changes (trial t uses seed
     ``seed + t``).  If all initial ideals coincide the common one is returned
     with ``agreed=True``; otherwise one extra trial is run and a majority
     ideal is returned with ``agreed=False``; with no majority the computation
-    fails loudly.  A result that is not Borel-fixed, for the ranking that
-    ``order`` gives the variables, also fails loudly: over
+    fails loudly.
+
+    ``ceiling`` is an optional monomial ideal C whose degree-d part, for
+    every d up to its largest generator degree, is at least the initial
+    space of every coordinate change of ``I`` (see the module docstring);
+    for points, their tau-segment ideal when the segments form an ideal.  If
+    the first trial's initial ideal equals C, it is the gin: the protocol
+    stops there and returns ``trials_used=1``, ``agreed=True`` and
+    ``certified=True``.  Otherwise the trials run as above, with
+    ``certified=False``.
+
+    A result that is not Borel-fixed, for the ranking that ``order`` gives
+    the variables, also fails loudly: over
     F_p with p at most its largest generator degree it raises
     :class:`CharacteristicTooSmall`, since gins there are only p-Borel;
     over QQ, or over F_p with p above that degree, a gin is Borel-fixed, so
@@ -118,14 +145,19 @@ def gin(I, order, trials=2, seed=0):
         raise ValueError("the agreement protocol needs at least 2 trials")
     results = []
     handles = []
-    for t in range(trials):
+
+    def trial(t):
         J, handle = _one_trial(I, order, seed + t)
         results.append(J)
         handles.append(handle)
-    if not all(J == results[0] for J in results[1:]):
-        J, handle = _one_trial(I, order, seed + trials)
-        results.append(J)
-        handles.append(handle)
+
+    trial(0)
+    certified = ceiling is not None and results[0] == ceiling
+    if not certified:
+        for t in range(1, trials):
+            trial(t)
+        if not all(J == results[0] for J in results[1:]):
+            trial(trials)
     winner = _majority(results)
     if winner is None:
         raise GinDisagreement(
@@ -148,6 +180,7 @@ def gin(I, order, trials=2, seed=0):
         trials_used=len(results),
         agreed=all(J == winner for J in results),
         regularity=winner.max_generator_degree(),
+        certified=certified,
         trial_ideals=[h for h, J in zip(handles, results) if J == winner],
     )
 

@@ -106,11 +106,17 @@ def count_distinct_points(J, seed=0):
     plane, by generic projection to a line.
 
     Requires dim(S/J) = 1 (checked via the Hilbert series of an initial
-    ideal).  A random coordinate change is applied, the first variable is
-    eliminated, and the degree of the squarefree part of the resulting
-    principal generator is returned.  Two seeds must agree, guarding the
-    genericity assumption.  The projections run under the degree cap of
-    ``J``."""
+    ideal), which also gives deg J, the number of points counted with
+    multiplicity.  A random coordinate change is applied, the first
+    variable is eliminated, and the degree of the squarefree part of the
+    resulting principal generator is returned.  A projection never shows
+    more points than the scheme has, so the count is at most the number of
+    distinct points, which is at most deg J; over F_p the squarefree degree
+    can only fall short, and a gcd of degree at least p raises rather than
+    count (see :func:`_squarefree_degree_binary`).  A first count that reaches
+    deg J is therefore exact and is returned at once; any other count must
+    agree with a second seed's, guarding the genericity assumption.  The
+    projections run under the degree cap of ``J``."""
     if J.ring.nvars != 3:
         raise PointCountError("point counting expects an ideal in 3 variables")
     data = J.hilbert_data(Revlex(), bound=4)
@@ -118,10 +124,13 @@ def count_distinct_points(J, seed=0):
         raise PointCountError(
             f"expected a finite point set (dimension 1), got dimension {data.dimension}"
         )
-    counts = [_projected_distinct_count(J, s) for s in (seed, seed + 1)]
-    if counts[0] != counts[1]:
-        raise PointCountError(f"projection counts disagree across seeds: {counts}")
-    return counts[0]
+    count = _projected_distinct_count(J, seed)
+    if count == data.degree:
+        return count
+    second = _projected_distinct_count(J, seed + 1)
+    if count != second:
+        raise PointCountError(f"projection counts disagree across seeds: {[count, second]}")
+    return count
 
 
 def _projected_distinct_count(J, seed):

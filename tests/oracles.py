@@ -12,7 +12,8 @@ path calls.
   monomial of the ideal up to its top generator degree.
 - ``evaluate``: a polynomial at a point, for vanishing-ideal checks.
 - ``naive_feasible_point``: all-pairs Fourier-Motzkin elimination.
-- ``segment_oracle``: set-based segment closure.
+- ``greatest_monomials`` and ``segment_oracle``: segments as sets, and
+  their closure.
 - ``homogeneous_generators``: a hypothesis strategy for the small
   homogeneous generator lists the property tests draw.
 - ``explicit_points`` and the two boundary point fixtures of P^3.
@@ -226,20 +227,23 @@ def naive_feasible_point(constraints, nvars):
     return point
 
 
-def segment_oracle(ideal_dims, order, nvars):
-    """Segments as sets: in each degree d, the ideal_dims[d] greatest degree-d
-    monomials under ``order``, enumerated and sorted here.  Returns whether
-    x_j times every member of degree d lies in degree d + 1 for each d, and
-    the members of each degree that are not such a product (the minimal
-    generators, when the segments close)."""
+def greatest_monomials(order, nvars, d, u):
+    """The u greatest degree-d monomials under ``order``, enumerated and
+    sorted here, as a set."""
+    return set(sorted(_monomials(nvars, d), key=order.sort_key)[:u])
 
-    def greatest(d, u):
-        return set(sorted(_monomials(nvars, d), key=order.sort_key)[:u])
+
+def segment_oracle(ideal_dims, order, nvars):
+    """Segments as sets: in each degree d, the ideal_dims[d] greatest
+    degree-d monomials.  Returns whether x_j times every member of
+    degree d lies in degree d + 1 for each d, and the members of each degree
+    that are not such a product (the minimal generators, when the segments
+    close)."""
 
     def times_variables(space):
         return {m[:j] + (m[j] + 1,) + m[j + 1:] for m in space for j in range(nvars)}
 
-    spaces = [greatest(d, u) for d, u in enumerate(ideal_dims)]
+    spaces = [greatest_monomials(order, nvars, d, u) for d, u in enumerate(ideal_dims)]
     closed = all(times_variables(low) <= high for low, high in zip(spaces, spaces[1:]))
     gens = set(spaces[0])
     for low, high in zip(spaces, spaces[1:]):

@@ -89,6 +89,10 @@ def test_exit_code_4_on_degree_cap_below_generator_degree(capsys):
     assert "bad input: degree cap 2 is below generator degree 3" in capsys.readouterr().err
 
 
+#: Stands for the path of a two-generator ideal file in 3 variables.
+IDEAL = "<ideal file>"
+
+
 @pytest.mark.parametrize("argv, code", [
     (["curve", "--a", "0", "--b", "3", "--seed", "1"], 4),
     (["curve", "--a", "3", "--b", "3", "--field", "fp:1", "--seed", "1"], 4),
@@ -101,11 +105,20 @@ def test_exit_code_4_on_degree_cap_below_generator_degree(capsys):
     (["sylvester", "--a", "3", "--b", "4", "--p", "5", "--seed", "1"], 4),
     (["segment", "--hf", "1,3,5", "--nvars", "0"], 4),
     (["curve", "--a", "3", "--b", "3", "--field", "fp:2", "--seed", "1"], 3),
+    (["gin", "--in", IDEAL, "--trials", "1"], 4),
+    (["gin", "--in", IDEAL, "--nvars", "0"], 4),
+    (["gin", "--in", IDEAL, "--degree-cap", "0"], 4),
+    (["pei", "--in", IDEAL, "--nvars", "1", "--pmax", "1"], 4),
+    (["nonsmooth", "--degree-cap", "0", "--seed", "1"], 4),
+    (["nonsmooth", "--degree-cap", "5", "--seed", "1"], 3),
+    (["nonsmooth", "--field", "fp:2", "--seed", "1"], 3),
 ])
-def test_degenerate_numbers_end_in_an_exit_code_not_a_traceback(argv, code, capsys):
+def test_degenerate_numbers_end_in_an_exit_code_not_a_traceback(argv, code, tmp_path, capsys):
     # an exception that escaped ``run`` (a ZeroDivisionError, say) would fail
     # the call itself; each of these ends in one line naming the failure
-    assert run(argv) == code
+    ideal = tmp_path / "ideal.txt"
+    ideal.write_text("x0^2 + x1*x2 + x2^2\nx1^3 + x0*x2^2 + x0^3\n")
+    assert run([str(ideal) if arg == IDEAL else arg for arg in argv]) == code
     err = capsys.readouterr().err
     assert err.startswith("bad input: " if code == 4 else "computation failed: ")
     assert err.count("\n") == 1

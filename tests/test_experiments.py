@@ -47,6 +47,15 @@ def test_curve_report_structure_and_determinism():
     assert all(c["passed"] for c in payload["checks"])
 
 
+def test_hilbert_function_check_runs_past_a_low_degree_cap():
+    # the check reads the gin, a monomial ideal, so it runs to regularity + 2
+    # = 6 even where the cap of the Buchberger runs is 5
+    report = experiment_curve(2, 2, seed=1, degree_cap=5)
+    [check] = [c for c in report.checks if c.name == "hilbert_function_matches_ci"]
+    assert check.passed
+    assert len(check.expected) == 7  # degrees 0..6
+
+
 def test_curve_report_embeds_invariant_verdicts():
     report = experiment_curve(2, 3, seed=6)
     names = {c.name for c in report.checks}

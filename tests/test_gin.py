@@ -1,13 +1,15 @@
 """Random coordinate changes and the gin agreement protocol."""
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import homogeneous_generators, macaulay_dimension
+from oracles import greatest_monomials, homogeneous_generators, macaulay_dimension
 
 from ginlab import linalg
+from ginlab.experiments import experiment_points
 from ginlab.fields import FP_DEFAULT, QQ, PrimeField
 from ginlab.gin import (
     CharacteristicTooSmall,
@@ -24,6 +26,7 @@ from ginlab.partial_elim import partial_elim_ideals
 from ginlab.points import random_points, vanishing_ideal
 from ginlab.poly import parse_polynomial, random_form
 from ginlab.rings import RingContext
+from ginlab.segments import segment_ideal_of
 from ginlab.sylvester import sample_monic_pair
 
 
@@ -205,6 +208,75 @@ def test_gin_in_too_small_characteristic_raises():
     I = Ideal([parse_polynomial("x0^2", R), parse_polynomial("x1^2", R)])
     with pytest.raises(CharacteristicTooSmall, match="p = 2 does not exceed .* degree 2"):
         gin(I, Revlex(), trials=2, seed=0)
+
+
+# ----------------------------------------------------------------------
+# a ceiling in place of a second trial: a trial that reaches an upper bound
+# of every initial ideal is the gin
+
+
+def _points_and_segment(s, r, order, seed=3):
+    I = vanishing_ideal(random_points(s, r, seed, FP_DEFAULT))
+    hf = I.hilbert_function(Revlex(), bound=s + 2)
+    seg = segment_ideal_of(hf, order, I.ring, bound=s + 2)
+    assert seg.is_ideal
+    return I, seg.monomial_ideal()
+
+
+@pytest.mark.parametrize("order", [Lex(), Revlex()], ids=str)
+def test_a_trial_that_reaches_the_ceiling_is_the_certified_gin(order):
+    I, ceiling = _points_and_segment(9, 2, order)
+    result = gin(I, order, trials=2, seed=1, ceiling=ceiling)
+    assert (result.trials_used, result.agreed, result.certified) == (1, True, True)
+    assert result.gin == ceiling
+    assert len(result.trial_ideals) == 1
+    assert gin(I, order, trials=2, seed=1).gin == result.gin
+
+
+def test_a_ceiling_no_trial_reaches_falls_back_to_agreement():
+    # (x0) is no initial ideal of nine points, so no trial reaches it: the
+    # protocol runs both trials and certifies nothing
+    I, _ = _points_and_segment(9, 2, Lex())
+    unreachable = MonomialIdeal.from_strings(I.ring, ["x0"])
+    result = gin(I, Lex(), trials=2, seed=1, ceiling=unreachable)
+    assert (result.trials_used, result.agreed, result.certified) == (2, True, False)
+    plain = gin(I, Lex(), trials=2, seed=1)
+    assert result.gin == plain.gin and not plain.certified
+
+
+def test_points_run_one_trial_per_order(monkeypatch):
+    gin_module = sys.modules["ginlab.gin"]  # the package re-exports the function as ``gin``
+    orders = []
+    trial = gin_module._one_trial
+
+    def counting(I, order, trial_seed):
+        orders.append(str(order))
+        return trial(I, order, trial_seed)
+
+    monkeypatch.setattr(gin_module, "_one_trial", counting)
+    report = experiment_points(20, 3, seed=1)
+    assert report.passed
+    assert orders == ["lex", "revlex"]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    homogeneous_generators([FP_DEFAULT], max_vars=4, max_degree=2),
+    st.sampled_from([Lex(), Revlex()]),
+    st.integers(0, 10**6),
+)
+def test_no_trial_passes_the_segment(gens, order, seed):
+    # in each degree the segment, the dim I_d greatest monomials, leads every
+    # space of that dimension in the Pluecker comparison, which compares the
+    # spaces' monomials sorted greatest first, lexicographically
+    I = Ideal(gens)
+    J, _ = _one_trial(I, order, seed)
+    for d in range(6):
+        u = macaulay_dimension(I, d, Revlex())
+        trial = J.monomials_of_degree(d)
+        assert len(trial) == u
+        segment = greatest_monomials(order, I.ring.nvars, d, u)
+        assert sorted(map(order.sort_key, segment)) <= sorted(map(order.sort_key, trial))
 
 
 # ----------------------------------------------------------------------

@@ -880,7 +880,7 @@ def test_gm_add_keeps_an_old_pair_whose_lcm_one_new_lcm_equals():
     assert pairs == {(0, 1): (2, 2, 0), (0, 2): (2, 1, 0)}
 
 
-@pytest.mark.parametrize("shape, count", [(("curve", 3, 3), 96), (("points", 20, 3), 174)])
+@pytest.mark.parametrize("shape, count", [(("curve", 3, 3), 77), (("points", 20, 3), 106)])
 def test_spair_counts_at_seed_1_are_pinned(monkeypatch, shape, count):
     # a change to the pair criteria or to the selection shows here
     from ginlab import experiments

@@ -261,7 +261,8 @@ def test_count_rejects_wrong_dimension():
 def test_count_projects_the_reduced_revlex_basis(monkeypatch):
     # K_1 of a generic (3,3) curve: its harvest is long, its reduced revlex
     # basis short; the level is generated by the latter, and the
-    # projections move exactly those generators
+    # projection moves exactly those generators, once: its count reaches
+    # deg K_1 = 18, so no second seed runs
     R = ring(4)
     f, g = sample_monic_pair(R, 3, 3, random.Random(1))
     moved = gin(Ideal([f, g]), Lex(), trials=2, seed=1).trial_ideals[0]
@@ -280,7 +281,30 @@ def test_count_projects_the_reduced_revlex_basis(monkeypatch):
 
     monkeypatch.setattr(Polynomial, "substitute", spy)
     assert count_distinct_points(k1, seed=102) == 18
-    assert calls == 2 * list(k1.generators)
+    assert calls == list(k1.generators)
+
+
+@pytest.mark.parametrize("kind, seeds", [("curve", [102]), ("nonsmooth", [102, 103])])
+def test_a_count_that_reaches_the_degree_takes_one_projection(monkeypatch, kind, seeds):
+    # K_1 of a smooth (3,3) curve is 18 distinct points of degree 18, so the
+    # first count is proved exact; the nonsmooth K_1 is 11 points of degree
+    # 18, so a second seed must confirm its count
+    from ginlab import experiments, partial_elim
+
+    projected = []
+    project = partial_elim._projected_distinct_count
+
+    def spy(J, seed):
+        projected.append(seed)
+        return project(J, seed)
+
+    monkeypatch.setattr(partial_elim, "_projected_distinct_count", spy)
+    if kind == "curve":
+        report = experiments.experiment_curve(3, 3, seed=1)
+    else:
+        report = experiments.experiment_nonsmooth(seed=1)
+    assert report.passed
+    assert projected == seeds
 
 
 def binary_form(R, factors):

@@ -2,7 +2,7 @@
 
 import argparse
 import ast
-import importlib
+import importlib.util
 import os
 import re
 import subprocess
@@ -283,3 +283,23 @@ def test_readme_curve_grid_matches_the_theorem_and_the_acceptance_caps():
     assert [cap for _, _, cap, _ in rows[:2]] == [DEFAULT_DEGREE_CAP] * 2
     assert [(a, b, cap) for a, b, cap, _ in rows[2:]] == _acceptance_curve_grid()
     assert [(a, b) for a, b, cap, reg in rows[2:] if cap <= reg] == []
+
+
+def test_bench_jobs_match_their_reference_digests(tmp_path):
+    # every fp and exact job at seed 1, through the benchmark's own job
+    # runner: exit 0, the reference digest of its masked report, and
+    # independently re-checked weight witnesses.  bench/ is imported and
+    # read, never written: only its own --record-reference run records it
+    import ginlab.cli
+
+    spec = importlib.util.spec_from_file_location("bench_run", BENCH / "run.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    reference = bench.checks.load_reference()
+    problems = []
+    for workload in bench.WORKLOADS:
+        reports = {}
+        for job in bench.jobs_for(workload, 1):
+            _, found = bench.run_job(ginlab.cli, job, str(tmp_path), reports, reference, workload)
+            problems += [f"{workload}/{job.label}: {p}" for p in found]
+    assert problems == []
