@@ -1,5 +1,5 @@
-"""Monomial ideals: minimal generators, Hilbert series and the Borel
-property.
+"""Monomial ideals: minimal generators, membership, Hilbert series and the
+Borel property.
 
 The Hilbert series of S/J is computed exactly as N(t)/(1-t)^n by the
 standard splitting recursion; dimension and degree are read off the
@@ -9,7 +9,10 @@ numerator (pole order at t=1 and value of the reduced numerator there).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from math import comb
+
+import numpy as np
 
 from .orders import Lex, variable_ranking
 from .rings import mono_degree, mono_divides
@@ -34,12 +37,17 @@ def _canon_key(m):
     return (mono_degree(m), tuple(-e for e in m))
 
 
+#: Query-generator pairs compared at once by :meth:`MonomialIdeal.membership`.
+_MEMBERSHIP_CHUNK = 1 << 16
+
+
 class MonomialIdeal:
     """A monomial ideal held by its minimal generators, canonically sorted
-    (degree, then descending lex).  Immutable, so :func:`hilbert_numerator`
-    keeps its result in the ``_numerator`` slot."""
+    (degree, then descending lex), and by their exponent matrix.  Immutable,
+    so :func:`hilbert_numerator` keeps its result in the ``_numerator``
+    slot."""
 
-    __slots__ = ("ring", "gens", "_numerator")
+    __slots__ = ("ring", "gens", "_exps", "_numerator")
 
     def __init__(self, ring, gens):
         self.ring = ring
@@ -48,6 +56,8 @@ class MonomialIdeal:
         for g in self.gens:
             if len(g) != ring.nvars:
                 raise ValueError("generator length does not match ring")
+        self._exps = np.array(self.gens, dtype=np.int64).reshape(len(self.gens), ring.nvars)
+        self._exps.setflags(write=False)
 
     @classmethod
     def from_strings(cls, ring, texts):
@@ -83,12 +93,22 @@ class MonomialIdeal:
     def is_zero(self):
         return not self.gens
 
-    def contains(self, m):
-        return any(mono_divides(g, m) for g in self.gens)
+    def membership(self, monomials):
+        """Whether each monomial lies in the ideal, as a boolean array: one
+        broadcast comparison of the queries (exponent tuples or the rows of
+        an int array) against every generator, in bounded chunks."""
+        queries = np.asarray(monomials, dtype=np.int64).reshape(-1, self.ring.nvars)
+        out = np.empty(len(queries), dtype=bool)
+        step = max(1, _MEMBERSHIP_CHUNK // max(1, len(self.gens)))
+        for start in range(0, len(queries), step):
+            block = queries[start:start + step, None]
+            out[start:start + step] = (self._exps <= block).all(axis=2).any(axis=1)
+        return out
 
     def monomials_of_degree(self, d):
         """Degree-d monomials inside the ideal, canonical order."""
-        return tuple(m for m in self.ring.monomials_of_degree(d) if self.contains(m))
+        mons = self.ring.monomials_of_degree(d)
+        return tuple(compress(mons, self.membership(mons)))
 
     def max_generator_degree(self):
         if not self.gens:
@@ -109,17 +129,15 @@ def is_borel_fixed(J: MonomialIdeal, order=Lex()) -> bool:
     :func:`variable_ranking`).  A gin under an order is Borel-fixed for that
     order's ranking.  Only generators and adjacent x_j are tested: a move on
     m * w moves a variable of the generator m, or one of w, which leaves a
-    multiple of m, and every move is a chain of adjacent ones."""
-    ranking = variable_ranking(order, J.ring.nvars)
-    for m in J.gens:
-        for j, i in zip(ranking, ranking[1:]):
-            if m[i]:
-                swapped = list(m)
-                swapped[i] -= 1
-                swapped[j] += 1
-                if not J.contains(tuple(swapped)):
-                    return False
-    return True
+    multiple of m, and every move is a chain of adjacent ones.  Every move
+    of every generator goes to one :meth:`MonomialIdeal.membership` call."""
+    nvars = J.ring.nvars
+    ranking = variable_ranking(order, nvars)
+    steps = np.zeros((nvars - 1, nvars), dtype=np.int64)
+    for k, (j, i) in enumerate(zip(ranking, ranking[1:])):
+        steps[k, j], steps[k, i] = 1, -1
+    moved = J._exps[None] + steps[:, None]  # (step, generator, variable)
+    return bool(J.membership(moved[(moved >= 0).all(axis=2)]).all())
 
 
 # ----------------------------------------------------------------------

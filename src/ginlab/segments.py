@@ -5,12 +5,22 @@ The degree-d segment for an order is the span of the top dim I_d monomials;
 taking it in every degree gives a graded monomial space that is an ideal
 for lex (Macaulay) but not in general.  Whether a monomial ideal is a
 segment for *some* degree-compatible weight order reduces to an exact
-strict-inequality feasibility problem solved by Fourier-Motzkin.
+strict-inequality feasibility problem solved by Fourier-Motzkin: positive
+weights w with min w . m over the ideal's degree-d monomials above max w . n
+over the others, in each degree.  Only the monomials that may be extreme on
+their side enter it.  A minimum or maximum of w . m over a finite set is
+reached at a vertex of its convex hull, and a vertex is never the midpoint
+m of two other members m + v and m - v, so dropping such midpoints (for v =
+e_i - e_j) leaves the set of solutions as it is.  ``feasible_point``
+back-substitutes the greatest lower and least upper bound of each
+projection of that set, so the weights it returns do not move either.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, compress
+from operator import mul
 
 import numpy as np
 
@@ -202,29 +212,30 @@ def segment_witness(J: MonomialIdeal, degree_range=None):
     (default: degrees 1 through max generator degree + 1), or None when the
     strict system is infeasible (certified by Fourier-Motzkin).
 
-    The witness satisfies w . (m - n) > 0 for every in/out monomial pair
-    (m, n) per degree, with strictly positive entries; a vector that fails
-    that re-check raises SelfCheckFailed.  An empty or negative range would
-    certify nothing, so it raises ValueError."""
+    The system is w_i > 0 and min_in w . m > max_out w . n per degree.  The
+    minimum or maximum of w . m over a finite set is reached at a vertex of
+    its convex hull, and a vertex is never the midpoint of two other points
+    of the set, so only the differences m - n of the monomials that
+    :func:`_extreme_rows` keeps on each side go to Fourier-Motzkin.  They
+    cut out the same set of weights as every inside/outside pair, and
+    ``feasible_point`` returns a point that depends on that set alone, so
+    the weights are those of the full system.  A vector that fails the full
+    re-check of :func:`verify_weight_witness` raises SelfCheckFailed.  An
+    empty or negative range would certify nothing, so it raises
+    ValueError."""
     if degree_range is None:
         degree_range = (1, J.max_generator_degree() + 1)
-    lo, hi = degree_range
-    if not 0 <= lo <= hi:
-        raise ValueError(f"degree range {lo}:{hi} is not lo:hi with 0 <= lo <= hi")
+    lo, hi = _checked_range(degree_range)
     nvars = J.ring.nvars
-    constraints = []
-    for i in range(nvars):
-        unit = tuple(1 if k == i else 0 for k in range(nvars))
-        constraints.append((unit, True))
+    constraints = [(unit, True) for unit in np.eye(nvars, dtype=np.int64).tolist()]
     for d in range(lo, hi + 1):
-        inside = set(J.monomials_of_degree(d))
-        if not inside:
+        exps = np.array(J.ring.monomials_of_degree(d), dtype=np.int64)
+        inside = J.membership(exps)
+        if inside.all() or not inside.any():
             continue
-        outside = [m for m in J.ring.monomials_of_degree(d) if m not in inside]
-        if not outside:
-            continue
-        diffs = {tuple(a - b for a, b in zip(m, n)) for m in inside for n in outside}
-        constraints.extend((diff, True) for diff in diffs)
+        keep = _extreme_rows(J, exps, inside)
+        diffs = (exps[keep & inside][:, None] - exps[keep & ~inside]).reshape(-1, nvars)
+        constraints.extend((diff, True) for diff in set(map(tuple, diffs.tolist())))
     point = feasible_point(constraints, nvars)
     if point is None:
         return None
@@ -234,21 +245,41 @@ def segment_witness(J: MonomialIdeal, degree_range=None):
     return WeightWitness(weights, (lo, hi))
 
 
-def verify_weight_witness(J: MonomialIdeal, weights, degree_range) -> bool:
-    """Check w . (m - n) > 0 for every in/out pair in the degree range."""
+def _extreme_rows(J, exps, inside):
+    """Which rows of the degree-d exponent matrix ``exps`` are not the
+    midpoint m of m + v and m - v, both on m's side of J (``inside`` is the
+    membership of each row), for any v = e_i - e_j.  Every vertex of either
+    side's convex hull is kept."""
+    nvars = exps.shape[1]
+    unit = np.eye(nvars, dtype=np.int64)
+    moves = np.array([unit[i] - unit[j] for i, j in combinations(range(nvars), 2)],
+                     dtype=np.int64).reshape(-1, nvars)
+    ends = np.stack([exps + moves[:, None], exps - moves[:, None]])  # (sign, move, row, var)
+    same_side = J.membership(ends.reshape(-1, nvars)).reshape(ends.shape[:3]) == inside
+    midpoint = ((ends >= 0).all(axis=3) & same_side).all(axis=0)
+    return ~midpoint.any(axis=0)
+
+
+def _checked_range(degree_range):
     lo, hi = degree_range
+    if not 0 <= lo <= hi:
+        raise ValueError(f"degree range {lo}:{hi} is not lo:hi with 0 <= lo <= hi")
+    return lo, hi
+
+
+def verify_weight_witness(J: MonomialIdeal, weights, degree_range) -> bool:
+    """Check w . (m - n) > 0 for every in/out pair in the degree range, over
+    every inside and outside monomial of each degree.  An empty or negative
+    range raises ValueError, as in :func:`segment_witness`."""
+    lo, hi = _checked_range(degree_range)
     if len(weights) != J.ring.nvars or any(w <= 0 for w in weights):
         return False
     for d in range(lo, hi + 1):
-        inside = set(J.monomials_of_degree(d))
-        if not inside:
+        mons = J.ring.monomials_of_degree(d)
+        inside = J.membership(mons)
+        if inside.all() or not inside.any():
             continue
-        outside = [m for m in J.ring.monomials_of_degree(d) if m not in inside]
-        if not outside:
-            continue
-        min_in = min(sum(w * e for w, e in zip(weights, m)) for m in inside)
-        max_out = max(sum(w * e for w, e in zip(weights, m)) for m in outside)
-        if not min_in > max_out:
+        values = [sum(map(mul, weights, m)) for m in mons]  # exact: weights may pass int64
+        if not min(compress(values, inside)) > max(compress(values, ~inside)):
             return False
     return True
-

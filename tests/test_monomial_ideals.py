@@ -2,9 +2,12 @@
 with the Eliahou-Kervaire Betti table of ``oracles`` as the independent
 check of the Hilbert numerator."""
 
+from unittest.mock import patch
+
 from hypothesis import given, settings, strategies as st
 from oracles import borel_fixed_oracle, ek_betti
 
+from ginlab import monomial_ideals
 from ginlab.fields import FP_DEFAULT
 from ginlab.monomial_ideals import MonomialIdeal, hilbert_data, is_borel_fixed
 from ginlab.orders import Lex, Revlex, WeightOrder, elimination_order, variable_ranking
@@ -26,8 +29,7 @@ def test_minimal_generators_canonical():
 
 def test_contains_and_degree_slices():
     ideal = J(2, "x0^2")
-    assert ideal.contains((2, 1))
-    assert not ideal.contains((1, 5))
+    assert ideal.membership([(2, 1), (1, 5)]).tolist() == [True, False]
     assert ideal.monomials_of_degree(3) == ((3, 0), (2, 1))
 
 
@@ -135,6 +137,19 @@ def test_adjacent_moves_decide_borel_fixedness_as_every_move_does(case):
     ideal, order = case
     assert is_borel_fixed(ideal, order) == borel_fixed_oracle(ideal.gens, order,
                                                               ideal.ring.nvars)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_monomial_ideals(), st.data())
+def test_batched_membership_is_a_divisibility_scan(case, data):
+    ideal, _ = case
+    nvars = ideal.ring.nvars
+    exps = st.lists(st.integers(0, 4), min_size=nvars, max_size=nvars).map(tuple)
+    queries = data.draw(st.lists(exps, max_size=30))
+    expected = [any(all(a <= b for a, b in zip(g, m)) for g in ideal.gens) for m in queries]
+    chunk = data.draw(st.sampled_from([1, 5, 1 << 16]))
+    with patch.object(monomial_ideals, "_MEMBERSHIP_CHUNK", chunk):
+        assert ideal.membership(queries).tolist() == expected
 
 
 # ----------------------------------------------------------------------

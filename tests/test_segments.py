@@ -3,14 +3,15 @@ witnesses (including the Fourier-Motzkin engine)."""
 
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from oracles import (
     SEVEN_POINTS_SHARED_FACTOR,
     TEN_POINTS_LATTICE_SIMPLEX,
+    _monomials,
     explicit_points,
     naive_feasible_point,
     segment_oracle,
@@ -151,15 +152,36 @@ GENERIC_POINTS_WITNESSES = {
 }
 
 
+def generic_points_segment(r, s):
+    """The revlex segment ideal of the generic Hilbert function of s points
+    in P^r: the Hilbert function up to one degree past the first degree d0
+    with h(d0) = s, and segments up to the degree after that."""
+    d0 = next(d for d in range(s) if comb(r + d, r) >= s)
+    return segment_ideal_of(points_hf(s, r, d0 + 1), Revlex(), ring(r + 1), d0 + 2).monomial_ideal()
+
+
 @pytest.mark.parametrize("r, s", sorted(GENERIC_POINTS_WITNESSES))
 def test_generic_points_revlex_segment_witness(r, s):
-    # the Hilbert function up to one degree past the first degree d0 with
-    # h(d0) = s, and segments up to the degree after that
-    d0 = next(d for d in range(s) if comb(r + d, r) >= s)
-    seg = segment_ideal_of(points_hf(s, r, d0 + 1), Revlex(), ring(r + 1), d0 + 2)
-    witness = segment_witness(seg.monomial_ideal())
+    witness = segment_witness(generic_points_segment(r, s))
     assert witness is not None
     assert witness.weights == GENERIC_POINTS_WITNESSES[r, s]
+
+
+def test_witness_search_sends_only_the_extreme_differences(monkeypatch):
+    # w_i > 0 for each of 4 weights and the differences of each degree's
+    # inside/outside pairs: 363 constraints from every pair of the revlex
+    # segment of 12 points in P^3, 92 once the monomials that are midpoints
+    # on their own side are dropped
+    sizes = []
+
+    def spy(constraints, nvars):
+        sizes.append(len(constraints))
+        return feasible_point(constraints, nvars)
+
+    monkeypatch.setattr(segments, "feasible_point", spy)
+    witness = segment_witness(generic_points_segment(3, 12))
+    assert witness.weights == GENERIC_POINTS_WITNESSES[3, 12]
+    assert sizes == [92]
 
 
 # ----------------------------------------------------------------------
@@ -455,7 +477,86 @@ def test_witness_over_an_empty_or_negative_range_raises(degree_range):
         segment_witness(J, degree_range)
 
 
+def test_verify_rejects_an_empty_or_negative_range():
+    # an empty range used to pass any weights, and a negative one reached
+    # the graded piece of degree -1
+    J = census_ideal(["x0", "x1^2"])
+    assert not verify_weight_witness(J, (1, 1, 1), (1, 3))
+    with pytest.raises(ValueError, match="degree range 5:2"):
+        verify_weight_witness(J, (1, 1, 1), (5, 2))
+    with pytest.raises(ValueError, match="degree range -1:2"):
+        verify_weight_witness(J, (1, 1, 1), (-1, 2))
+
+
 def test_verify_rejects_wrong_weights():
     J = census_ideal(["x0^3", "x0^2*x1", "x0^2*x2", "x0*x1^3", "x0*x1^2*x2", "x1^5"])
     assert not verify_weight_witness(J, (1, 1, 1), (1, 6))
     assert not verify_weight_witness(J, (4, 2), (1, 6))
+
+
+def _every_pair_system(gens, nvars, lo, hi):
+    """w_i > 0 and w . (m - n) > 0 for every inside monomial m and outside
+    monomial n of each degree, membership read off divisibility."""
+
+    def member(m):
+        return any(all(a <= b for a, b in zip(g, m)) for g in gens)
+
+    system = [(tuple(int(i == j) for j in range(nvars)), True) for i in range(nvars)]
+    for d in range(lo, hi + 1):
+        mons = _monomials(nvars, d)
+        inside = [m for m in mons if member(m)]
+        outside = [m for m in mons if not member(m)]
+        system += [(tuple(a - b for a, b in zip(m, n)), True) for m in inside for n in outside]
+    return system
+
+
+def _primitive(point):
+    den = lcm(*(x.denominator for x in point))
+    ints = [int(x * den) for x in point]
+    return tuple(x // gcd(*ints) for x in ints)
+
+
+@st.composite
+def witness_ideals(draw):
+    """A monomial ideal in 3 or 4 variables: random generators of degree 1-3,
+    their closure under every move up the lex ranking (Borel-fixed), or the
+    closed segment ideal of the generic Hilbert function of 1-6 points under
+    a random weight order.  About a fifth of them have no witness."""
+    nvars = draw(st.sampled_from([3, 4]))
+    kind = draw(st.sampled_from(["random", "borel", "segment"]))
+    if kind == "segment":
+        r, s = nvars - 1, draw(st.integers(1, 6 if nvars == 3 else 4))
+        weights = tuple(draw(st.lists(st.integers(1, 9), min_size=nvars, max_size=nvars)))
+        order = WeightOrder(weights, draw(st.sampled_from([Lex(), Revlex()])))
+        dims = [comb(r + d, r) - min(s, comb(r + d, r)) for d in range(5)]
+        closed, gens = segment_oracle(dims, order, nvars)
+        assume(closed)
+    else:
+        exps = st.lists(st.integers(0, 2), min_size=nvars, max_size=nvars).map(tuple)
+        gens = set(draw(st.lists(exps.filter(lambda m: 1 <= sum(m) <= 3), min_size=1, max_size=4)))
+        frontier = list(gens) if kind == "borel" else []
+        while frontier:
+            m = frontier.pop()
+            for i in range(1, nvars):
+                for j in range(i) if m[i] else ():
+                    moved = tuple(e - (v == i) + (v == j) for v, e in enumerate(m))
+                    if moved not in gens:
+                        gens.add(moved)
+                        frontier.append(moved)
+    return MonomialIdeal(ring(nvars), gens)
+
+
+@settings(max_examples=100, deadline=None)
+@given(witness_ideals())
+def test_pruned_witness_search_gives_the_point_of_every_inside_outside_pair(J):
+    # Fourier-Motzkin back-substitution depends on the solution set alone,
+    # which dropping the midpoint monomials keeps
+    nvars = J.ring.nvars
+    system = _every_pair_system(J.gens, nvars, 1, J.max_generator_degree() + 1)
+    assume(len(set(system)) <= 90)  # all-pairs elimination grows fast past that
+    point = naive_feasible_point(system, nvars)
+    witness = segment_witness(J)
+    if point is None:
+        assert witness is None
+    else:
+        assert witness is not None and witness.weights == _primitive(point)
