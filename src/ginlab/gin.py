@@ -47,6 +47,7 @@ from . import linalg
 from .groebner import Ideal
 from .monomial_ideals import MonomialIdeal, is_borel_fixed
 from .orders import Lex, Revlex, elimination_order
+from .poly import LinearChange
 
 
 class GinDisagreement(Exception):
@@ -76,10 +77,12 @@ def random_coordinate_change(ring, seed):
 
 def apply_change(I, matrix):
     """The ideal generated by the generators with x_i replaced by
-    sum_j matrix[i][j]*x_j (see :meth:`Polynomial.substitute`).
-    Homogeneity and Hilbert function are preserved, so the image shares the
-    Hilbert witness of ``I`` (see :class:`Ideal`); it keeps the degree cap
-    of ``I`` too."""
+    sum_j matrix[i][j]*x_j (see :meth:`Polynomial.substitute`), after
+    checking that the matrix is square and invertible.  All generators are
+    moved through one :class:`LinearChange`, so the powers of the image
+    linear forms are built once for the whole ideal.  Homogeneity and
+    Hilbert function are preserved, so the image shares the Hilbert witness
+    of ``I`` (see :class:`Ideal`); it keeps the degree cap of ``I`` too."""
     ring = I.ring
     if len(matrix) != ring.nvars or any(len(row) != ring.nvars for row in matrix):
         raise ValueError("coordinate change shape does not match ring")
@@ -91,7 +94,8 @@ def apply_change(I, matrix):
 def _apply_invertible(I, matrix):
     """:func:`apply_change` for a matrix already known to be invertible,
     such as one drawn by :func:`random_coordinate_change`."""
-    moved = Ideal([g.substitute(matrix) for g in I.generators], I.ring, I.degree_cap)
+    change = LinearChange(I.ring, matrix, I.generators)
+    moved = Ideal([g.substitute(change) for g in I.generators], I.ring, I.degree_cap)
     moved.hilbert_witness = I.hilbert_witness
     return moved
 

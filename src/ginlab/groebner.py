@@ -44,6 +44,16 @@ monomial, and so every pair and criterion, is the same as after top
 reduction alone, but raw tails swell: for the lex gin of curve (2,4) at
 seed 1, top-reduced remainders reach coefficients of 231k bits, against
 about 10k bits in the reduced basis.
+
+Both engines take their inputs as one batch: the dense one ranks the terms
+of all inputs of one degree with a single ``positions`` call.  The result
+is finalised in place.  For each minimal leading monomial the first listed
+element that has it is kept, and its tail is reduced against the whole
+engine basis, the elements that are not minimal included, with the divisor
+tables the run already built.  That is sound because the engine basis is a
+Groebner basis of the ideal, and the normal form modulo a Groebner basis
+does not depend on which divisor each step takes: lt + NF(tail) is
+lt - NF(lt), the reduced basis element with that leading monomial.
 """
 
 from __future__ import annotations
@@ -119,21 +129,33 @@ class _DenseEngine:
             piece = self._pieces[d] = self.ring.graded_piece(d, self.order)
         return piece
 
-    def prepare(self, f):
-        """Polynomial -> (degree, vector), or None for zero."""
-        if f.is_zero:
-            return None
-        d = f.homogeneous_degree()
-        if d is None:
-            raise ValueError("dense engine requires homogeneous polynomials")
-        v = np.zeros(self.ring.monomial_count(d), dtype=np.int64)
-        v[self._piece(d).positions(list(f.terms))] = list(f.terms.values())
-        return d, v
+    def prepare(self, polys, degrees):
+        """Nonzero forms of the given degrees -> (degree, vector) pairs, in
+        input order.  The terms of all the forms of one degree are ranked
+        by one ``positions`` call and scattered into the rows of one array."""
+        out = [None] * len(polys)
+        by_degree = {}
+        for k, d in enumerate(degrees):
+            by_degree.setdefault(d, []).append(k)
+        for d, ks in by_degree.items():
+            terms = [polys[k].terms for k in ks]
+            rows = np.repeat(np.arange(len(ks)), [len(t) for t in terms])
+            vectors = np.zeros((len(ks), self.ring.monomial_count(d)), dtype=np.int64)
+            vectors[rows, self._piece(d).positions([m for t in terms for m in t])] = [
+                c for t in terms for c in t.values()]
+            for k, v in zip(ks, vectors):
+                out[k] = (d, v)
+        return out
 
     def to_polynomial(self, d, v):
+        support = np.flatnonzero(v)
+        return self._polynomial(d, support, v[support])
+
+    def _polynomial(self, d, positions, values):
+        """The degree-d polynomial with these values at these positions."""
         mons = self._piece(d).monomials
-        nz = np.flatnonzero(v)
-        return Polynomial(self.ring, {mons[i]: int(v[i]) for i in nz})
+        return Polynomial(self.ring, dict(zip([mons[i] for i in positions.tolist()],
+                                              values.tolist())))
 
     def add_basis(self, d, v):
         support = np.flatnonzero(v)
@@ -150,12 +172,6 @@ class _DenseEngine:
         for e in [e for e in self._divisors if e > d]:  # derived from degree d
             del self._divisors[e]
         return idx
-
-    def keep(self, indices):
-        """Drop every basis element but ``indices``, kept in that order."""
-        self.basis = [self.basis[i] for i in indices]
-        self.lts = [self.lts[i] for i in indices]
-        self._divisors.clear()
 
     def _divisor_table(self, d):
         """For each position of the degree-d piece, the first listed basis
@@ -215,8 +231,11 @@ class _DenseEngine:
         return v if v.any() else None
 
     def tail_reduced(self, k):
-        """Basis element k with its tail fully reduced, as a polynomial."""
+        """Basis element k with its tail fully reduced, as a polynomial; a
+        tail that no leading monomial divides is returned as it is."""
         d, support, values, _ = self.basis[k]
+        if not (self._divisor_table(d)[support[1:]] < _NO_DIVISOR).any():
+            return self._polynomial(d, support, values)
         tail = np.zeros(self.ring.monomial_count(d), dtype=np.int64)
         tail[support[1:]] = values[1:]
         out = self.reduce(d, tail, full=True)
@@ -275,13 +294,15 @@ class _SparseEngine:
         self.lts = []
         self._lead_ideal = None  # MonomialIdeal of ``lts``, built when needed
 
-    def prepare(self, f):
-        """Polynomial -> (degree, vector), or None for zero."""
-        if f.is_zero:
-            return None
-        scale = lcm(*(c.denominator for c in f.terms.values()))
-        terms = {m: c.numerator * (scale // c.denominator) for m, c in f.terms.items()}
-        return f.total_degree(), (terms, scale)
+    def prepare(self, polys, degrees):
+        """Nonzero polynomials -> (degree, vector) pairs, in input order; an
+        inhomogeneous one (degree None) takes its total degree."""
+        out = []
+        for f, d in zip(polys, degrees):
+            scale = lcm(*(c.denominator for c in f.terms.values()))
+            terms = {m: c.numerator * (scale // c.denominator) for m, c in f.terms.items()}
+            out.append((f.total_degree() if d is None else d, (terms, scale)))
+        return out
 
     def to_polynomial(self, d, v):
         terms, scale = v
@@ -304,12 +325,6 @@ class _SparseEngine:
         self.lts.append(lt)
         self._lead_ideal = None
         return len(self.basis) - 1
-
-    def keep(self, indices):
-        """Drop every basis element but ``indices``, kept in that order."""
-        self.basis = [self.basis[i] for i in indices]
-        self.lts = [self.lts[i] for i in indices]
-        self._lead_ideal = None
 
     def covered(self, d):
         """Number of degree-d monomials divisible by a leading monomial, from
@@ -377,10 +392,13 @@ class _SparseEngine:
 
     def tail_reduced(self, k):
         """Basis element k with its tail fully reduced, made monic, as a
-        polynomial: lt + rem(tail)/L."""
+        polynomial: lt + rem(tail)/L; a tail that no leading monomial
+        divides is kept as it is."""
         d, terms = self.basis[k]
         lt = self.lts[k]
-        red = self.reduce(d, ({m: c for m, c in terms.items() if m != lt}, 1), full=True)
+        tail = {m: c for m, c in terms.items() if m != lt}
+        reducible = any(self._divisor(m) is not None for m in tail)
+        red = self.reduce(d, (tail, 1), full=True) if reducible else (tail, 1)
         rem, scale = red or ({}, 1)
         scale *= terms[lt]
         rem[lt] = scale
@@ -413,15 +431,16 @@ def _ideal_dimension(J, d):
     return J.ring.monomial_count(d) - series_value(hilbert_numerator(J), J.ring.nvars, d)
 
 
-def _make_engine(ring, order, polys):
+def _make_engine(ring, order, degrees):
     """The dense engine over a prime field when every input is homogeneous
-    and the piece of the largest input degree fits the limit; the sparse one
-    otherwise.  ``buchberger`` hands a dense basis over to the sparse engine
-    once a pair needs a larger piece, so the degree cap plays no part."""
+    (``degrees`` holds each input's ``homogeneous_degree``) and the piece
+    of the largest input degree fits the limit; the sparse one otherwise.
+    ``buchberger`` hands a dense basis over to the sparse engine once a pair
+    needs a larger piece, so the degree cap plays no part."""
     if (
         ring.field.is_prime_field
-        and all(f.homogeneous_degree() is not None for f in polys)
-        and ring.monomial_count(max(f.total_degree() for f in polys)) <= _DENSE_PIECE_LIMIT
+        and None not in degrees
+        and ring.monomial_count(max(degrees)) <= _DENSE_PIECE_LIMIT
     ):
         return _DenseEngine(ring, order)
     return _SparseEngine(ring, order)
@@ -466,16 +485,19 @@ def _select(pairs, order):
 
 
 def _validate_input(gens, ring):
-    polys = []
+    """The nonzero generators and their degrees, each computed once."""
+    polys, degrees = [], []
     for g in gens:
         if g.is_zero:
             continue
         if g.ring != ring:
             raise ValueError("generators belong to different ring contexts")
-        if g.homogeneous_degree() is None:
+        d = g.homogeneous_degree()
+        if d is None:
             raise ValueError("Groebner computation requires homogeneous generators")
         polys.append(g)
-    return polys
+        degrees.append(d)
+    return polys, degrees
 
 
 def buchberger(gens, order, degree_cap=DEFAULT_DEGREE_CAP, *, witness=None):
@@ -495,15 +517,14 @@ def buchberger(gens, order, degree_cap=DEFAULT_DEGREE_CAP, *, witness=None):
     if not gens:
         return ReducedBasis()
     ring = gens[0].ring
-    polys = _validate_input(gens, ring)
+    polys, degrees = _validate_input(gens, ring)
     if not polys:
         return ReducedBasis()
-    if max(f.homogeneous_degree() for f in polys) > degree_cap:
+    if max(degrees) > degree_cap:
         raise ValueError("degree_cap is below a generator degree")
-    engine = _make_engine(ring, order, polys)
+    engine = _make_engine(ring, order, degrees)
     pairs = {}
-    for f in polys:
-        d, v = engine.prepare(f)
+    for d, v in engine.prepare(polys, degrees):
         _gm_add(engine, pairs, d, v, order)
     target = {}  # degree -> dim in(I)_d, read off the witness
     while pairs:
@@ -530,21 +551,18 @@ def buchberger(gens, order, degree_cap=DEFAULT_DEGREE_CAP, *, witness=None):
 
 def _finalize(engine, order):
     """Minimalize and tail-reduce the engine basis; canonical output order.
-    The minimal elements keep their relative order, so each tail is reduced
-    by the first listed of the others.  Tail reduction keeps each leading
-    monomial, so the engine's are the result's."""
+    Per leading monomial that no other one properly divides, the first
+    listed element with it is kept, and its tail is reduced against the
+    whole engine basis, which is a Groebner basis, so the result is the
+    reduced basis whichever divisor each step takes (see the module
+    docstring).  Tail reduction keeps each leading monomial, so the
+    engine's are the result's."""
+    lts = engine.lts
     picked = []
-    for i in sorted(
-        range(len(engine.basis)),
-        key=lambda i: (sum(engine.lts[i]), order.sort_key(engine.lts[i])),
-    ):
-        if not any(mono_divides(engine.lts[j], engine.lts[i]) for j in picked):
+    for i in sorted(range(len(lts)), key=lambda i: (sum(lts[i]), order.sort_key(lts[i]))):
+        if not any(mono_divides(lts[j], lts[i]) for j in picked):
             picked.append(i)
-    kept = sorted(picked)
-    engine.keep(kept)
-    slot = {i: k for k, i in enumerate(kept)}
-    return ReducedBasis((engine.tail_reduced(slot[i]) for i in picked),
-                        (engine.lts[slot[i]] for i in picked))
+    return ReducedBasis((engine.tail_reduced(i) for i in picked), (lts[i] for i in picked))
 
 
 def reduce_groebner_basis(basis, order):
@@ -553,10 +571,9 @@ def reduce_groebner_basis(basis, order):
     basis = [g for g in basis if not g.is_zero]
     if not basis:
         return ReducedBasis()
-    ring = basis[0].ring
-    engine = _make_engine(ring, order, basis)
-    for g in basis:
-        d, v = engine.prepare(g)
+    degrees = [g.homogeneous_degree() for g in basis]
+    engine = _make_engine(basis[0].ring, order, degrees)
+    for d, v in engine.prepare(basis, degrees):
         engine.add_basis(d, v)
     return _finalize(engine, order)
 
@@ -572,15 +589,15 @@ def normal_form(f, basis, order):
         raise ValueError("division by a zero polynomial")
     if not basis:
         return f
-    ring = f.ring
-    engine = _make_engine(ring, order, [f, *basis])
-    for g in basis:
-        d, v = engine.prepare(g)
+    polys = [*basis, f]  # ranked together: one positions call per degree
+    degrees = [g.homogeneous_degree() for g in polys]
+    engine = _make_engine(f.ring, order, degrees)
+    *prepared, (fd, fv) = engine.prepare(polys, degrees)
+    for d, v in prepared:
         engine.add_basis(d, v)
-    fd, fv = engine.prepare(f)
     red = engine.reduce(fd, fv, full=True)
     if red is None:
-        return Polynomial.zero(ring)
+        return Polynomial.zero(f.ring)
     return engine.to_polynomial(fd, red)
 
 

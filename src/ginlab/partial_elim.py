@@ -7,6 +7,18 @@ length > p.  One Groebner basis under an elimination order yields the whole
 ascending tower: the initial coefficients of basis elements of x0-degree
 <= p form a Groebner basis of K_p.  Its reduced form generates the level
 and is its cached basis; ``PartialElimTower.source_basis`` keeps the harvest.
+
+The distinct points of a plane K_1 are counted by projection to a line: an
+elimination basis leaves binary forms whose gcd has one root per projected
+point.  No projection shows more points than the scheme has, whatever the
+coordinates, so a count that reaches the degree is a certificate.  In P^2
+the elimination order is lex, and a lex gin trial leaves a lex basis on its
+K_1, in that trial's random coordinates; the count reads it first and needs
+no coordinate change of its own when it reaches the degree, as it does for
+every smooth curve.  A count that falls short is taken again after a seeded
+change of coordinates.  That one stands if it reaches the degree or equals
+the count in the level's own coordinates, two independent random systems
+that agree; otherwise a second seed must agree with it.
 """
 
 from __future__ import annotations
@@ -103,20 +115,30 @@ class PointCountError(Exception):
 
 def count_distinct_points(J, seed=0):
     """Number of distinct points of a finite subscheme of the projective
-    plane, by generic projection to a line.
+    plane, by projection to a line from [1:0:0].
 
     Requires dim(S/J) = 1 (checked via the Hilbert series of an initial
     ideal), which also gives deg J, the number of points counted with
-    multiplicity.  A random coordinate change is applied, the first
-    variable is eliminated, and the degree of the squarefree part of the
-    resulting principal generator is returned.  A projection never shows
-    more points than the scheme has, so the count is at most the number of
-    distinct points, which is at most deg J; over F_p the squarefree degree
-    can only fall short, and a gcd of degree at least p raises rather than
-    count (see :func:`_squarefree_degree_binary`).  A first count that reaches
-    deg J is therefore exact and is returned at once; any other count must
-    agree with a second seed's, guarding the genericity assumption.  The
-    projections run under the degree cap of ``J``."""
+    multiplicity.  A count eliminates the first variable with an
+    elimination basis and returns the degree of the squarefree part of the
+    gcd of the binary forms it leaves.  A projection never shows more points
+    than the scheme has, in any coordinates, so every count is at most the
+    number of distinct points, which is at most deg J; over F_p the
+    squarefree degree can only fall short, and a gcd of degree at least p
+    raises rather than count (see :func:`_squarefree_degree_binary`).  So a
+    count that reaches deg J is exact.
+
+    The first count reads the basis that ``J`` already caches under the
+    elimination order, in its own coordinates, if there is one (a lex gin
+    trial leaves one on its K_1); it never starts a run to get one, and a
+    count that reaches deg J is returned with no coordinate change.
+    Otherwise the coordinates are changed at random from ``seed`` and
+    counted again.  That count is returned if it reaches deg J, or if it
+    equals the count in ``J``'s own coordinates, which are independent of
+    the seed; any other count must agree with a second seed's, guarding
+    the genericity assumption, and must not fall below the count in ``J``'s
+    own coordinates, which is a lower bound too.  The projections run under
+    the degree cap of ``J``."""
     if J.ring.nvars != 3:
         raise PointCountError("point counting expects an ideal in 3 variables")
     data = J.hilbert_data(Revlex(), bound=4)
@@ -124,19 +146,28 @@ def count_distinct_points(J, seed=0):
         raise PointCountError(
             f"expected a finite point set (dimension 1), got dimension {data.dimension}"
         )
+    own = J.gb_cache.get(elimination_order(3, Revlex()))
+    own_count = None if own is None else _eliminated_count(own)
+    if own_count == data.degree:
+        return own_count
     count = _projected_distinct_count(J, seed)
-    if count == data.degree:
+    if count in (data.degree, own_count):
         return count
     second = _projected_distinct_count(J, seed + 1)
-    if count != second:
-        raise PointCountError(f"projection counts disagree across seeds: {[count, second]}")
+    if count != second or (own_count is not None and count < own_count):
+        raise PointCountError(f"point counts disagree: {[count, second]} at seeds "
+                              f"{[seed, seed + 1]}, {own_count} in the ideal's own coordinates")
     return count
 
 
 def _projected_distinct_count(J, seed):
     moved = apply_change(J, random_coordinate_change(J.ring, seed))
-    elim = elimination_order(3, Revlex())
-    basis = moved.groebner_basis(elim)
+    return _eliminated_count(moved.groebner_basis(elimination_order(3, Revlex())))
+
+
+def _eliminated_count(basis):
+    """The distinct points of P^1 that the binary forms of an elimination
+    basis cut out."""
     eliminated = [g for g in basis if all(m[0] == 0 for m in g.terms)]
     if not eliminated:
         raise PointCountError("elimination produced no binary form (dimension too large?)")

@@ -163,71 +163,51 @@ class Polynomial:
     # ------------------------------------------------------------------
     # ring maps
 
-    def substitute(self, matrix):
+    def substitute(self, change):
         """f(A*x) for a form f and a square matrix A of field scalars: each
-        x_i becomes sum_j A[i][j]*x_j.  Entries are coerced with
+        x_i becomes sum_j A[i][j]*x_j.  ``change`` is the matrix, or a
+        :class:`LinearChange` built for a list of forms that holds this one,
+        whose table of powers those forms share.  Entries are coerced with
         ``field.of``; the zero polynomial maps to zero, and an inhomogeneous
         form or a matrix that is not nvars x nvars raises ``ValueError``.
 
-        The result is built on dense descending-lex vectors of the graded
-        pieces: l^m for every support monomial m and each of its prefixes,
-        as l^(m - e_i) * l_i with i the last variable of m, one degree at a
-        time; then the weighted sum of the top degree.  Over F_p this works
-        on int64 residues and reduces mod p after every product, so with
-        p < 2**31 each product stays below 2**62 and each sum of reduced
-        terms (one per variable, or one per term of f) far below 2**63.
-        Over QQ it works on Python ints in object arrays: the rows are
-        scaled by the lcm D of all matrix denominators and the coefficients
-        by the lcm C of f's denominators, so each output coefficient is one
+        The image is the weighted sum of the table's columns l^m over the
+        support monomials m.  Over F_p each product is reduced mod p before
+        the sum, so with p < 2**31 every addend stays below 2**31 and the
+        sum far below 2**63.  Over QQ the table holds the powers of the rows
+        scaled by the lcm D of the matrix denominators, and the weights are f's coefficients scaled by the lcm
+        C of their denominators, so each output coefficient is one
         ``Fraction(total, C * D**d)`` for f of degree d."""
-        ring = self.ring
-        field = ring.field
-        n = ring.nvars
-        if len(matrix) != n or any(len(row) != n for row in matrix):
-            raise ValueError(f"substitution needs a {n}x{n} matrix")
+        if not isinstance(change, LinearChange):
+            change = LinearChange(self.ring, change, [self])
         if not self.terms:
             return self
+        if change.ring != self.ring:
+            raise ValueError("substitution of a form from another ring")
         d = self.homogeneous_degree()
         if d is None:
             raise ValueError("substitution needs a homogeneous form")
-        p = field.p if field.is_prime_field else 0  # 0: exact integers, no modulus
-        lin = [[field.of(a) for a in row] for row in matrix]
+        columns = change.columns.get(d, {})
+        try:
+            at = [columns[m] for m in self.terms]
+        except KeyError:
+            raise ValueError("form outside the forms the change was built for") from None
+        p = change.p
         weights = list(self.terms.values())
         if not p:
-            D = lcm(*(a.denominator for row in lin for a in row))
             C = lcm(*(c.denominator for c in weights))
-            lin = [[a.numerator * (D // a.denominator) for a in row] for row in lin]
             weights = [c.numerator * (C // c.denominator) for c in weights]
-        lin = np.array(lin, dtype=np.int64 if p else object)
-        # links[k]: per degree-(k+1) prefix, its parent's row among the
-        # degree-k prefixes and the variable that leads from one to the other
-        links = []
-        rows = {m: r for r, m in enumerate(self.terms)}
-        for _ in range(d):
-            parents, step = {}, []
-            for m in rows:
-                i = max(j for j, e in enumerate(m) if e)
-                parent = m[:i] + (m[i] - 1,) + m[i + 1:]
-                step.append((parents.setdefault(parent, len(parents)), i))
-            links.append(np.array(step, dtype=np.int64))
-            rows = parents
-        # column r of ``powers``: l^q for the r-th prefix q of the current degree
-        powers = np.ones((1, 1), dtype=lin.dtype)  # l^0 = 1
-        for k, step in enumerate(reversed(links)):
-            src = powers[:, step[:, 0]]
-            coeffs = lin[step[:, 1]].T
-            powers = np.zeros((ring.monomial_count(k + 1), len(step)), dtype=lin.dtype)
-            for j, dst in enumerate(ring.variable_shifts(k)):
-                powers[dst] += src * coeffs[j] % p if p else src * coeffs[j]
-            if p:
-                powers %= p
-        c = np.array(weights, dtype=lin.dtype)
+        powers = change.powers[d][:, at]
+        c = np.array(weights, dtype=powers.dtype)
         total = (powers * c % p).sum(axis=1) % p if p else (powers * c).sum(axis=1)
-        mons = ring.monomials_of_degree(d)
+        nz = np.flatnonzero(total)
+        mons = self.ring.monomials_of_degree(d)
+        support = [mons[i] for i in nz.tolist()]
         if p:
-            return Polynomial(ring, {mons[i]: int(total[i]) for i in np.flatnonzero(total)})
-        scale = C * D**d
-        return Polynomial(ring, {mons[i]: Fraction(total[i], scale) for i in np.flatnonzero(total)})
+            return Polynomial(self.ring, dict(zip(support, total[nz].tolist())))
+        scale = C * change.scale**d
+        return Polynomial(self.ring, {m: Fraction(t, scale)
+                                      for m, t in zip(support, total[nz].tolist())})
 
     # ------------------------------------------------------------------
     # text form
@@ -237,6 +217,71 @@ class Polynomial:
 
     def __repr__(self):
         return f"<{format_polynomial(self)}>"
+
+
+class LinearChange:
+    """The coordinate change x_i -> l_i = sum_j A[i][j]*x_j of a ring, with
+    its table of powers for a list of forms: l^q = prod_i l_i^q_i, as a
+    dense descending-lex vector of the degree-|q| piece, for every prefix q
+    of every support monomial of the forms.  The prefixes of m are m and,
+    recursively, those of m - e_i with i the last variable of m, so one
+    table serves forms of several degrees, and its columns grow with their
+    supports, never with a whole piece: a sparse form of high degree stays
+    cheap.  The table is built one degree at a time, as l^(q - e_i) * l_i
+    scattered through the ring's unit shifts.  Over F_p it holds int64
+    residues, reduced mod p after every product, so with p < 2**31 each
+    product stays below 2**62 and each sum of reduced terms (one per
+    variable) far below 2**63.  Over QQ it holds Python ints in object
+    arrays: the rows of A are scaled by the lcm ``scale`` of its
+    denominators.  A change is a value for one batch of forms; nothing
+    caches it."""
+
+    __slots__ = ("ring", "p", "scale", "columns", "powers")
+
+    def __init__(self, ring, matrix, forms):
+        n = ring.nvars
+        if len(matrix) != n or any(len(row) != n for row in matrix):
+            raise ValueError(f"substitution needs a {n}x{n} matrix")
+        field = ring.field
+        self.ring = ring
+        self.p = p = field.p if field.is_prime_field else 0  # 0: exact integers, no modulus
+        lin = [[field.of(a) for a in row] for row in matrix]
+        self.scale = 1
+        if not p:
+            self.scale = D = lcm(*(a.denominator for row in lin for a in row))
+            lin = [[a.numerator * (D // a.denominator) for a in row] for row in lin]
+        lin = np.array(lin, dtype=np.int64 if p else object)
+        # columns[k]: the column of each degree-k prefix in powers[k]
+        self.columns = columns = {}
+        for f in forms:
+            d = f.homogeneous_degree()
+            if d is not None:
+                level = columns.setdefault(d, {})
+                for m in f.terms:
+                    level.setdefault(m, len(level))
+        top = max(columns, default=-1)
+        # links[k]: per degree-k prefix, its parent's column among the
+        # degree-(k-1) prefixes and the variable that leads from one to the other
+        links = {}
+        for k in range(top, 0, -1):
+            parents, step = columns.setdefault(k - 1, {}), []
+            for m in columns.setdefault(k, {}):
+                i = max(j for j, e in enumerate(m) if e)
+                parent = m[:i] + (m[i] - 1,) + m[i + 1:]
+                step.append((parents.setdefault(parent, len(parents)), i))
+            links[k] = np.array(step, dtype=np.int64)
+        powers = np.ones((1, 1), dtype=lin.dtype)  # l^0 = 1
+        self.powers = {0: powers}
+        for k in range(1, top + 1):
+            step = links[k]
+            src = powers[:, step[:, 0]]
+            coeffs = lin[step[:, 1]].T
+            powers = np.zeros((ring.monomial_count(k), len(step)), dtype=lin.dtype)
+            for j, dst in enumerate(ring.variable_shifts(k - 1)):
+                powers[dst] += src * coeffs[j] % p if p else src * coeffs[j]
+            if p:
+                powers %= p
+            self.powers[k] = powers
 
 
 def format_polynomial(f):

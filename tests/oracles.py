@@ -11,6 +11,9 @@ path calls.
 - ``borel_fixed_oracle``: the Borel property by every move on every
   monomial of the ideal up to its top generator degree.
 - ``evaluate``: a polynomial at a point, for vanishing-ideal checks.
+- ``substituted``: a linear change of coordinates in a form, expanded by
+  products of polynomials, for the dense power table of
+  ``Polynomial.substitute``.
 - ``naive_feasible_point``: all-pairs Fourier-Motzkin elimination.
 - ``greatest_monomials`` and ``segment_oracle``: segments as sets, and
   their closure.
@@ -156,6 +159,22 @@ def evaluate(f, point):
                 c = field.mul(c, coord)
         total = field.add(total, c)
     return total
+
+
+def substituted(f, matrix):
+    """f(A*x), each x_i replaced by l_i = sum_j A[i][j]*x_j: the sum over
+    the terms c*x^m of f of c * prod_i l_i^m_i, by sparse products."""
+    ring = f.ring
+    units = [tuple(int(k == j) for k in range(ring.nvars)) for j in range(ring.nvars)]
+    images = [Polynomial.from_terms(ring, zip(units, row)) for row in matrix]
+    out = Polynomial.zero(ring)
+    for m, c in f.terms.items():
+        prod = Polynomial.constant(ring, c)
+        for image, e in zip(images, m):
+            for _ in range(e):
+                prod = prod * image
+        out = out + prod
+    return out
 
 
 @st.composite

@@ -33,6 +33,11 @@ def polys(R, *texts):
     return [parse_polynomial(t, R) for t in texts]
 
 
+def prepared(engine, f):
+    """One form as the engine's (degree, vector) pair."""
+    return engine.prepare([f], [f.homogeneous_degree()])[0]
+
+
 # ----------------------------------------------------------------------
 # normal form
 
@@ -206,6 +211,58 @@ def test_reduced_basis_ignores_generator_order_and_scale(gens, order, data):
         st.integers(-100, 100).filter(bool), min_size=len(gens), max_size=len(gens)
     ))
     assert buchberger([gens[i].scale(c) for i, c in zip(perm, scales)], order) == reference
+
+
+def _redundant(basis, order, rng):
+    """A redundant Groebner basis of the ideal of a reduced basis.  First,
+    per element g, a multiple of g plus multiples of the other elements
+    whose leading monomials are below g's: the same leading monomial as g,
+    listed before g, so it is the minimal element picked and its tail must
+    be reduced.  Then, shuffled, the reduced basis and a random form times
+    each element, so a non-minimal element is often the first listed
+    divisor."""
+    R = basis[0].ring
+    first = []
+    for g in basis:
+        lead = order.sort_key(g.leading_monomial(order))
+        messy = g.scale(rng.randint(2, 9))
+        for other in basis:
+            e = g.homogeneous_degree() - other.homogeneous_degree()
+            for t in R.monomials_of_degree(e) if other is not g and e >= 0 else ():
+                m = Polynomial.monomial(R, t, rng.randint(1, 9)) * other
+                if order.sort_key(m.leading_monomial(order)) > lead:
+                    messy = messy + m
+        first.append(messy)
+    rest = list(basis) + [random_form(R, rng.randint(1, 2), rng) * g for g in basis]
+    rng.shuffle(rest)
+    return first + rest
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    homogeneous_generators([FP_DEFAULT, QQ]),
+    st.sampled_from([Lex(), Revlex()]),
+    st.randoms(use_true_random=False),
+)
+def test_reducing_a_redundant_basis_gives_the_buchberger_basis(gens, order, rng):
+    # the dense engine over F_p and the sparse one over QQ reduce each
+    # minimal tail against every element, minimal or not; the normal form
+    # modulo a Groebner basis is unique, so the result must not change
+    reference = buchberger(gens, order)
+    engine = groebner._DenseEngine if gens[0].ring.field == FP_DEFAULT else groebner._SparseEngine
+    made = []
+    make_engine = groebner._make_engine
+
+    def spy(*args):
+        made.append(make_engine(*args))
+        return made[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(groebner, "_make_engine", spy)
+        reduced = groebner.reduce_groebner_basis(_redundant(reference, order, rng), order)
+    assert [type(e) for e in made] == [engine]
+    assert reduced == reference
+    assert reduced.leading_monomials == reference.leading_monomials
 
 
 # ----------------------------------------------------------------------
@@ -404,7 +461,7 @@ def test_dense_run_hands_over_to_the_sparse_engine(monkeypatch):
 
     monkeypatch.setattr(groebner, "_finalize", spy)
     monkeypatch.setattr(groebner, "_DENSE_PIECE_LIMIT", R.monomial_count(3))
-    assert type(groebner._make_engine(R, Lex(), gens)) is groebner._DenseEngine
+    assert type(groebner._make_engine(R, Lex(), [g.homogeneous_degree() for g in gens])) is groebner._DenseEngine
     assert buchberger(gens, Lex()) == expected
     witness = MonomialIdeal(R, [g.leading_monomial(Lex()) for g in expected])
     degrees = _spair_degrees(monkeypatch)
@@ -638,8 +695,8 @@ def _check_mulmaps(R, order, shapes):
         # one basis element whose support is the whole degree-src_deg piece
         src = R.graded_piece(src_deg, order).monomials
         engine = groebner._DenseEngine(R, order)
-        engine.add_basis(*engine.prepare(
-            Polynomial.from_terms(R, [(m, k + 1) for k, m in enumerate(src)])))
+        engine.add_basis(*prepared(
+            engine, Polynomial.from_terms(R, [(m, k + 1) for k, m in enumerate(src)])))
         dst = R.graded_piece(src_deg + delta_deg, order)
         index = _index(dst)
         for delta in R.monomials_of_degree(delta_deg):
@@ -723,7 +780,7 @@ def test_engines_on_one_ring_share_each_map(order):
     first, second = groebner._DenseEngine(R, order), groebner._DenseEngine(R, order)
     x0 = Polynomial.from_terms(R, [((1, 0, 0, 0), 1)])
     for engine in (first, second):
-        engine.add_basis(*engine.prepare(x0))
+        engine.add_basis(*prepared(engine, x0))
         engine._divisor_table(4)  # scatters through the unit shifts of degrees 1-3
     for d in range(1, 5):
         got = first._piece(d)
@@ -817,11 +874,11 @@ def test_divisor_tables_match_a_brute_force_first_divisor(case, data):
     engine = groebner._DenseEngine(R, order)
     split = data.draw(st.integers(0, len(forms)))
     for f in forms[:split]:
-        engine.add_basis(*engine.prepare(f))
+        engine.add_basis(*prepared(engine, f))
     for d in data.draw(st.lists(st.integers(0, 8), max_size=3)):
         engine._divisor_table(d)  # tables built before the later adds
     for f in forms[split:]:
-        engine.add_basis(*engine.prepare(f))
+        engine.add_basis(*prepared(engine, f))
     lts = [f.leading_monomial(order) for f in forms]
     for d in range(9):
         got = [None if g == groebner._NO_DIVISOR else g
@@ -857,7 +914,7 @@ def test_gm_add_prunes_coprime_and_chain_pairs():
     engine, pairs = groebner._DenseEngine(R, Lex()), {}
 
     def add(text):
-        groebner._gm_add(engine, pairs, *engine.prepare(parse_polynomial(text, R)), Lex())
+        groebner._gm_add(engine, pairs, *prepared(engine, parse_polynomial(text, R)), Lex())
 
     add("x0^2 + x1*x2")
     add("x1^3 + x2^3")
@@ -875,12 +932,12 @@ def test_gm_add_keeps_an_old_pair_whose_lcm_one_new_lcm_equals():
     R = ring(3)
     engine, pairs = groebner._DenseEngine(R, Lex()), {}
     for text in ["x0^2*x1 + x2^3", "x1^2 + x2^2", "x0^2 + x2^2"]:
-        groebner._gm_add(engine, pairs, *engine.prepare(parse_polynomial(text, R)), Lex())
+        groebner._gm_add(engine, pairs, *prepared(engine, parse_polynomial(text, R)), Lex())
     # x0^2 divides lcm(x0^2*x1, x1^2) = lcm(x1^2, x0^2): the old pair stays
     assert pairs == {(0, 1): (2, 2, 0), (0, 2): (2, 1, 0)}
 
 
-@pytest.mark.parametrize("shape, count", [(("curve", 3, 3), 77), (("points", 20, 3), 106)])
+@pytest.mark.parametrize("shape, count", [(("curve", 3, 3), 58), (("points", 20, 3), 106)])
 def test_spair_counts_at_seed_1_are_pinned(monkeypatch, shape, count):
     # a change to the pair criteria or to the selection shows here
     from ginlab import experiments

@@ -16,6 +16,7 @@ from ginlab.monomial_ideals import is_borel_fixed
 from ginlab.orders import Lex, Revlex, elimination_order
 from ginlab.partial_elim import (
     PointCountError,
+    _eliminated_count,
     _squarefree_degree_binary,
     count_distinct_points,
     monomial_partial_elim,
@@ -23,6 +24,7 @@ from ginlab.partial_elim import (
     tower_decomposition,
     x0_profile,
 )
+from ginlab.points import PointSet, vanishing_ideal
 from ginlab.poly import Polynomial, parse_polynomial, random_form
 from ginlab.rings import RingContext
 from ginlab.sylvester import sample_monic_pair
@@ -258,6 +260,29 @@ def test_count_rejects_wrong_dimension():
         count_distinct_points(Ideal([parse_polynomial("x0^2", R4)]), seed=5)
 
 
+def revlex_only(J):
+    """A copy of J that caches only its reduced revlex basis, so a point
+    count has no elimination basis of J's own to read."""
+    copy = Ideal(J.generators, J.ring, J.degree_cap)
+    copy.set_groebner_basis(Revlex(), groebner.reduce_groebner_basis(J.generators, Revlex()))
+    return copy
+
+
+def spy_projections(monkeypatch):
+    """The seeds of every projected point count, in call order."""
+    from ginlab import partial_elim
+
+    projected = []
+    project = partial_elim._projected_distinct_count
+
+    def spy(J, seed):
+        projected.append(seed)
+        return project(J, seed)
+
+    monkeypatch.setattr(partial_elim, "_projected_distinct_count", spy)
+    return projected
+
+
 def test_count_projects_the_reduced_revlex_basis(monkeypatch):
     # K_1 of a generic (3,3) curve: its harvest is long, its reduced revlex
     # basis short; the level is generated by the latter, and the
@@ -267,7 +292,7 @@ def test_count_projects_the_reduced_revlex_basis(monkeypatch):
     f, g = sample_monic_pair(R, 3, 3, random.Random(1))
     moved = gin(Ideal([f, g]), Lex(), trials=2, seed=1).trial_ideals[0]
     tower = partial_elim_ideals(moved, p_max=1, inner_order=Revlex())
-    k1 = tower.levels[1]
+    k1 = revlex_only(tower.levels[1])
     basis = k1.groebner_basis(Revlex())
     harvest = [prof for prof in map(x0_profile, tower.source_basis) if prof.x0_degree <= 1]
     assert len(basis) < len(harvest)
@@ -288,23 +313,62 @@ def test_count_projects_the_reduced_revlex_basis(monkeypatch):
 def test_a_count_that_reaches_the_degree_takes_one_projection(monkeypatch, kind, seeds):
     # K_1 of a smooth (3,3) curve is 18 distinct points of degree 18, so the
     # first count is proved exact; the nonsmooth K_1 is 11 points of degree
-    # 18, so a second seed must confirm its count
-    from ginlab import experiments, partial_elim
+    # 18, so a second seed must confirm its count.  Each K_1 is counted as
+    # a copy without the lex basis of its gin trial, so both counts project
+    from ginlab import experiments
 
-    projected = []
-    project = partial_elim._projected_distinct_count
-
-    def spy(J, seed):
-        projected.append(seed)
-        return project(J, seed)
-
-    monkeypatch.setattr(partial_elim, "_projected_distinct_count", spy)
+    count = experiments.count_distinct_points
+    monkeypatch.setattr(experiments, "count_distinct_points",
+                        lambda J, seed: count(revlex_only(J), seed))
+    projected = spy_projections(monkeypatch)
     if kind == "curve":
         report = experiments.experiment_curve(3, 3, seed=1)
     else:
         report = experiments.experiment_nonsmooth(seed=1)
     assert report.passed
     assert projected == seeds
+
+
+def test_a_gin_trial_lex_basis_counts_k1_before_any_projection(monkeypatch):
+    # the lex gin trial leaves a lex basis on its K_1, which is the
+    # elimination basis in P^2: the smooth K_1 counts 18 = deg K_1 from it
+    # and projects nothing; the nonsmooth one counts 11 of 18 there, and
+    # one projection that also counts 11 confirms it
+    from ginlab import experiments
+
+    projected = spy_projections(monkeypatch)
+    assert experiments.experiment_curve(3, 3, seed=1).passed
+    assert projected == []
+    assert experiments.experiment_nonsmooth(seed=1).passed
+    assert projected == [102]
+
+
+def three_points_two_on_a_line():
+    """Three reduced points, two of them on the line x2 = 0 through
+    [1:0:0], with their lex basis cached: projected from [1:0:0] in their
+    own coordinates they show 2 points."""
+    J = vanishing_ideal(PointSet(FP_DEFAULT, ((0, 1, 0), (1, 1, 0), (0, 0, 1))))
+    assert _eliminated_count(J.groebner_basis(Lex())) == 2
+    return J
+
+
+def test_a_short_own_count_falls_back_to_a_projection(monkeypatch):
+    J = three_points_two_on_a_line()
+    assert J.hilbert_data(Revlex(), bound=4).degree == 3
+    projected = spy_projections(monkeypatch)
+    assert count_distinct_points(J, seed=5) == 3
+    assert projected == [5]
+
+
+def test_seeds_that_agree_below_the_own_count_fail_loudly(monkeypatch):
+    # every count is a lower bound, so two seeds that agree on fewer points
+    # than the ideal's own coordinates show have both missed some
+    from ginlab import partial_elim
+
+    J = three_points_two_on_a_line()
+    monkeypatch.setattr(partial_elim, "_projected_distinct_count", lambda J, seed: 1)
+    with pytest.raises(PointCountError, match="disagree"):
+        count_distinct_points(J, seed=5)
 
 
 def binary_form(R, factors):

@@ -1,11 +1,14 @@
 """Scalars, monomial orders, and polynomial arithmetic."""
 
 import random
+import time
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings, strategies as st
+
+from oracles import evaluate, substituted
 
 from ginlab.fields import FP_DEFAULT, QQ, PrimeField, field_from_spec
 from ginlab.orders import (
@@ -16,6 +19,7 @@ from ginlab.orders import (
     elimination_order,
 )
 from ginlab.poly import (
+    LinearChange,
     Polynomial,
     PolynomialParseError,
     format_polynomial,
@@ -334,46 +338,27 @@ def test_homogeneous_degree_and_zero():
 
 
 # ----------------------------------------------------------------------
-# substitution: the dense path against the sparse expansion
+# substitution: the dense power table against the sparse expansion
 
 
-def expand(f, images):
-    """f(images) by plain sparse products: sum of c * prod images[i]^e."""
-    target = images[0].ring
-    out = Polynomial.zero(target)
-    for m, c in f.terms.items():
-        prod = Polynomial.constant(target, c)
-        for img, e in zip(images, m):
-            for _ in range(e):
-                prod = prod * img
-        out = out + prod
-    return out
-
-
-def linear_images(R, matrix):
-    return [
-        Polynomial.from_terms(R, ((tuple(int(k == j) for k in range(R.nvars)), c)
-                                  for j, c in enumerate(row)))
-        for row in matrix
-    ]
+def _ring_and_scalars(draw, n):
+    """A ring of n variables and a strategy for its scalars: over F_p with
+    entries biased towards 0, 1 and p - 1, or over QQ with fractional
+    entries biased towards 0, 1 and -1."""
+    p = draw(st.sampled_from([2, 3, 101, 2147483647, "qq"]))
+    if p == "qq":
+        return ring(n, QQ), st.one_of(
+            st.sampled_from([0, 1, -1]), st.fractions(-10**6, 10**6, max_denominator=60))
+    return ring(n, PrimeField(p)), st.one_of(
+        st.sampled_from([0, 1, p - 1]), st.integers(0, p - 1))
 
 
 @st.composite
 def linear_change_instances(draw):
-    """A homogeneous form with few terms and a square matrix, over F_p with
-    entries biased towards 0, 1 and p - 1, or over QQ with fractional
-    entries biased towards 0, 1 and -1."""
-    p = draw(st.sampled_from([2, 3, 101, 2147483647, "qq"]))
+    """A homogeneous form with few terms and a square matrix."""
     n = draw(st.integers(1, 5))
     d = draw(st.integers(0, 10))
-    if p == "qq":
-        R = ring(n, QQ)
-        entry = st.one_of(
-            st.sampled_from([0, 1, -1]), st.fractions(-10**6, 10**6, max_denominator=60)
-        )
-    else:
-        R = ring(n, PrimeField(p))
-        entry = st.one_of(st.sampled_from([0, 1, p - 1]), st.integers(0, p - 1))
+    R, entry = _ring_and_scalars(draw, n)
     matrix = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
     mons = R.monomials_of_degree(d)
     support = draw(st.lists(st.integers(0, len(mons) - 1), min_size=1, max_size=5))
@@ -385,7 +370,7 @@ def linear_change_instances(draw):
 @given(linear_change_instances())
 def test_dense_substitute_equals_sparse_expansion(instance):
     f, matrix = instance
-    assert f.substitute(matrix) == expand(f, linear_images(f.ring, matrix))
+    assert f.substitute(matrix) == substituted(f, matrix)
 
 
 def test_dense_substitute_at_the_int64_edge():
@@ -396,7 +381,60 @@ def test_dense_substitute_at_the_int64_edge():
     R = ring(5, PrimeField(p))
     matrix = [[p - 1 - (i == j) for j in range(5)] for i in range(5)]
     f = Polynomial.from_terms(R, [((4, 3, 3, 0, 0), p - 1), ((0, 1, 2, 3, 4), 2)])
-    assert f.substitute(matrix) == expand(f, linear_images(R, matrix))
+    assert f.substitute(matrix) == substituted(f, matrix)
+
+
+@st.composite
+def linear_change_batches(draw):
+    """Forms of mixed degrees in 2-5 variables, each dense or of a few
+    terms, and one square matrix."""
+    n = draw(st.integers(2, 5))
+    R, entry = _ring_and_scalars(draw, n)
+    matrix = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    forms = []
+    for _ in range(draw(st.integers(1, 4))):
+        mons = R.monomials_of_degree(draw(st.integers(0, 7)))
+        if len(mons) <= 20 and draw(st.booleans()):
+            support = range(len(mons))
+        else:
+            support = draw(st.lists(st.integers(0, len(mons) - 1), min_size=1, max_size=4))
+        forms.append(Polynomial.from_terms(R, ((mons[i], draw(entry)) for i in support)))
+    return forms, matrix
+
+
+@settings(max_examples=60, deadline=None)
+@given(linear_change_batches())
+def test_one_change_substitutes_every_form_it_was_built_for(batch):
+    # one power table serves forms of several degrees, sparse or dense
+    forms, matrix = batch
+    change = LinearChange(forms[0].ring, matrix, forms)
+    assert [f.substitute(change) for f in forms] == [substituted(f, matrix) for f in forms]
+
+
+def test_a_sparse_form_of_high_degree_substitutes_quickly():
+    # the power table has one column per prefix of the support, two per
+    # degree here, never one per monomial of a degree-40 piece
+    R = ring(4)
+    f = parse_polynomial("x0^40 - x3^40", R)
+    rng = random.Random(40)
+    matrix = [[R.field.random(rng) for _ in range(4)] for _ in range(4)]
+    start = time.perf_counter()
+    image = f.substitute(matrix)
+    assert time.perf_counter() - start < 1.0
+    point = [R.field.random(rng) for _ in range(4)]
+    moved = [sum(a * x for a, x in zip(row, point)) % R.field.p for row in matrix]
+    assert evaluate(image, point) == evaluate(f, moved)
+
+
+def test_a_change_substitutes_only_the_forms_it_was_built_for():
+    R = ring(2)
+    change = LinearChange(R, [[1, 2], [3, 4]], [parse_polynomial("x0^2 + x1^2", R)])
+    assert parse_polynomial("x0^2", R).substitute(change) == parse_polynomial(
+        "x0^2 + 4*x0*x1 + 4*x1^2", R)
+    with pytest.raises(ValueError):
+        parse_polynomial("x0*x1", R).substitute(change)
+    with pytest.raises(ValueError):
+        parse_polynomial("x0", ring(2, QQ)).substitute(change)
 
 
 def test_substitute_over_qq_clears_common_denominators():

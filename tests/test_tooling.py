@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 from ginlab.cli import build_parser
@@ -285,16 +286,22 @@ def test_readme_curve_grid_matches_the_theorem_and_the_acceptance_caps():
     assert [(a, b) for a, b, cap, reg in rows[2:] if cap <= reg] == []
 
 
-def test_bench_jobs_match_their_reference_digests(tmp_path):
-    # every fp and exact job at seed 1, through the benchmark's own job
-    # runner: exit 0, the reference digest of its masked report, and
-    # independently re-checked weight witnesses.  bench/ is imported and
-    # read, never written: only its own --record-reference run records it
-    import ginlab.cli
-
+def _bench_run():
+    """bench/run.py as a module; bench/ is imported and read, never written."""
     spec = importlib.util.spec_from_file_location("bench_run", BENCH / "run.py")
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
+    return bench
+
+
+def test_bench_jobs_match_their_reference_digests(tmp_path):
+    # every fp and exact job at seed 1, through the benchmark's own job
+    # runner: exit 0, the reference digest of its masked report, and
+    # independently re-checked weight witnesses.  Only the benchmark's own
+    # --record-reference run records a digest
+    import ginlab.cli
+
+    bench = _bench_run()
     reference = bench.checks.load_reference()
     problems = []
     for workload in bench.WORKLOADS:
@@ -303,3 +310,20 @@ def test_bench_jobs_match_their_reference_digests(tmp_path):
             _, found = bench.run_job(ginlab.cli, job, str(tmp_path), reports, reference, workload)
             problems += [f"{workload}/{job.label}: {p}" for p in found]
     assert problems == []
+
+
+def test_a_traced_pass_calls_every_layer_predicted_for_its_workload(tmp_path):
+    # one traced pass of each workload's seed-1 jobs, through the
+    # benchmark's own runner and tracer: a layer listed for a workload that
+    # no job calls there (say, a coordinate change that stops going through
+    # Polynomial.substitute) fails here, not in a traced benchmark run
+    import ginlab.cli
+
+    bench = _bench_run()
+    for workload in bench.WORKLOADS:
+        workdir = tmp_path / workload
+        workdir.mkdir()
+        runner = bench.Runner(ginlab.cli, workload, 1, str(workdir))
+        [(stats, *_)] = runner.traced(0, bench.Tracer(time.perf_counter()))
+        bench.check_predicted_calls(workload, stats)
+        assert runner.problems == []
