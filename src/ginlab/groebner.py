@@ -19,34 +19,38 @@ the pending degree-d pairs are dropped unreduced.  The witness must come
 from a computed or installed basis, never from a closed formula that a
 check is meant to test.
 
-Reductions dominate the cost, so over a prime field they run on dense
-per-degree coefficient vectors (numpy int64, entries < 2**31, products safe
-in int64), with a per-degree table of the first listed divisor of each
-monomial; the structural algorithm is identical to the sparse path used for
-rational coefficients and inhomogeneous input.  Each divisor table is built
-from the table of the degree below, scattered through the ring's shifts by
-one variable (a lower-degree divisor of m divides some m/x_j), plus the
-leading monomials of its own degree; a sentinel above every basis index
-marks the monomials no leading monomial divides, so the first listed
-divisor is the least entry.  The Gebauer-Moeller update computes the lcm of
-a new leading monomial with each older one once, for both criteria.  A
-basis element is held by its support: positions, values, and rank columns
-(see ``rings.GradedPiece``) less those of its leading monomial.  A step at
-x^delta * lt(g) adds the rank columns there to g's and ranks only g's
-support, so no map the size of a piece is built per delta; the ring caches
-only its unit shifts.  A dense run hands its basis to the sparse engine if
-it reaches a degree whose piece exceeds ``_DENSE_PIECE_LIMIT``.
-The sparse engine runs on Python ints for both fields: over QQ it is
-fraction-free, with primitive basis elements and pseudo-division steps, and
-builds a ``Fraction`` only for the coefficients of a polynomial it returns.
+Reductions dominate the cost, so they run on dense per-degree rows indexed
+by the ring's graded pieces, with a per-degree table of the first listed
+divisor of each monomial; one engine serves both fields.  Over a prime
+field a row holds numpy int64 residues (entries < 2**31, products safe in
+int64) and a basis element is monic.  Over QQ a row holds Python ints in a
+``dtype=object`` array: each input form is cleared of denominators, a basis
+element is primitive with a positive leading coefficient L, and a step at
+working coefficient c scales the row by L/k with k = gcd(c, L), then
+subtracts (c/k)*x^delta*g: fraction-free pseudo-division (Collins 1967).
+The scale a reduction returns collects the factors L/k, so a ``Fraction``
+is built once per coefficient of a polynomial that leaves the engine.
 Over QQ each new basis element also has its tail reduced.  Its leading
 monomial, and so every pair and criterion, is the same as after top
 reduction alone, but raw tails swell: for the lex gin of curve (2,4) at
 seed 1, top-reduced remainders reach coefficients of 231k bits, against
 about 10k bits in the reduced basis.
 
-Both engines take their inputs as one batch: the dense one ranks the terms
-of all inputs of one degree with a single ``positions`` call.  The result
+Each divisor table is built from the table of the degree below, scattered
+through the ring's shifts by one variable (a lower-degree divisor of m
+divides some m/x_j), plus the leading monomials of its own degree; a
+sentinel above every basis index marks the monomials no leading monomial
+divides, so the first listed divisor is the least entry, and the count
+the Hilbert criterion compares is the number of entries below it.  The
+Gebauer-Moeller update computes the lcm of a new leading monomial with
+each older one once, for both criteria.  A basis element is held by its
+support: positions, values, and rank columns (see ``rings.GradedPiece``)
+less those of its leading monomial.  A step at x^delta * lt(g) adds the
+rank columns there to g's and ranks only g's support, so no map the size
+of a piece is built per delta; the ring caches only its unit shifts.
+
+The engine takes its inputs as one batch: it ranks the terms of all
+inputs of one degree with a single ``positions`` call.  The result
 is finalised in place.  For each minimal leading monomial the first listed
 element that has it is kept, and its tail is reduced against the whole
 engine basis, the elements that are not minimal included, with the divisor
@@ -58,7 +62,6 @@ lt - NF(lt), the reduced basis element with that leading monomial.
 
 from __future__ import annotations
 
-import heapq
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
@@ -68,12 +71,9 @@ import numpy as np
 from .monomial_ideals import MonomialIdeal, hilbert_data, hilbert_numerator, series_value
 from .orders import Revlex
 from .poly import Polynomial
-from .rings import mono_div, mono_divides, mono_lcm, mono_mul
+from .rings import mono_divides, mono_lcm
 
 DEFAULT_DEGREE_CAP = 60
-
-# dense vectors are only worth it while a graded piece fits comfortably in memory
-_DENSE_PIECE_LIMIT = 400_000
 
 # a dense divisor table's entry where no leading monomial divides
 _NO_DIVISOR = np.iinfo(np.int64).max
@@ -108,19 +108,21 @@ class ReducedBasis(list):
 
 
 # ----------------------------------------------------------------------
-# reduction engines
+# the reduction engine
 
 
 class _DenseEngine:
-    """Homogeneous reduction arithmetic on order-sorted dense vectors."""
+    """Homogeneous reduction arithmetic on order-sorted dense rows: int64
+    residues over F_p, Python ints in object arrays over QQ."""
 
     def __init__(self, ring, order):
         self.ring = ring
         self.order = order
-        self.p = ring.field.p
+        self.p = p = ring.field.p if ring.field.is_prime_field else 0  # 0: exact integers
+        self.dtype = np.int64 if p else object
         self._pieces = {}  # degree -> the ring's graded piece under ``order``
         self._divisors = {}  # degree -> divisor table of the whole basis
-        self.basis = []  # (degree, support, monic values, rank columns less the lead's)
+        self.basis = []  # (degree, support, values, rank columns less the lead's)
         self.lts = []  # leading exponent tuples
 
     def _piece(self, d):
@@ -130,40 +132,49 @@ class _DenseEngine:
         return piece
 
     def prepare(self, polys, degrees):
-        """Nonzero forms of the given degrees -> (degree, vector) pairs, in
-        input order.  The terms of all the forms of one degree are ranked
-        by one ``positions`` call and scattered into the rows of one array."""
+        """Nonzero forms of the given degrees -> (degree, row, scale)
+        triples, in input order, each form being row/scale: over QQ the
+        scale is the lcm of the form's denominators, over F_p it is 1.  The
+        terms of all the forms of one degree are ranked by one
+        ``positions`` call and scattered into the rows of one array."""
         out = [None] * len(polys)
         by_degree = {}
         for k, d in enumerate(degrees):
             by_degree.setdefault(d, []).append(k)
         for d, ks in by_degree.items():
             terms = [polys[k].terms for k in ks]
+            scales = [1 if self.p else lcm(*(c.denominator for c in t.values())) for t in terms]
             rows = np.repeat(np.arange(len(ks)), [len(t) for t in terms])
-            vectors = np.zeros((len(ks), self.ring.monomial_count(d)), dtype=np.int64)
+            vectors = np.zeros((len(ks), self.ring.monomial_count(d)), dtype=self.dtype)
             vectors[rows, self._piece(d).positions([m for t in terms for m in t])] = [
-                c for t in terms for c in t.values()]
-            for k, v in zip(ks, vectors):
-                out[k] = (d, v)
+                c if self.p else c.numerator * (s // c.denominator)
+                for t, s in zip(terms, scales) for c in t.values()]
+            for k, v, s in zip(ks, vectors, scales):
+                out[k] = (d, v, s)
         return out
 
-    def to_polynomial(self, d, v):
-        support = np.flatnonzero(v)
-        return self._polynomial(d, support, v[support])
-
-    def _polynomial(self, d, positions, values):
-        """The degree-d polynomial with these values at these positions."""
+    def terms(self, d, positions, values, scale=1):
+        """The term dict of the degree-d form values/scale at these positions."""
         mons = self._piece(d).monomials
-        return Polynomial(self.ring, dict(zip([mons[i] for i in positions.tolist()],
-                                              values.tolist())))
+        values = values.tolist()
+        if not self.p:
+            values = [Fraction(c, scale) for c in values]
+        return dict(zip([mons[i] for i in positions.tolist()], values))
 
     def add_basis(self, d, v):
+        """Append the row v, made monic over F_p and primitive with a
+        positive lead over QQ; returns its basis index."""
         support = np.flatnonzero(v)
         lead = int(support[0])
-        inv = pow(int(v[lead]), -1, self.p)
+        values = v[support]
+        if self.p:
+            values = values * pow(int(values[0]), -1, self.p) % self.p
+        else:
+            content = gcd(*values.tolist())
+            values = values // (content if values[0] > 0 else -content)
         piece = self._piece(d)
         columns = piece.columns[:, support]
-        self.basis.append((d, support, v[support] * inv % self.p, columns - columns[:, :1]))
+        self.basis.append((d, support, values, columns - columns[:, :1]))
         self.lts.append(piece.monomials[lead])
         idx = len(self.basis) - 1
         table = self._divisors.get(d)
@@ -205,14 +216,18 @@ class _DenseEngine:
         return int(np.count_nonzero(self._divisor_table(d) < _NO_DIVISOR))
 
     def reduce(self, d, v, full=True):
-        """Reduce v against the basis, greatest monomial first, first listed
-        divisor.  ``full=False`` stops once the leading monomial is
-        irreducible.  Returns None when the result is zero."""
+        """Reduce the row v against the basis, greatest monomial first,
+        first listed divisor; v itself is left as it is.  ``full=False``
+        stops once the leading monomial is irreducible.  Returns (row,
+        scale), with row/scale the remainder of v, or None when it is zero;
+        the scale is the product of the factors L/k of the QQ steps (see
+        the module docstring), and 1 over F_p."""
         p = self.p
         table = self._divisor_table(d)
         piece = self._piece(d)
         columns, positions_at = piece.columns, piece.positions_at
-        v = v % p
+        v = v % p if p else v.copy()
+        scale = 1
         i = 0
         while True:
             ahead = v[i:] != 0
@@ -227,223 +242,54 @@ class _DenseEngine:
                 break  # only when not full: the leading monomial is irreducible
             _, _, values, shift = self.basis[g]
             at = positions_at(shift + columns[:, i:i + 1])  # g's support times x^delta
-            v[at] = (v[at] - int(v[i]) * values) % p
-        return v if v.any() else None
+            c = v[i]
+            if p:
+                v[at] = (v[at] - int(c) * values) % p
+            else:
+                common = gcd(c, values[0])
+                if common != values[0]:
+                    v *= values[0] // common
+                    scale *= values[0] // common
+                v[at] -= c // common * values
+        return (v, scale) if v.any() else None
 
     def tail_reduced(self, k):
-        """Basis element k with its tail fully reduced, as a polynomial; a
-        tail that no leading monomial divides is returned as it is."""
+        """Basis element k with its tail fully reduced, made monic, as a
+        polynomial: lt + rem(tail)/L; a tail that no leading monomial
+        divides is kept as it is."""
         d, support, values, _ = self.basis[k]
+        lead = int(values[0])
         if not (self._divisor_table(d)[support[1:]] < _NO_DIVISOR).any():
-            return self._polynomial(d, support, values)
-        tail = np.zeros(self.ring.monomial_count(d), dtype=np.int64)
+            return Polynomial(self.ring, self.terms(d, support, values, lead))
+        tail = np.zeros(self.ring.monomial_count(d), dtype=self.dtype)
         tail[support[1:]] = values[1:]
-        out = self.reduce(d, tail, full=True)
-        if out is None:
-            out = np.zeros_like(tail)
-        out[support[0]] = 1
-        return self.to_polynomial(d, out)
+        rem, scale = self.reduce(d, tail) or (np.zeros_like(tail), 1)
+        scale *= lead
+        rem[support[0]] = scale
+        support = np.flatnonzero(rem)
+        return Polynomial(self.ring, self.terms(d, support, rem[support], scale))
 
     def spair(self, i, j):
-        """S-polynomial vector of two (monic) basis elements."""
+        """S-polynomial row of two basis elements, (L_j/k)*x^di*g_i -
+        (L_i/k)*x^dj*g_j with k = gcd(L_i, L_j); every lead is 1 over F_p."""
         lcm = mono_lcm(self.lts[i], self.lts[j])
         d = sum(lcm)
         piece = self._piece(d)
         # the rank columns of the lcm (see ``rings._rank_columns``)
         top = np.array([t * (d + 1) + T for t, T in enumerate(accumulate(reversed(lcm[1:])))],
                        dtype=np.int64).reshape(-1, 1)
-        out = np.zeros(len(piece.monomials), dtype=np.int64)
+        out = np.zeros(len(piece.monomials), dtype=self.dtype)
         _, _, vi, si = self.basis[i]
         _, _, vj, sj = self.basis[j]
-        out[piece.positions_at(si + top)] += vi
-        out[piece.positions_at(sj + top)] -= vj
-        return d, out % self.p
-
-    def to_sparse(self):
-        """A sparse engine holding the same basis in the same order, so pair
-        keys (basis indices) stay valid."""
-        sparse = _SparseEngine(self.ring, self.order)
-        for d, support, values, _ in self.basis:
-            mons = self._piece(d).monomials
-            sparse.add_basis(d, ({mons[i]: c for i, c in zip(support.tolist(), values.tolist())}, 1))
-        return sparse
-
-
-class _SparseEngine:
-    """Exact dict-based reduction; handles any field and inhomogeneous input.
-
-    Coefficients stay Python ints inside the engine.  A vector is a pair
-    (terms, scale) of an int term dict and a positive int; its value is
-    terms/scale.  Over F_p the scale is 1 and a basis element is monic, with
-    residues in [0, p).  Over QQ a basis element is primitive: denominators
-    cleared, content divided out, leading coefficient L > 0.  A reduction
-    step at working coefficient c against an element with leading
-    coefficient L multiplies the working terms, and the remainder terms
-    already moved out, by L/k with k = gcd(c, L), then subtracts
-    (c/k)*x^delta*g: fraction-free pseudo-division (Collins 1967).  Over F_p,
-    where L = 1, this is the monic step reduced mod p.  The scale collects
-    the factors L/k; it is divided out, one ``Fraction`` per term, only when
-    a polynomial leaves the engine."""
-
-    def __init__(self, ring, order):
-        self.ring = ring
-        self.order = order
-        self.p = ring.field.p if ring.field.is_prime_field else 0  # 0: no modulus
-        self.key = order.sort_key
-        self.basis = []  # (degree, int term dict): monic over F_p, primitive over QQ
-        self.lts = []
-        self._lead_ideal = None  # MonomialIdeal of ``lts``, built when needed
-
-    def prepare(self, polys, degrees):
-        """Nonzero polynomials -> (degree, vector) pairs, in input order; an
-        inhomogeneous one (degree None) takes its total degree."""
-        out = []
-        for f, d in zip(polys, degrees):
-            scale = lcm(*(c.denominator for c in f.terms.values()))
-            terms = {m: c.numerator * (scale // c.denominator) for m, c in f.terms.items()}
-            out.append((f.total_degree() if d is None else d, (terms, scale)))
-        return out
-
-    def to_polynomial(self, d, v):
-        terms, scale = v
-        if self.p:
-            return Polynomial(self.ring, dict(terms))
-        return Polynomial(self.ring, {m: Fraction(c, scale) for m, c in terms.items()})
-
-    def add_basis(self, d, v):
-        terms = v[0]  # the scale does not matter: the element is normalised
-        lt = min(terms, key=self.key)
-        if self.p:
-            inv = pow(terms[lt], -1, self.p)
-            terms = {m: c * inv % self.p for m, c in terms.items()}
-        else:
-            content = gcd(*terms.values())
-            if terms[lt] < 0:
-                content = -content
-            terms = {m: c // content for m, c in terms.items()}
-        self.basis.append((d, terms))
-        self.lts.append(lt)
-        self._lead_ideal = None
-        return len(self.basis) - 1
-
-    def covered(self, d):
-        """Number of degree-d monomials divisible by a leading monomial, from
-        the Hilbert numerator of the leading monomials."""
-        if self._lead_ideal is None:
-            self._lead_ideal = MonomialIdeal(self.ring, self.lts)
-        return _ideal_dimension(self._lead_ideal, d)
-
-    def _divisor(self, m):
-        for g, lt in enumerate(self.lts):
-            if mono_divides(lt, m):
-                return g
-        return None
-
-    def reduce(self, d, v, full=True):
-        """Reduce v against the basis, greatest monomial first, first listed
-        divisor.  ``full=False`` stops once the leading monomial is
-        irreducible.  Returns None when the result is zero."""
-        p = self.p
-        work, scale = dict(v[0]), v[1]
-        out = {}
-        heap = [(self.key(m), m) for m in work]
-        heapq.heapify(heap)
-        while heap:
-            _, m = heapq.heappop(heap)
-            c = work.pop(m, 0)
-            if not c:
-                continue
-            g = self._divisor(m)
-            if g is None:
-                out[m] = c
-                if not full:
-                    out.update(work)
-                    break
-                continue
-            lt = self.lts[g]
-            gterms = self.basis[g][1]
-            lead = gterms[lt]
-            if lead != 1:
-                k = gcd(c, lead)
-                c //= k
-                if lead != k:
-                    factor = lead // k
-                    scale *= factor
-                    for mm in work:
-                        work[mm] *= factor
-                    for mm in out:
-                        out[mm] *= factor
-            delta = mono_div(m, lt)
-            for mg, cg in gterms.items():
-                if mg == lt:
-                    continue
-                mm = mono_mul(mg, delta)
-                old = work.get(mm)
-                acc = -c * cg if old is None else old - c * cg
-                if p:
-                    acc %= p
-                if acc:
-                    work[mm] = acc
-                    if old is None:
-                        heapq.heappush(heap, (self.key(mm), mm))
-                elif old is not None:
-                    del work[mm]
-        return (out, scale) if out else None
-
-    def tail_reduced(self, k):
-        """Basis element k with its tail fully reduced, made monic, as a
-        polynomial: lt + rem(tail)/L; a tail that no leading monomial
-        divides is kept as it is."""
-        d, terms = self.basis[k]
-        lt = self.lts[k]
-        tail = {m: c for m, c in terms.items() if m != lt}
-        reducible = any(self._divisor(m) is not None for m in tail)
-        red = self.reduce(d, (tail, 1), full=True) if reducible else (tail, 1)
-        rem, scale = red or ({}, 1)
-        scale *= terms[lt]
-        rem[lt] = scale
-        return self.to_polynomial(d, (rem, scale))
-
-    def spair(self, i, j):
-        """S-polynomial vector of two basis elements, (L_j/k)*x^di*g_i -
-        (L_i/k)*x^dj*g_j with k = gcd(L_i, L_j)."""
-        p = self.p
-        lcm_ij = mono_lcm(self.lts[i], self.lts[j])
-        lead_i, lead_j = self.basis[i][1][self.lts[i]], self.basis[j][1][self.lts[j]]
-        k = gcd(lead_i, lead_j)
-        terms = {}
-        for src, factor in ((i, lead_j // k), (j, -(lead_i // k))):
-            delta = mono_div(lcm_ij, self.lts[src])
-            for m, c in self.basis[src][1].items():
-                mm = mono_mul(m, delta)
-                acc = terms.get(mm, 0) + factor * c
-                if p:
-                    acc %= p
-                if acc:
-                    terms[mm] = acc
-                else:
-                    terms.pop(mm, None)
-        return sum(lcm_ij), (terms, 1)
+        k = gcd(vi[0], vj[0])
+        out[piece.positions_at(si + top)] += vj[0] // k * vi
+        out[piece.positions_at(sj + top)] -= vi[0] // k * vj
+        return d, out % self.p if self.p else out
 
 
 def _ideal_dimension(J, d):
     """dim J_d of a monomial ideal J, from its Hilbert numerator."""
     return J.ring.monomial_count(d) - series_value(hilbert_numerator(J), J.ring.nvars, d)
-
-
-def _make_engine(ring, order, degrees):
-    """The dense engine over a prime field when every input is homogeneous
-    (``degrees`` holds each input's ``homogeneous_degree``) and the piece
-    of the largest input degree fits the limit; the sparse one otherwise.
-    ``buchberger`` hands a dense basis over to the sparse engine once a pair
-    needs a larger piece, so the degree cap plays no part."""
-    if (
-        ring.field.is_prime_field
-        and None not in degrees
-        and ring.monomial_count(max(degrees)) <= _DENSE_PIECE_LIMIT
-    ):
-        return _DenseEngine(ring, order)
-    return _SparseEngine(ring, order)
 
 
 # ----------------------------------------------------------------------
@@ -522,9 +368,9 @@ def buchberger(gens, order, degree_cap=DEFAULT_DEGREE_CAP, *, witness=None):
         return ReducedBasis()
     if max(degrees) > degree_cap:
         raise ValueError("degree_cap is below a generator degree")
-    engine = _make_engine(ring, order, degrees)
+    engine = _DenseEngine(ring, order)
     pairs = {}
-    for d, v in engine.prepare(polys, degrees):
+    for d, v, _ in engine.prepare(polys, degrees):
         _gm_add(engine, pairs, d, v, order)
     target = {}  # degree -> dim in(I)_d, read off the witness
     while pairs:
@@ -532,8 +378,6 @@ def buchberger(gens, order, degree_cap=DEFAULT_DEGREE_CAP, *, witness=None):
         d = sum(lcm)
         if d > degree_cap:
             raise DegreeCapExceeded(d, degree_cap)
-        if isinstance(engine, _DenseEngine) and ring.monomial_count(d) > _DENSE_PIECE_LIMIT:
-            engine = engine.to_sparse()
         if witness is not None:
             if d not in target:
                 target[d] = _ideal_dimension(witness, d)
@@ -543,9 +387,9 @@ def buchberger(gens, order, degree_cap=DEFAULT_DEGREE_CAP, *, witness=None):
         del pairs[(i, j)]
         sd, sv = engine.spair(i, j)
         # over QQ the tail is reduced as well (see the module docstring)
-        red = engine.reduce(sd, sv, full=not ring.field.is_prime_field)
+        red = engine.reduce(sd, sv, full=not engine.p)
         if red is not None:
-            _gm_add(engine, pairs, sd, red, order)
+            _gm_add(engine, pairs, sd, red[0], order)
     return _finalize(engine, order)
 
 
@@ -566,39 +410,57 @@ def _finalize(engine, order):
 
 
 def reduce_groebner_basis(basis, order):
-    """Turn a (possibly redundant) Groebner basis into the reduced one, a
-    :class:`ReducedBasis`, without running any S-pairs."""
-    basis = [g for g in basis if not g.is_zero]
+    """Turn a (possibly redundant) homogeneous Groebner basis into the
+    reduced one, a :class:`ReducedBasis`, without running any S-pairs."""
+    basis = list(basis)
     if not basis:
         return ReducedBasis()
-    degrees = [g.homogeneous_degree() for g in basis]
-    engine = _make_engine(basis[0].ring, order, degrees)
-    for d, v in engine.prepare(basis, degrees):
+    polys, degrees = _validate_input(basis, basis[0].ring)
+    engine = _DenseEngine(basis[0].ring, order)
+    for d, v, _ in engine.prepare(polys, degrees):
         engine.add_basis(d, v)
     return _finalize(engine, order)
 
 
 def normal_form(f, basis, order):
-    """Remainder of f on division by ``basis`` (greatest reducible monomial
-    first, first listed divisor).  Zero input gives zero; the result has no
-    monomial divisible by a leading monomial of the basis."""
-    if f.is_zero:
-        return f
+    """Remainder of f on division by the homogeneous ``basis`` (greatest
+    reducible monomial first, first listed divisor).  Zero input gives
+    zero; the result has no monomial divisible by a leading monomial of the
+    basis.  An inhomogeneous f is reduced one homogeneous component at a
+    time, which gives the same remainder: under a degree-compatible order
+    a step never leaves its component's degree.  ``f`` may also be a list
+    of forms; the result is then the list of their remainders, all reduced
+    against one engine, so the basis is ranked once."""
+    forms = f if isinstance(f, list) else [f]
     basis = list(basis)
     if any(g.is_zero for g in basis):
         raise ValueError("division by a zero polynomial")
     if not basis:
         return f
-    polys = [*basis, f]  # ranked together: one positions call per degree
-    degrees = [g.homogeneous_degree() for g in polys]
-    engine = _make_engine(f.ring, order, degrees)
-    *prepared, (fd, fv) = engine.prepare(polys, degrees)
-    for d, v in prepared:
+    ring = basis[0].ring
+    if any(h.ring != ring for h in forms):
+        raise ValueError("generators belong to different ring contexts")
+    polys, degrees = _validate_input(basis, ring)
+    components = []  # (form index, degree, homogeneous component)
+    for k, h in enumerate(forms):
+        by_degree = {}
+        for m, c in h.terms.items():
+            by_degree.setdefault(sum(m), {})[m] = c
+        components += [(k, d, Polynomial(ring, terms)) for d, terms in by_degree.items()]
+    engine = _DenseEngine(ring, order)
+    prepared = engine.prepare([*polys, *(c for *_, c in components)],
+                              [*degrees, *(d for _, d, _ in components)])
+    for d, v, _ in prepared[:len(polys)]:
         engine.add_basis(d, v)
-    red = engine.reduce(fd, fv, full=True)
-    if red is None:
-        return Polynomial.zero(f.ring)
-    return engine.to_polynomial(fd, red)
+    remainders = [{} for _ in forms]
+    for (k, *_), (d, v, s) in zip(components, prepared[len(polys):]):
+        red = engine.reduce(d, v)
+        if red is not None:
+            row, scale = red
+            support = np.flatnonzero(row)
+            remainders[k].update(engine.terms(d, support, row[support], s * scale))
+    remainders = [Polynomial(ring, terms) for terms in remainders]
+    return remainders if isinstance(f, list) else remainders[0]
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,7 @@ distinguishes them.  Each order ranks monomials two ways, and both list them
 
 - ``sort_key(exponents)`` is a key for one tuple, sorted ascending.  Scalar
   callers use it: a polynomial's leading term, Buchberger's pair selection
-  and its final sort, the sparse engine's heap, ``variable_ranking``.
+  and its final sort, ``variable_ranking``.
 - ``key_columns(exps)`` takes an (N, nvars) int64 exponent matrix and returns
   the same key as columns, most significant first: ascending lexicographic
   order over the columns is ascending ``sort_key`` order.  A whole graded

@@ -10,6 +10,8 @@ path calls.
   whose Euler characteristic checks the Hilbert numerator.
 - ``borel_fixed_oracle``: the Borel property by every move on every
   monomial of the ideal up to its top generator degree.
+- ``covered_count``: the degree-d monomials some leading monomial
+  divides, the count Buchberger's Hilbert criterion compares.
 - ``evaluate``: a polynomial at a point, for vanishing-ideal checks.
 - ``substituted``: a linear change of coordinates in a form, expanded by
   products of polynomials, for the dense power table of
@@ -147,6 +149,13 @@ def borel_fixed_oracle(gens, order, nvars):
                     if not member(moved):
                         return False
     return True
+
+
+def covered_count(leading_monomials, nvars, d):
+    """Number of degree-d monomials that some exponent tuple of
+    ``leading_monomials`` divides, trying every pair."""
+    return sum(any(all(a <= b for a, b in zip(lt, m)) for lt in leading_monomials)
+               for m in _monomials(nvars, d))
 
 
 def evaluate(f, point):

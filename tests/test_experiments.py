@@ -173,7 +173,7 @@ def test_points_report_matches_golden_file():
 
 
 def test_qq_curve_report_matches_golden_file():
-    # the one exact end-to-end run: sparse integer Buchberger, the QQ
+    # the one exact end-to-end run: Buchberger on integer rows, the QQ
     # coordinate change and the point-count gcd
     assert experiment_curve(2, 3, seed=1, field=QQ).to_json() == (
         GOLDEN / "golden_curve_a2_b3_qq_seed1.json"

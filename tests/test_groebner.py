@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oracles import homogeneous_generators, macaulay_contains, macaulay_dimension
+from oracles import covered_count, homogeneous_generators, macaulay_contains, macaulay_dimension
 
 from ginlab import groebner
 from ginlab.fields import FP_DEFAULT, QQ, PrimeField
@@ -34,8 +34,8 @@ def polys(R, *texts):
 
 
 def prepared(engine, f):
-    """One form as the engine's (degree, vector) pair."""
-    return engine.prepare([f], [f.homogeneous_degree()])[0]
+    """One form as the engine's (degree, row) pair."""
+    return engine.prepare([f], [f.homogeneous_degree()])[0][:2]
 
 
 # ----------------------------------------------------------------------
@@ -105,20 +105,40 @@ def test_reduced_basis_is_monic_and_sorted():
                     assert not all(a <= b for a, b in zip(lt, m))
 
 
-def test_normal_form_inhomogeneous_fp_input_takes_sparse_path(monkeypatch):
+def test_normal_form_reduces_an_inhomogeneous_form_by_components():
+    # each homogeneous component is reduced on its own: under a
+    # degree-compatible order a step never leaves its component's degree
+    for field in (FP_DEFAULT, QQ):
+        R = ring(3, field)
+        f = parse_polynomial("x0^2 + 3*x0 + x1", R)
+        g = parse_polynomial("x0^2 - x1*x2", R)
+        assert normal_form(f, [g], Lex()) == parse_polynomial("x1*x2 + 3*x0 + x1", R)
+        with pytest.raises(ValueError, match="homogeneous"):
+            normal_form(g, [f], Lex())
+
+
+def test_normal_form_rejects_a_form_of_another_ring():
     R = ring(3)
-    make_engine = groebner._make_engine
-    engines = []
+    I = Ideal(polys(R, "x0^2 - x1*x2"))
+    # a form in more variables, and the generator itself written over QQ
+    for other in (ring(4), ring(3, QQ)):
+        f = parse_polynomial("x0^2 - x1*x2", other)
+        with pytest.raises(ValueError, match="different ring contexts"):
+            I.contains(f)
+        with pytest.raises(ValueError, match="different ring contexts"):
+            normal_form([I.generators[0], f], I.generators, Lex())
 
-    def spy(*args):
-        engines.append(make_engine(*args))
-        return engines[-1]
 
-    monkeypatch.setattr(groebner, "_make_engine", spy)
-    f = parse_polynomial("x0^2 + 3*x0 + x1", R)
-    g = parse_polynomial("x0^2 - x1*x2", R)
-    assert normal_form(f, [g], Lex()) == parse_polynomial("x1*x2 + 3*x0 + x1", R)
-    assert [type(e) for e in engines] == [groebner._SparseEngine]
+def test_normal_form_of_a_list_is_the_list_of_normal_forms():
+    for field in (FP_DEFAULT, QQ):
+        R = ring(3, field)
+        rng = random.Random(7)
+        G = buchberger([random_form(R, 2, rng) for _ in range(2)], Revlex())
+        forms = [random_form(R, d, rng) for d in (1, 3, 4)] + [G[0] * random_form(R, 2, rng)]
+        forms.append(forms[0] + forms[1])  # inhomogeneous
+        assert normal_form(forms, G, Revlex()) == [normal_form(f, G, Revlex()) for f in forms]
+        assert normal_form(forms[3], G, Revlex()).is_zero
+        assert normal_form([], G, Revlex()) == []
 
 
 def test_normal_form_result_irreducible():
@@ -245,28 +265,17 @@ def _redundant(basis, order, rng):
     st.randoms(use_true_random=False),
 )
 def test_reducing_a_redundant_basis_gives_the_buchberger_basis(gens, order, rng):
-    # the dense engine over F_p and the sparse one over QQ reduce each
-    # minimal tail against every element, minimal or not; the normal form
-    # modulo a Groebner basis is unique, so the result must not change
+    # the engine reduces each minimal tail against every element, minimal
+    # or not; the normal form modulo a Groebner basis is unique, so the
+    # result must not change
     reference = buchberger(gens, order)
-    engine = groebner._DenseEngine if gens[0].ring.field == FP_DEFAULT else groebner._SparseEngine
-    made = []
-    make_engine = groebner._make_engine
-
-    def spy(*args):
-        made.append(make_engine(*args))
-        return made[-1]
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(groebner, "_make_engine", spy)
-        reduced = groebner.reduce_groebner_basis(_redundant(reference, order, rng), order)
-    assert [type(e) for e in made] == [engine]
+    reduced = groebner.reduce_groebner_basis(_redundant(reference, order, rng), order)
     assert reduced == reference
     assert reduced.leading_monomials == reference.leading_monomials
 
 
 # ----------------------------------------------------------------------
-# Hilbert-driven pair pruning and the engine choice
+# Hilbert-driven pair pruning
 
 
 def _orders(nvars):
@@ -292,14 +301,32 @@ def test_witness_leaves_the_reduced_basis_unchanged(gens, which, other, moved, s
     assert buchberger(gens, order, witness=witness) == buchberger(gens, order)
 
 
+@settings(max_examples=40, deadline=None)
+@given(homogeneous_generators([PrimeField(101), FP_DEFAULT, QQ], max_gens=5), st.integers(0, 2))
+def test_covered_counts_the_monomials_some_leading_monomial_divides(gens, which):
+    # the count the witness is compared with, read off the divisor tables,
+    # after each new element on both fields
+    R = gens[0].ring
+    order = _orders(R.nvars)[which]
+    engine = groebner._DenseEngine(R, order)
+    lts = []
+    for f in gens:
+        engine.add_basis(*prepared(engine, f))
+        lts.append(f.leading_monomial(order))
+        assert [engine.covered(d) for d in range(7)] == [
+            covered_count(lts, R.nvars, d) for d in range(7)]
+
+
 def _spair_degrees(monkeypatch):
     degrees = []
-    for engine in (groebner._DenseEngine, groebner._SparseEngine):
-        def spy(self, i, j, _spair=engine.spair):
-            d, v = _spair(self, i, j)
-            degrees.append(d)
-            return d, v
-        monkeypatch.setattr(engine, "spair", spy)
+    spair = groebner._DenseEngine.spair
+
+    def spy(self, i, j):
+        d, v = spair(self, i, j)
+        degrees.append(d)
+        return d, v
+
+    monkeypatch.setattr(groebner._DenseEngine, "spair", spy)
     return degrees
 
 
@@ -318,6 +345,17 @@ def test_witness_never_suppresses_the_degree_cap(monkeypatch):
     with pytest.raises(DegreeCapExceeded) as err:  # ... but the cap still sees them
         buchberger(gens, Lex(), degree_cap=4, witness=witness)
     assert (err.value.degree, err.value.cap) == (5, 4)
+    # four points cut out by two conics in P^2: the lex basis reaches degree
+    # 4, and its own leading monomials prune the pair of degree 5
+    R = ring(3)
+    rng = random.Random(12)
+    gens = [random_form(R, 2, rng) for _ in range(2)]
+    expected = buchberger(gens, Lex())
+    assert max(g.homogeneous_degree() for g in expected) == 4
+    degrees.clear()
+    witness = MonomialIdeal(R, expected.leading_monomials)
+    assert buchberger(gens, Lex(), witness=witness) == expected
+    assert max(degrees) == 4
 
 
 def test_second_gin_trial_reduces_fewer_pairs(monkeypatch):
@@ -430,44 +468,11 @@ def test_each_initial_ideal_and_its_numerator_are_computed_once(monkeypatch):
     assert len(computed) == 2  # one numerator per order
 
 
-def test_seven_points_in_p4_run_dense_at_the_default_cap(monkeypatch):
+def test_seven_points_in_p4_run_dense_at_the_default_cap():
     from ginlab.points import random_points, vanishing_ideal
 
-    make_engine = groebner._make_engine
-    engines = []
-
-    def spy(*args):
-        engines.append(make_engine(*args))
-        return engines[-1]
-
     I = vanishing_ideal(random_points(7, 4, 1, FP_DEFAULT))
-    monkeypatch.setattr(groebner, "_make_engine", spy)
-    I.groebner_basis(Revlex())
-    assert [type(e) for e in engines] == [groebner._DenseEngine]
-
-
-def test_dense_run_hands_over_to_the_sparse_engine(monkeypatch):
-    R = ring(3)
-    rng = random.Random(12)
-    gens = [random_form(R, 2, rng) for _ in range(2)]
-    expected = buchberger(gens, Lex())  # four points: the lex basis reaches degree 4
-    assert max(g.homogeneous_degree() for g in expected) == 4
-    finalize = groebner._finalize
-    engines = []
-
-    def spy(engine, order):
-        engines.append(type(engine))
-        return finalize(engine, order)
-
-    monkeypatch.setattr(groebner, "_finalize", spy)
-    monkeypatch.setattr(groebner, "_DENSE_PIECE_LIMIT", R.monomial_count(3))
-    assert type(groebner._make_engine(R, Lex(), [g.homogeneous_degree() for g in gens])) is groebner._DenseEngine
-    assert buchberger(gens, Lex()) == expected
-    witness = MonomialIdeal(R, [g.leading_monomial(Lex()) for g in expected])
-    degrees = _spair_degrees(monkeypatch)
-    assert buchberger(gens, Lex(), witness=witness) == expected
-    assert max(degrees) == 4  # the sparse engine prunes the degree-5 pair
-    assert engines == [groebner._SparseEngine] * 2
+    assert I.hilbert_function(Revlex(), bound=4).dims == (1, 5, 7, 7, 7)
 
 
 def test_ci22_revlex_initial_ideal_in_generic_coordinates():

@@ -102,8 +102,8 @@ def test_buchberger_matches_sympy_groebner(field, order, name, seed):
 def test_buchberger_over_qq_with_fractional_leading_coefficients_matches_sympy(
     order, name, seed
 ):
-    # the sparse engine clears these denominators and pseudo-divides by
-    # leading coefficients other than 1
+    # the engine clears these denominators and pseudo-divides by leading
+    # coefficients other than 1, on integer rows
     rng = random.Random(seed)
     R = RingContext(3, QQ)
     leads = [Fraction(-5, 6), Fraction(7, 4), Fraction(2, 9)]
