@@ -35,7 +35,7 @@ from .monomial_ideals import HilbertFunction, MonomialIdeal, SelfCheckFailed, hi
 from .orders import order_from_spec
 from .partial_elim import PointCountError, partial_elim_ideals
 from .points import DegeneratePointsError
-from .poly import parse_ideal_file
+from .poly import ideal_file_lines, parse_polynomial
 from .rings import RingContext
 from .segments import segment_ideal_of, segment_witness
 
@@ -117,15 +117,15 @@ def build_parser():
 
 def _load_ideal(args, field):
     with open(args.infile) as fh:
-        text = fh.read()
+        lines = ideal_file_lines(fh.read())
     nvars = args.nvars
     if nvars is None:
-        indices = [int(m) for m in re.findall(r"x(\d+)", text)]
+        indices = [int(m) for line in lines for m in re.findall(r"x(\d+)", line)]
         if not indices:
             raise ValueError("cannot infer variable count from file; pass --nvars")
         nvars = max(indices) + 1
     ring = RingContext(nvars, field)
-    return Ideal(parse_ideal_file(text, ring), ring, args.degree_cap)
+    return Ideal([parse_polynomial(line, ring) for line in lines], ring, args.degree_cap)
 
 
 def _cmd_gin(args):
@@ -183,8 +183,7 @@ def _cmd_segment(args):
     if args.witness_in:
         ring = RingContext(args.nvars, field)
         with open(args.witness_in) as fh:
-            lines = [l.strip() for l in fh if l.strip() and not l.startswith("#")]
-        J = MonomialIdeal.from_strings(ring, lines)
+            J = MonomialIdeal.from_strings(ring, ideal_file_lines(fh.read()))
         rng = None
         if args.degree_range:
             try:

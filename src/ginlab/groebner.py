@@ -3,8 +3,17 @@
 The algorithm is plain Buchberger with the normal selection strategy and the
 two classical pruning criteria (coprime leading terms and the chain
 criterion, installed Gebauer-Moeller style).  Since all input is homogeneous
-and the order is degree compatible, pairs are processed by increasing degree
-and a degree cap aborts runaway runs soundly.
+and the order is degree compatible, pairs are kept per degree, the lowest
+degree is taken as one batch, and a degree cap aborts runaway runs soundly.
+The batch is final once taken: a new element is top reduced, so no older
+leading monomial divides its own, and each pair it makes has an lcm of
+higher degree than its own; the chain criterion's B-test only deletes
+pairs of higher degree too (see ``_gm_add``).  A batch is reduced in the
+order of its lcms.  The chain criterion itself needs no order: it keeps
+the lcms that no other lcm properly divides, and a proper divisor has a
+lower degree, so the kept lcms are the minimal ones, which
+``minimalize_monomials`` finds, as it finds the minimal leading monomials
+for ``_finalize``.
 
 A third, Hilbert-driven criterion (Traverso, "Hilbert functions and the
 Buchberger algorithm", 1996) runs when the caller knows the Hilbert function
@@ -68,7 +77,8 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .monomial_ideals import MonomialIdeal, hilbert_data, hilbert_numerator, series_value
+from .monomial_ideals import (
+    MonomialIdeal, hilbert_data, hilbert_numerator, minimalize_monomials, series_value)
 from .orders import Revlex
 from .poly import Polynomial
 from .rings import mono_divides, mono_lcm
@@ -296,38 +306,38 @@ def _ideal_dimension(J, d):
 # Buchberger
 
 
-def _gm_add(engine, pairs, d, v, order):
-    """Add a reduced element, installing new pairs with Gebauer-Moeller
-    bookkeeping of the coprime and chain criteria."""
+def _gm_add(engine, pairs, d, v):
+    """Add a reduced element, installing new pairs in ``pairs``, a map
+    {degree: {(i, j): lcm}} of nonempty batches, with Gebauer-Moeller
+    bookkeeping of the coprime and chain criteria.  The chain criterion
+    keeps an lcm when no other lcm of the new element properly divides it;
+    a proper divisor has a lower degree, so the kept lcms are exactly the
+    minimal ones, whatever the order.  The batches of degree d or less are
+    left as they are, so a batch that ``buchberger`` has taken is final:
+    when the element is top reduced, no older leading monomial divides its
+    own, t, so each new lcm has degree above d; and the B-test only deletes
+    pairs of degree above d, because an lcm of degree d that t divides is
+    t, which is also t's lcm with either element of the pair."""
     idx = engine.add_basis(d, v)
     lts = engine.lts
     t = lts[idx]
     lcms = [mono_lcm(m, t) for m in lts[:idx]]
-    for key in list(pairs):
-        i, j = key
-        l = pairs[key]
-        if lcms[i] != l and lcms[j] != l and mono_divides(t, l):
-            del pairs[key]
+    for e, batch in list(pairs.items()):
+        for (i, j), l in list(batch.items()):
+            if lcms[i] != l and lcms[j] != l and mono_divides(t, l):
+                del batch[(i, j)]
+        if not batch:
+            del pairs[e]
     classes = {}
     for i, l in enumerate(lcms):
         classes.setdefault(l, []).append(i)
-    kept = []
     dt = sum(t)
-    for lcm in sorted(classes, key=lambda m: (sum(m), order.sort_key(m))):
-        if any(mono_divides(k, lcm) for k in kept):
-            continue
-        kept.append(lcm)
+    for lcm in minimalize_monomials(classes):
         # a coprime pair (its lcm has the degree of the product) witnesses
         # that this lcm reduces to zero
         if any(sum(lts[i]) + dt == sum(lcm) for i in classes[lcm]):
             continue
-        pairs[(min(classes[lcm]), idx)] = lcm
-
-
-def _select(pairs, order):
-    return min(
-        pairs.items(), key=lambda kv: (sum(kv[1]), order.sort_key(kv[1]), kv[0])
-    )
+        pairs.setdefault(sum(lcm), {})[(min(classes[lcm]), idx)] = lcm
 
 
 def _validate_input(gens, ring):
@@ -369,44 +379,39 @@ def buchberger(gens, order, degree_cap=DEFAULT_DEGREE_CAP, *, witness=None):
     if max(degrees) > degree_cap:
         raise ValueError("degree_cap is below a generator degree")
     engine = _DenseEngine(ring, order)
-    pairs = {}
+    pairs = {}  # degree -> {(i, j): lcm}
     for d, v, _ in engine.prepare(polys, degrees):
-        _gm_add(engine, pairs, d, v, order)
-    target = {}  # degree -> dim in(I)_d, read off the witness
+        _gm_add(engine, pairs, d, v)
     while pairs:
-        (i, j), lcm = _select(pairs, order)
-        d = sum(lcm)
+        d = min(pairs)
+        batch = pairs.pop(d)  # final: see the module docstring
         if d > degree_cap:
             raise DegreeCapExceeded(d, degree_cap)
-        if witness is not None:
-            if d not in target:
-                target[d] = _ideal_dimension(witness, d)
-            if engine.covered(d) == target[d]:  # in(G)_d = in(I)_d
-                pairs = {ij: m for ij, m in pairs.items() if sum(m) > d}
-                continue
-        del pairs[(i, j)]
-        sd, sv = engine.spair(i, j)
-        # over QQ the tail is reduced as well (see the module docstring)
-        red = engine.reduce(sd, sv, full=not engine.p)
-        if red is not None:
-            _gm_add(engine, pairs, sd, red[0], order)
+        target = _ideal_dimension(witness, d) if witness is not None else None
+        for i, j in sorted(batch, key=lambda ij: (order.sort_key(batch[ij]), ij)):
+            if target is not None and engine.covered(d) == target:  # in(G)_d = in(I)_d
+                break
+            sd, sv = engine.spair(i, j)
+            # over QQ the tail is reduced as well (see the module docstring)
+            red = engine.reduce(sd, sv, full=not engine.p)
+            if red is not None:
+                _gm_add(engine, pairs, sd, red[0])
     return _finalize(engine, order)
 
 
 def _finalize(engine, order):
     """Minimalize and tail-reduce the engine basis; canonical output order.
-    Per leading monomial that no other one properly divides, the first
-    listed element with it is kept, and its tail is reduced against the
-    whole engine basis, which is a Groebner basis, so the result is the
-    reduced basis whichever divisor each step takes (see the module
-    docstring).  Tail reduction keeps each leading monomial, so the
-    engine's are the result's."""
+    Per minimal leading monomial, as ``minimalize_monomials`` finds them
+    (minimality needs no order; the order only sorts the result), the
+    first listed element with it is kept, and its tail is reduced
+    against the whole engine basis, which is a Groebner basis, so the
+    result is the reduced basis whichever divisor each step takes (see the
+    module docstring).  Tail reduction keeps each leading monomial, so the
+    minimal ones are the result's."""
     lts = engine.lts
-    picked = []
-    for i in sorted(range(len(lts)), key=lambda i: (sum(lts[i]), order.sort_key(lts[i]))):
-        if not any(mono_divides(lts[j], lts[i]) for j in picked):
-            picked.append(i)
-    return ReducedBasis((engine.tail_reduced(i) for i in picked), (lts[i] for i in picked))
+    minimal = sorted(minimalize_monomials(lts), key=lambda m: (sum(m), order.sort_key(m)))
+    picked = [lts.index(m) for m in minimal]
+    return ReducedBasis((engine.tail_reduced(i) for i in picked), minimal)
 
 
 def reduce_groebner_basis(basis, order):

@@ -382,15 +382,11 @@ def _variable_index(ring, digits):
     return idx
 
 
-def parse_ideal_file(text, ring):
-    """One polynomial per line; blank lines and ``#`` comments ignored."""
-    polys = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        polys.append(parse_polynomial(line, ring))
-    return polys
+def ideal_file_lines(text):
+    """The stripped lines of an ideal file, less blank lines and ``#``
+    comments: the one line rule of every file the CLI reads."""
+    return [line for line in map(str.strip, text.splitlines())
+            if line and not line.startswith("#")]
 
 
 def random_form(ring, degree, rng):

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from itertools import accumulate, chain
 from math import comb
-from operator import le, sub
+from operator import le
 from typing import NamedTuple
 
 import numpy as np
@@ -41,14 +41,6 @@ def mono_mul(m, n):
 def mono_divides(m, n):
     """True if x^m divides x^n."""
     return all(map(le, m, n))
-
-
-def mono_div(m, n):
-    """Exponent tuple of x^m / x^n; requires divisibility."""
-    out = tuple(map(sub, m, n))
-    if min(out) < 0:
-        raise ValueError("monomial division with negative exponent")
-    return out
 
 
 def mono_lcm(m, n):

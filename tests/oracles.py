@@ -12,6 +12,8 @@ path calls.
   monomial of the ideal up to its top generator degree.
 - ``covered_count``: the degree-d monomials some leading monomial
   divides, the count Buchberger's Hilbert criterion compares.
+- ``gebauer_moeller_update``: the pairs Buchberger keeps after a new
+  leading monomial, by the textbook sorted scan of the chain criterion.
 - ``evaluate``: a polynomial at a point, for vanishing-ideal checks.
 - ``substituted``: a linear change of coordinates in a form, expanded by
   products of polynomials, for the dense power table of
@@ -156,6 +158,32 @@ def covered_count(leading_monomials, nvars, d):
     ``leading_monomials`` divides, trying every pair."""
     return sum(any(all(a <= b for a, b in zip(lt, m)) for lt in leading_monomials)
                for m in _monomials(nvars, d))
+
+
+def gebauer_moeller_update(pairs, leading_monomials, order):
+    """The pairs {(i, j): lcm} after the last of ``leading_monomials``, t,
+    joins the basis.  An old pair goes when t divides its lcm and that lcm
+    differs from the lcms of t with both members (the B-test).  The lcms of
+    t with the older monomials are scanned by degree, then ``order``; an
+    lcm is kept when no kept lcm divides it, and a kept lcm installs the
+    pair of t with its first member unless some member is coprime to t."""
+    *old, t = leading_monomials
+    lcms = [tuple(max(a, b) for a, b in zip(m, t)) for m in old]
+
+    def divides(a, b):
+        return all(x <= y for x, y in zip(a, b))
+
+    out = {(i, j): l for (i, j), l in pairs.items()
+           if l in (lcms[i], lcms[j]) or not divides(t, l)}
+    kept = []
+    for l in sorted(set(lcms), key=lambda m: (sum(m), order.sort_key(m))):
+        if any(divides(k, l) for k in kept):
+            continue
+        kept.append(l)
+        members = [i for i, m in enumerate(lcms) if m == l]
+        if all(sum(old[i]) + sum(t) != sum(l) for i in members):
+            out[(members[0], len(old))] = l
+    return out
 
 
 def evaluate(f, point):

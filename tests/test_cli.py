@@ -211,6 +211,17 @@ def test_pei_subcommand(tmp_path):
     assert report["outputs"]["k2_basis"] == ["1"]
 
 
+def test_comment_lines_name_no_variables(tmp_path):
+    # the variable count comes from the polynomial lines alone
+    ideal = tmp_path / "cubic.txt"
+    ideal.write_text("# ideal of the twisted cubic, not of x9\n"
+                     "x0*x2 - x1^2\nx0*x3 - x1*x2\nx1*x3 - x2^2\n")
+    out = tmp_path / "pei.json"
+    assert run(["pei", "--in", str(ideal), "--pmax", "1", "--out", str(out)]) == 0
+    outputs = json.loads(out.read_text())["outputs"]
+    assert (outputs["k0_dimension"], outputs["k1_dimension"]) == (2, 1)
+
+
 def test_exit_code_4_on_a_negative_pmax(tmp_path, monkeypatch, capsys):
     # a tower with no level is an input error, caught before any Groebner run
     ideal = tmp_path / "ci.txt"
@@ -250,6 +261,16 @@ def test_segment_witness_subcommand(tmp_path):
                 "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     assert report["outputs"]["feasible"] is False
+
+
+def test_segment_witness_file_skips_an_indented_comment(tmp_path):
+    # the line rule of gin and pei files: strip, then skip blanks and comments
+    ideal = tmp_path / "J.txt"
+    ideal.write_text("  # note\nx0^2\n\n  x0*x1\nx1^3\n")
+    out = tmp_path / "wit.json"
+    assert run(["segment", "--witness-in", str(ideal), "--nvars", "3",
+                "--degree-range", "1:3", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["outputs"]["certified_degrees"] == [1, 3]
 
 
 def _witness_ideal(tmp_path):

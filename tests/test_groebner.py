@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oracles import covered_count, homogeneous_generators, macaulay_contains, macaulay_dimension
+from oracles import (
+    covered_count,
+    gebauer_moeller_update,
+    homogeneous_generators,
+    macaulay_contains,
+    macaulay_dimension,
+)
 
 from ginlab import groebner
 from ginlab.fields import FP_DEFAULT, QQ, PrimeField
@@ -317,13 +323,20 @@ def test_covered_counts_the_monomials_some_leading_monomial_divides(gens, which)
             covered_count(lts, R.nvars, d) for d in range(7)]
 
 
-def _spair_degrees(monkeypatch):
+def _spair_degrees(monkeypatch, runs=None):
+    """The degree of each S-pair made, in order; with ``runs``, also one
+    list of them per engine, in the order the engines make their first."""
     degrees = []
     spair = groebner._DenseEngine.spair
 
     def spy(self, i, j):
         d, v = spair(self, i, j)
         degrees.append(d)
+        if runs is not None:
+            if not hasattr(self, "spy_run"):
+                self.spy_run = len(runs)
+                runs.append([])
+            runs[self.spy_run].append(d)
         return d, v
 
     monkeypatch.setattr(groebner._DenseEngine, "spair", spy)
@@ -919,27 +932,56 @@ def test_gm_add_prunes_coprime_and_chain_pairs():
     engine, pairs = groebner._DenseEngine(R, Lex()), {}
 
     def add(text):
-        groebner._gm_add(engine, pairs, *prepared(engine, parse_polynomial(text, R)), Lex())
+        groebner._gm_add(engine, pairs, *prepared(engine, parse_polynomial(text, R)))
 
     add("x0^2 + x1*x2")
     add("x1^3 + x2^3")
     assert pairs == {}  # x0^2 and x1^3 are coprime
     add("x0*x1 + x2^2")
-    assert pairs == {(0, 2): (2, 1, 0), (1, 2): (1, 3, 0)}
+    assert pairs == {3: {(0, 2): (2, 1, 0)}, 4: {(1, 2): (1, 3, 0)}}
     # x1^2 divides lcm(x1^3, x0*x1) and its lcms with both differ from it:
-    # the pair (1, 2) goes; lcm(x0^2, x1^2) is coprime and a multiple of
-    # the kept lcm(x0*x1, x1^2)
+    # the pair (1, 2) goes, and with it the batch of degree 4; lcm(x0^2,
+    # x1^2) is coprime and a multiple of the kept lcm(x0*x1, x1^2)
     add("x1^2 + x2^2")
-    assert pairs == {(0, 2): (2, 1, 0), (2, 3): (1, 2, 0), (1, 3): (0, 3, 0)}
+    assert pairs == {3: {(0, 2): (2, 1, 0), (2, 3): (1, 2, 0), (1, 3): (0, 3, 0)}}
 
 
 def test_gm_add_keeps_an_old_pair_whose_lcm_one_new_lcm_equals():
     R = ring(3)
     engine, pairs = groebner._DenseEngine(R, Lex()), {}
     for text in ["x0^2*x1 + x2^3", "x1^2 + x2^2", "x0^2 + x2^2"]:
-        groebner._gm_add(engine, pairs, *prepared(engine, parse_polynomial(text, R)), Lex())
+        groebner._gm_add(engine, pairs, *prepared(engine, parse_polynomial(text, R)))
     # x0^2 divides lcm(x0^2*x1, x1^2) = lcm(x1^2, x0^2): the old pair stays
-    assert pairs == {(0, 1): (2, 2, 0), (0, 2): (2, 1, 0)}
+    assert pairs == {4: {(0, 1): (2, 2, 0)}, 3: {(0, 2): (2, 1, 0)}}
+
+
+@st.composite
+def _leading_monomials(draw):
+    """Exponent tuples of degree 1-4 in 3-4 variables, repeats and
+    multiples included, and an order to sort lcms by."""
+    nvars = draw(st.integers(3, 4))
+    mons = draw(st.lists(
+        st.lists(st.integers(0, 2), min_size=nvars, max_size=nvars).map(tuple)
+        .filter(lambda m: 1 <= sum(m) <= 4), min_size=1, max_size=9))
+    weights = tuple(draw(st.lists(st.integers(1, 4), min_size=nvars, max_size=nvars)))
+    order = draw(st.sampled_from([Lex(), Revlex(), WeightOrder(weights, Revlex())]))
+    return nvars, mons, order
+
+
+@settings(max_examples=60, deadline=None)
+@given(_leading_monomials())
+def test_gm_add_installs_the_textbook_update_under_any_order(case):
+    # the chain criterion keeps the minimal lcms, so the order they are
+    # scanned in does not matter; every batch is nonempty and of its degree
+    nvars, mons, order = case
+    R = ring(nvars)
+    engine, pairs, expected = groebner._DenseEngine(R, Lex()), {}, {}
+    for k, m in enumerate(mons):
+        groebner._gm_add(engine, pairs, *prepared(engine, Polynomial(R, {m: 1})))
+        expected = gebauer_moeller_update(expected, mons[:k + 1], order)
+        assert all(batch and {sum(l) for l in batch.values()} == {d}
+                   for d, batch in pairs.items())
+        assert {ij: l for batch in pairs.values() for ij, l in batch.items()} == expected
 
 
 @pytest.mark.parametrize("shape, count", [(("curve", 3, 3), 58), (("points", 20, 3), 106)])
@@ -947,7 +989,10 @@ def test_spair_counts_at_seed_1_are_pinned(monkeypatch, shape, count):
     # a change to the pair criteria or to the selection shows here
     from ginlab import experiments
 
-    degrees = _spair_degrees(monkeypatch)
+    runs = []
+    degrees = _spair_degrees(monkeypatch, runs)
     kind, *args = shape
     getattr(experiments, f"experiment_{kind}")(*args, seed=1)
     assert len(degrees) == count
+    # each run takes its pairs one degree at a time
+    assert len(runs) > 1 and all(run == sorted(run) for run in runs)
