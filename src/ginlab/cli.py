@@ -37,7 +37,7 @@ from .partial_elim import PointCountError, partial_elim_ideals
 from .points import DegeneratePointsError
 from .poly import ideal_file_lines, parse_polynomial
 from .rings import RingContext
-from .segments import segment_ideal_of, segment_witness
+from .segments import segment_ideal_of, segment_space, segment_witness
 
 
 def _common(parser, *, seed=True, cap=True):
@@ -216,7 +216,9 @@ def _cmd_segment(args):
     )
     report.outputs["is_ideal"] = seg.is_ideal
     report.outputs["spaces"] = {
-        str(s.degree): [ring.monomial_str(m) for m in s.monomials] for s in seg.spaces
+        str(d): [ring.monomial_str(m)
+                 for m in segment_space(d, hf.ideal_dimension(ring, d), order, ring).monomials]
+        for d in range(args.bound + 1)
     }
     if seg.is_ideal:
         report.outputs["minimal_generators"] = list(

@@ -72,12 +72,6 @@ class Polynomial:
     def is_zero(self):
         return not self.terms
 
-    def total_degree(self):
-        """Maximum term degree; None for the zero polynomial."""
-        if not self.terms:
-            return None
-        return max(mono_degree(m) for m in self.terms)
-
     def homogeneous_degree(self):
         """The common degree of all terms, or None if inhomogeneous/zero."""
         degs = {mono_degree(m) for m in self.terms}

@@ -13,7 +13,7 @@ from the rank columns of m shifted by delta, so a dense reduction step
 ranks only the support of its reducer.  The one map the ring caches is the
 tuple of unit shifts per (degree, order), the positions of the degree-d
 monomials times each variable, which divisor tables, the substitution of a
-coordinate change, the vanishing ideal and segment closure all reuse.
+coordinate change and the vanishing ideal all reuse.
 """
 
 from __future__ import annotations

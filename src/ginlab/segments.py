@@ -3,17 +3,19 @@ enumeration by Hilbert function, and weight-order segment witnesses.
 
 The degree-d segment for an order is the span of the top dim I_d monomials;
 taking it in every degree gives a graded monomial space that is an ideal
-for lex (Macaulay) but not in general.  Whether a monomial ideal is a
-segment for *some* degree-compatible weight order reduces to an exact
-strict-inequality feasibility problem solved by Fourier-Motzkin: positive
-weights w with min w . m over the ideal's degree-d monomials above max w . n
-over the others, in each degree.  Only the monomials that may be extreme on
-their side enter it.  A minimum or maximum of w . m over a finite set is
-reached at a vertex of its convex hull, and a vertex is never the midpoint
-m of two other members m + v and m - v, so dropping such midpoints (for v =
-e_i - e_j) leaves the set of solutions as it is.  ``feasible_point``
-back-substitutes the greatest lower and least upper bound of each
-projection of that set, so the weights it returns do not move either.
+for lex (Macaulay) but not in general.  A segment ideal is read off its
+standard sets, the h(d) smallest monomials of each degree, and no graded
+piece.  Whether a monomial ideal is a segment for *some* degree-compatible
+weight order reduces to an exact strict-inequality feasibility problem
+solved by Fourier-Motzkin: positive weights w with min w . m over the
+ideal's degree-d monomials above max w . n over the others, in each
+degree.  Only the monomials that may be extreme on their side enter it.
+A minimum or maximum of w . m over a finite set is reached at a vertex of
+its convex hull, and a vertex is never the midpoint m of two other members
+m + v and m - v, so dropping such midpoints (for v = e_i - e_j) leaves the
+set of solutions as it is.  ``feasible_point`` back-substitutes the
+greatest lower and least upper bound of each projection of that set, so
+the weights it returns do not move either.
 """
 
 from __future__ import annotations
@@ -29,12 +31,12 @@ from .groebner import ResourceLimitExceeded
 from .monomial_ideals import (
     HilbertFunction, MonomialIdeal, SelfCheckFailed, hilbert_data, is_borel_fixed,
 )
-from .orders import Lex
+from .orders import Lex, variable_ranking
 
 
 @dataclass(frozen=True)
 class SegmentSpace:
-    """The u order-greatest monomials of one degree (a down-set within the
+    """The u order-greatest monomials of one degree (an upper set within the
     degree: anything larger than a member is a member)."""
 
     degree: int
@@ -48,59 +50,63 @@ def segment_space(d, u, order, ring) -> SegmentSpace:
     return SegmentSpace(d, mons[:u])
 
 
-@dataclass
+@dataclass(frozen=True)
 class SegmentIdealResult:
-    """Per-degree segments of a Hilbert function plus whether they close
-    under multiplication by linear forms (then they really are the graded
-    pieces of a monomial ideal)."""
+    """Whether the segments of a Hilbert function close under multiplication
+    by linear forms and, if so, the ideal they span up to the bound."""
 
-    spaces: list
     is_ideal: bool
-    ring: object
-    order: object
+    ideal: MonomialIdeal | None
 
     def monomial_ideal(self) -> MonomialIdeal:
-        """The ideal the segments span: every monomial of the degree-0 space,
-        then in each degree d + 1 the members that no x_j times a degree-d
-        member covers, read off the ring's multiplication maps."""
         if not self.is_ideal:
             raise ValueError("segment spaces do not form an ideal")
-        gens = list(self.spaces[0].monomials)
-        for low, high in zip(self.spaces, self.spaces[1:]):
-            covered = np.zeros(len(high.monomials), dtype=bool)
-            for shift in self.ring.variable_shifts(low.degree, self.order):
-                covered[shift[: len(low.monomials)]] = True
-            gens.extend(high.monomials[k] for k in np.flatnonzero(~covered))
-        return MonomialIdeal(self.ring, gens)
+        return self.ideal
 
 
-def _expand(monomials, ring):
-    out = set()
-    for m in monomials:
-        for i in range(ring.nvars):
-            out.add(tuple(e + (1 if k == i else 0) for k, e in enumerate(m)))
-    return out
+def _moved(m, j, step):
+    """m times x_j (step 1) or divided by x_j (step -1)."""
+    return m[:j] + (m[j] + step,) + m[j + 1:]
+
+
+def _expand(monomials, nvars):
+    """S_1 times a set of monomials: every m * x_j."""
+    return {_moved(m, j, 1) for m in monomials for j in range(nvars)}
 
 
 def segment_ideal_of(hf: HilbertFunction, order, ring, bound) -> SegmentIdealResult:
-    """Segments Seg(d, dim I_d) for d <= bound and the ideal-closure verdict
-    (S_1 * Seg(d) inside Seg(d+1) for every d < bound).  A segment is a
-    prefix of its piece, so the closure test is that x_j maps the first
-    u_d positions of degree d below position u_{d+1}, for every j."""
+    """Whether the segments of ``hf`` close in degrees 0..bound (S_1 * Seg(d)
+    inside Seg(d+1)), from the standard sets B_d, the h(d) order-smallest
+    monomials of degree d.  With s the least monomial of Seg(d) and x the
+    smallest variable, s*x is the least of S_1 * Seg(d) and every monomial
+    below it is in S_1 * B_d.  So they close at d if s*x is not among the
+    h(d+1) smallest of S_1 * B_d and s*x, which are B_{d+1}; the next is the
+    least of Seg(d+1), and the rest of S_1 * B_d whose divisors all lie in
+    B_d are the generators of degree d + 1."""
     if bound < 0:
         raise ValueError(f"segment bound must be at least 0, got {bound}")
-    spaces = []
-    for d in range(bound + 1):
-        u = hf.ideal_dimension(ring, d)
-        if not 0 <= u <= ring.monomial_count(d):
+    sizes = [hf.h(d) for d in range(bound + 1)]
+    for d, h in enumerate(sizes):
+        if not 0 <= h <= ring.monomial_count(d):
             raise ValueError(f"inconsistent Hilbert function at degree {d}")
-        spaces.append(segment_space(d, u, order, ring))
-    is_ideal = all(
-        (shift[: len(low.monomials)] < len(high.monomials)).all()
-        for low, high in zip(spaces, spaces[1:])
-        for shift in ring.variable_shifts(low.degree, order)
-    )
-    return SegmentIdealResult(spaces, is_ideal, ring, order)
+    n = ring.nvars
+    smallest = variable_ranking(order, n)[-1]
+    one = (0,) * n
+    # B_0, the least monomial of Seg(0) (None while Seg(d) is empty), generators
+    standard, least, gens = ({one}, None, []) if sizes[0] else (set(), one, [one])
+    for h in sizes[1:]:
+        candidates = _expand(standard, n)
+        if least is not None:
+            bottom = _moved(least, smallest, 1)
+            candidates.add(bottom)
+        ranked = sorted(candidates, key=order.sort_key, reverse=True)  # least first
+        if least is not None and ranked.index(bottom) < h:
+            return SegmentIdealResult(False, None)
+        below, standard = standard, set(ranked[:h])
+        least = ranked[h] if h < len(ranked) else None
+        gens.extend(m for m in ranked[h:]
+                    if all(_moved(m, j, -1) in below for j in range(n) if m[j]))
+    return SegmentIdealResult(True, MonomialIdeal(ring, gens))
 
 
 def lex_ideal_of_hf(hf: HilbertFunction, ring, bound) -> MonomialIdeal:
@@ -134,13 +140,11 @@ def enumerate_borel_by_hf(hf: HilbertFunction, ring, bound):
         mons = ring.monomials_of_degree(d)
         nxt = {}
         for space, gens in branches:
-            base = frozenset(_expand(space, ring))
+            base = frozenset(_expand(space, ring.nvars))
             if len(base) > want:
                 continue
             for filled in _borel_closed_fills(base, want, mons):
-                new_gens = tuple(sorted(filled - base))
-                key = (filled, gens + new_gens)
-                nxt[key] = None
+                nxt[filled, gens + tuple(sorted(filled - base))] = None
         branches = list(nxt)
         if not branches:
             return []

@@ -2,9 +2,15 @@
 pass/fail line per criterion.  All expectations are exact; runtime budgets
 are asserted with the generous limits they were specified with."""
 
+import hashlib
+import json
 import os
 import random
+import resource
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -36,6 +42,47 @@ from ginlab.sylvester import (
     sample_monic_pair,
     unit_reduce,
 )
+
+
+#: sha256 of the ``--out`` JSON of each CLI command, recorded before the
+#: segment ideals were built from their standard sets; a change to any
+#: reported number changes its digest.
+GRID_DIGESTS = json.loads((Path(__file__).parent / "data" / "grid_digests.json").read_text())
+
+SLOW = pytest.mark.skipif(os.environ.get("GINLAB_SLOW") != "1",
+                          reason="set GINLAB_SLOW=1 to run the large shapes")
+
+#: Runs its arguments as a command and prints the command's exit code and
+#: peak RSS in MB.  Linux starts a forked process's peak RSS at that of the
+#: process it was forked from, so the command is forked from this small
+#: interpreter, not from the test process.
+WRAPPER = ("import resource, subprocess, sys; code = subprocess.call(sys.argv[1:]); "
+           "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024)")
+
+
+def run_cli_child(command, out, address_limit=None):
+    """Run one ``ginlab`` CLI command in a fresh interpreter, under an
+    address-space limit if one is given; its exit code and peak RSS in MB."""
+    import ginlab
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(ginlab.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (address_limit, address_limit))
+
+    done = subprocess.run(
+        [sys.executable, "-c", WRAPPER, sys.executable, "-m", "ginlab.cli",
+         *command.split(), "--out", str(out)],
+        env=env, capture_output=True, text=True,
+        preexec_fn=limit if address_limit else None,
+    )
+    code, peak = done.stdout.split()[-2:]
+    return int(code), float(peak)
+
+
+def digest(data):
+    return hashlib.sha256(data).hexdigest()
 
 
 def announce(number, label, ok, detail=""):
@@ -94,8 +141,7 @@ def test_criterion_1_curve_3_4():
              f"{report.elapsed_seconds:.1f}s")
 
 
-@pytest.mark.skipif(os.environ.get("GINLAB_SLOW") != "1",
-                    reason="0.5-20 s per shape; set GINLAB_SLOW=1 to run the curve grid")
+@SLOW
 @pytest.mark.parametrize("a, b, cap", [(3, 5, 80), (4, 4, 80), (3, 6, 130), (4, 5, 130),
                                        (3, 7, 140), (4, 6, 190), (5, 5, 210), (4, 7, 260)])
 def test_criterion_1_curve_grid(a, b, cap):
@@ -104,8 +150,10 @@ def test_criterion_1_curve_grid(a, b, cap):
     nodes = a * b * (a - 1) * (b - 1) // 2
     report = experiment_curve(a, b, seed=1, degree_cap=cap)
     checks = report_checks(report, {"regularity", "k1_distinct_points"})
+    recorded = GRID_DIGESTS[f"curve --a {a} --b {b} --degree-cap {cap} --seed 1"]
     ok = (report.passed and checks["regularity"][1] == 1 + nodes
-          and checks["k1_distinct_points"][1] == nodes)
+          and checks["k1_distinct_points"][1] == nodes
+          and digest(report.to_json().encode()) == recorded)
     announce(1, f"lex gin regularity of the ({a},{b}) CI curve at cap {cap}", ok,
              f"reg={checks['regularity'][1]}, K1 points={checks['k1_distinct_points'][1]}, "
              f"{report.elapsed_seconds:.1f}s")
@@ -151,6 +199,36 @@ def test_criterion_4_twenty_points_in_p3():
     failed = [c.name for c in report.checks if not c.passed]
     announce(4, "gin = segment ideal for 20 points in P^3", not failed,
              f"failed checks {failed}, {elapsed:.1f}s")
+
+
+def test_criterion_4_hundred_points_in_p3(tmp_path):
+    # the segment check holds at most 100 standard monomials per degree;
+    # the whole graded pieces up to degree 102 would take several hundred MB
+    command = "points --s 100 --r 3 --orders revlex --degree-cap 110 --seed 1"
+    code, peak = run_cli_child(command, tmp_path / "out.json")
+    recorded = GRID_DIGESTS[command]
+    ok = code == 0 and peak < 200 and digest((tmp_path / "out.json").read_bytes()) == recorded
+    announce(4, "100 points in P^3 under revlex, recorded report", ok,
+             f"exit {code}, peak {peak:.0f} MB")
+
+
+@SLOW
+def test_criterion_4_three_hundred_points_in_p2(tmp_path):
+    command = "points --s 300 --r 2 --orders lex,revlex --degree-cap 310 --seed 1"
+    code, peak = run_cli_child(command, tmp_path / "out.json")
+    ok = code == 0 and digest((tmp_path / "out.json").read_bytes()) == GRID_DIGESTS[command]
+    announce(4, "300 points in P^2, recorded report", ok, f"exit {code}, peak {peak:.0f} MB")
+
+
+@SLOW
+def test_criterion_4_hundred_fifty_points_in_p3_memory(tmp_path):
+    # under a 2 GB address-space limit, so a regression fails fast
+    command = "points --s 150 --r 3 --orders lex,revlex --degree-cap 160 --seed 1"
+    start = time.perf_counter()
+    code, peak = run_cli_child(command, tmp_path / "out.json", address_limit=2 << 30)
+    elapsed = time.perf_counter() - start
+    announce(4, "150 points in P^3 in 10 s and 500 MB", code == 0 and peak < 500 and elapsed < 10,
+             f"exit {code}, peak {peak:.0f} MB, {elapsed:.1f}s")
 
 
 def test_criterion_5_counterexample_fixtures():

@@ -868,7 +868,7 @@ def _engine_forms(draw):
                 continue
         else:
             f = draw(st.sampled_from(forms))
-            if kind == "multiple" and f.total_degree() < 5:
+            if kind == "multiple" and f.homogeneous_degree() < 5:
                 x = [0] * nvars
                 x[draw(st.integers(0, nvars - 1))] = 1
                 f = f * Polynomial.from_terms(R, [(tuple(x), 1)])

@@ -29,7 +29,7 @@ from ginlab.monomial_ideals import (
     hilbert_data,
     is_borel_fixed,
 )
-from ginlab.orders import Lex, Revlex, WeightOrder
+from ginlab.orders import Lex, Revlex, WeightOrder, elimination_order
 from ginlab.points import random_points, vanishing_ideal
 from ginlab.rings import RingContext
 from ginlab.segments import (
@@ -292,11 +292,15 @@ def _closure_orders(nvars):
     return [Lex(), Revlex(), WeightOrder(weights, Revlex())]
 
 
-def _check_against_segment_oracle(hf, nvars, bound):
+def _check_against_segment_oracle(hf, nvars, bound, orders=None):
+    """The closure verdict of each order (default: ``_closure_orders``), its
+    generators where the segments close and a ValueError where they do not,
+    all as the set oracle has them; and no graded piece or unit shift built
+    on the ring."""
     R = ring(nvars)
     ideal_dims = [comb(nvars - 1 + d, nvars - 1) - hf.h(d) for d in range(bound + 1)]
     verdicts = []
-    for order in _closure_orders(nvars):
+    for order in orders or _closure_orders(nvars):
         closed, gens = segment_oracle(ideal_dims, order, nvars)
         result = segment_ideal_of(hf, order, R, bound)
         assert result.is_ideal == closed
@@ -306,6 +310,7 @@ def _check_against_segment_oracle(hf, nvars, bound):
             with pytest.raises(ValueError):
                 result.monomial_ideal()
         verdicts.append(closed)
+    assert R._graded == {} and R._shifts == {}
     return verdicts
 
 
@@ -336,6 +341,59 @@ def test_segment_closure_matches_set_oracle_where_segments_fail(s, r, verdicts):
     # x_{r-2}, yet Seg(2) ends before x_{r-2}*x_r
     hf = HilbertFunction(tuple(min(d + 1, s) for d in range(s + 3)), s + 2, s)
     assert _check_against_segment_oracle(hf, r + 1, s + 2) == verdicts
+
+
+def _macaulay_bound(h, d):
+    """h^<d>, the most h(d + 1) can be after h(d) = h in an O-sequence
+    (Macaulay): h = C(k_d, d) + C(k_{d-1}, d-1) + ... greedily, and
+    h^<d> = C(k_d + 1, d + 1) + C(k_{d-1} + 1, d) + ..."""
+    bound = 0
+    while h > 0:
+        k = d
+        while comb(k + 1, d) <= h:
+            k += 1
+        h -= comb(k, d)
+        bound += comb(k + 1, d + 1)
+        d -= 1
+    return bound
+
+
+@st.composite
+def hilbert_sequences(draw):
+    """(nvars, dims, is_o_sequence): 2-4 variables and h(0..bound) for a
+    bound of 0-8, either any 0 <= h(d) <= C(n-1+d, n-1) or an O-sequence,
+    each h(d + 1) drawn at most h(d)^<d> (h(1) at most n)."""
+    n = draw(st.integers(2, 4))
+    size = draw(st.integers(1, 9))
+    o_sequence = draw(st.booleans())
+    dims = [draw(st.integers(0, 1))] if o_sequence else []
+    for d in range(len(dims), size):
+        top = comb(n - 1 + d, n - 1)
+        if o_sequence:
+            top = min(top, n * dims[0] if d == 1 else _macaulay_bound(dims[-1], d - 1))
+        dims.append(draw(st.integers(0, top)))
+    return n, tuple(dims), o_sequence
+
+
+@st.composite
+def segment_orders(draw, nvars):
+    weights = tuple(draw(st.lists(st.integers(1, 5), min_size=nvars, max_size=nvars)))
+    return draw(st.sampled_from([
+        Lex(), Revlex(), WeightOrder(weights, Lex()), WeightOrder(weights, Revlex()),
+        elimination_order(nvars),
+    ]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_segment_ideal_matches_set_oracle_on_random_hilbert_functions(data):
+    # any order, any Hilbert function: lex segments of an O-sequence always
+    # close (Macaulay)
+    n, dims, o_sequence = data.draw(hilbert_sequences())
+    order = data.draw(segment_orders(n))
+    bound = len(dims) - 1
+    [closed] = _check_against_segment_oracle(HilbertFunction(dims, bound, None), n, bound, [order])
+    assert closed or not (o_sequence and order == Lex())
 
 
 @st.composite
