@@ -165,11 +165,10 @@ class _DenseEngine:
 
     def terms(self, d, positions, values, scale=1):
         """The term dict of the degree-d form values/scale at these positions."""
-        mons = self._piece(d).monomials
         values = values.tolist()
         if not self.p:
             values = [Fraction(c, scale) for c in values]
-        return dict(zip([mons[i] for i in positions.tolist()], values))
+        return dict(zip(self._piece(d).monomials(positions), values))
 
     def add_basis(self, d, v):
         """Append the row v, made monic over F_p and primitive with a
@@ -185,7 +184,7 @@ class _DenseEngine:
         piece = self._piece(d)
         columns = piece.columns[:, support]
         self.basis.append((d, support, values, columns - columns[:, :1]))
-        self.lts.append(piece.monomials[lead])
+        self.lts.append(piece.monomials(support[:1])[0])
         idx = len(self.basis) - 1
         table = self._divisors.get(d)
         if table is not None:
@@ -288,7 +287,7 @@ class _DenseEngine:
         # the rank columns of the lcm (see ``rings._rank_columns``)
         top = np.array([t * (d + 1) + T for t, T in enumerate(accumulate(reversed(lcm[1:])))],
                        dtype=np.int64).reshape(-1, 1)
-        out = np.zeros(len(piece.monomials), dtype=self.dtype)
+        out = np.zeros(len(piece.exponents), dtype=self.dtype)
         _, _, vi, si = self.basis[i]
         _, _, vj, sj = self.basis[j]
         k = gcd(vi[0], vj[0])

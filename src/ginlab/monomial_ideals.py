@@ -9,7 +9,6 @@ numerator (pole order at t=1 and value of the reduced numerator there).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 from math import comb
 
 import numpy as np
@@ -107,8 +106,8 @@ class MonomialIdeal:
 
     def monomials_of_degree(self, d):
         """Degree-d monomials inside the ideal, canonical order."""
-        mons = self.ring.monomials_of_degree(d)
-        return tuple(compress(mons, self.membership(mons)))
+        piece = self.ring.graded_piece(d)
+        return piece.monomials(self.membership(piece.exponents))
 
     def max_generator_degree(self):
         if not self.gens:

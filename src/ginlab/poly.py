@@ -195,8 +195,7 @@ class Polynomial:
         c = np.array(weights, dtype=powers.dtype)
         total = (powers * c % p).sum(axis=1) % p if p else (powers * c).sum(axis=1)
         nz = np.flatnonzero(total)
-        mons = self.ring.monomials_of_degree(d)
-        support = [mons[i] for i in nz.tolist()]
+        support = self.ring.graded_piece(d).monomials(nz)
         if p:
             return Polynomial(self.ring, dict(zip(support, total[nz].tolist())))
         scale = C * change.scale**d

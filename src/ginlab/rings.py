@@ -2,8 +2,9 @@
 
 Monomials are bare tuples of non-negative ints of length ``ring.nvars``; the
 degree is the tuple sum.  The ring context owns the one table per (degree,
-order) of each graded piece -- its monomials greatest first and the rank
-columns of their exponents -- which every dense computation indexes into.
+order) of each graded piece -- arrays only: the exponent rows of its
+monomials greatest first and their rank columns -- which every dense
+computation indexes into; tuples are made from the rows a caller asks for.
 One numbering serves every order: a monomial's lex rank, computed from the
 suffix sums of its exponents by the combinatorial number system.  A piece
 is built by unranking lex ranks 0..N-1 and sorting the rows under its
@@ -93,16 +94,20 @@ def _rank_columns(suffix_sums, d):
 
 
 class GradedPiece(NamedTuple):
-    """The degree-d monomials of a ring, greatest first under one order.  A
-    monomial's lex rank is the sum of ``rank_table`` at its rank columns,
-    and its position is ``by_lex_rank`` there.  The last t exponents of
-    m*x^delta sum to T_t(m) + D_t, so the columns of a multiple are those of
-    m shifted row by row.  Shared by every caller on the ring, so read-only."""
+    """The degree-d monomials of a ring as exponent rows, greatest first under
+    one order.  A monomial's lex rank is the sum of ``rank_table`` at its rank
+    columns, and its position is ``by_lex_rank`` there.  The last t exponents
+    of m*x^delta sum to T_t(m) + D_t, so the columns of a multiple are those
+    of m shifted row by row.  Read-only arrays shared on the ring, no tuples."""
 
-    monomials: tuple
-    columns: np.ndarray  # the _rank_columns of each monomial
+    exponents: np.ndarray  # (N, nvars), one row per monomial in the order
+    columns: np.ndarray  # the _rank_columns of each row
     rank_table: np.ndarray  # _lex_rank_table(nvars, d), flattened
-    by_lex_rank: np.ndarray  # position in ``monomials`` of the k-th lex monomial
+    by_lex_rank: np.ndarray  # position of the k-th lex monomial
+
+    def monomials(self, positions=slice(None)):
+        """Tuples of the rows at these positions: the one tuple maker."""
+        return tuple(map(tuple, self.exponents[positions].tolist()))
 
     def positions_at(self, columns):
         """Position of each monomial of the piece's degree with these rank
@@ -115,7 +120,7 @@ class GradedPiece(NamedTuple):
         nvars = len(self.columns) + 1
         exps = np.fromiter(chain.from_iterable(monomials), np.int64, len(monomials) * nvars)
         suffix = _suffix_sums(exps.reshape(-1, nvars))
-        return self.positions_at(_rank_columns(suffix, sum(self.monomials[0])))
+        return self.positions_at(_rank_columns(suffix, int(self.exponents[0].sum())))
 
     def positions_times(self, src, delta):
         """Position of each monomial of the piece ``src`` times x^delta: row
@@ -166,11 +171,11 @@ class RingContext:
         return comb(self.nvars - 1 + d, self.nvars - 1)
 
     def graded_piece(self, d, order=_LEX):
-        """The degree-d monomials greatest first under ``order`` and the
-        tables that rank them and their multiples; cached on the ring per
-        (degree, order).  Every piece is built the same way: unranking lex
-        ranks 0..N-1 gives the suffix sums and so the exponent matrix of the
-        whole degree, and one ``np.lexsort`` over the order's
+        """The exponent rows of the degree-d monomials greatest first under
+        ``order`` and the tables that rank them and their multiples; cached
+        on the ring per (degree, order).  Every piece is built the same way:
+        unranking lex ranks 0..N-1 gives the suffix sums and so the exponent
+        matrix of the whole degree, and one ``np.lexsort`` over the order's
         ``key_columns`` orders its rows (the identity under lex)."""
         key = (d, order)
         piece = self._graded.get(key)
@@ -179,12 +184,11 @@ class RingContext:
             lex_suffix = _unrank(table, self.monomial_count(d))
             exps = _exponents(lex_suffix, d)
             perm = np.lexsort(order.key_columns(exps)[::-1])  # lexsort's primary key is its last
-            mons = tuple(map(tuple, exps[perm].tolist()))
             columns = _rank_columns(lex_suffix[:, perm], d)
-            by_lex = np.empty(len(mons), dtype=np.int64)
-            by_lex[perm] = np.arange(len(mons))
-            piece = GradedPiece(mons, columns, table.ravel(), by_lex)
-            for array in piece[1:]:
+            by_lex = np.empty(len(perm), dtype=np.int64)
+            by_lex[perm] = np.arange(len(perm))
+            piece = GradedPiece(exps[perm], columns, table.ravel(), by_lex)
+            for array in piece:
                 array.setflags(write=False)
             self._graded[key] = piece
         return piece
@@ -204,8 +208,8 @@ class RingContext:
         return shifts
 
     def monomials_of_degree(self, d):
-        """All degree-d monomials in descending lex order (cached)."""
-        return self.graded_piece(d).monomials
+        """All degree-d monomials in descending lex order, made per call."""
+        return self.graded_piece(d).monomials()
 
     def drop_first_variable(self):
         """The context in one fewer variable (the image ring of projection

@@ -21,8 +21,7 @@ the weights it returns do not move either.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, compress
-from operator import mul
+from itertools import combinations
 
 import numpy as np
 
@@ -44,10 +43,10 @@ class SegmentSpace:
 
 
 def segment_space(d, u, order, ring) -> SegmentSpace:
-    mons = ring.graded_piece(d, order).monomials
-    if not 0 <= u <= len(mons):
+    piece = ring.graded_piece(d, order)
+    if not 0 <= u <= len(piece.exponents):
         raise ValueError(f"segment size {u} out of range for degree {d}")
-    return SegmentSpace(d, mons[:u])
+    return SegmentSpace(d, piece.monomials(slice(u)))
 
 
 @dataclass(frozen=True)
@@ -233,7 +232,7 @@ def segment_witness(J: MonomialIdeal, degree_range=None):
     nvars = J.ring.nvars
     constraints = [(unit, True) for unit in np.eye(nvars, dtype=np.int64).tolist()]
     for d in range(lo, hi + 1):
-        exps = np.array(J.ring.monomials_of_degree(d), dtype=np.int64)
+        exps = J.ring.graded_piece(d).exponents
         inside = J.membership(exps)
         if inside.all() or not inside.any():
             continue
@@ -279,11 +278,11 @@ def verify_weight_witness(J: MonomialIdeal, weights, degree_range) -> bool:
     if len(weights) != J.ring.nvars or any(w <= 0 for w in weights):
         return False
     for d in range(lo, hi + 1):
-        mons = J.ring.monomials_of_degree(d)
-        inside = J.membership(mons)
+        exps = J.ring.graded_piece(d).exponents
+        inside = J.membership(exps)
         if inside.all() or not inside.any():
             continue
-        values = [sum(map(mul, weights, m)) for m in mons]  # exact: weights may pass int64
-        if not min(compress(values, inside)) > max(compress(values, ~inside)):
+        values = exps.astype(object) @ weights  # exact: weights may pass int64
+        if not values[inside].min() > values[~inside].max():
             return False
     return True

@@ -45,8 +45,9 @@ from ginlab.sylvester import (
 
 
 #: sha256 of the ``--out`` JSON of each CLI command, recorded before the
-#: segment ideals were built from their standard sets; a change to any
-#: reported number changes its digest.
+#: segment ideals were built from their standard sets (``curve`` (5,6)
+#: before the graded pieces dropped their tuples); a change to any reported
+#: number changes its digest.
 GRID_DIGESTS = json.loads((Path(__file__).parent / "data" / "grid_digests.json").read_text())
 
 SLOW = pytest.mark.skipif(os.environ.get("GINLAB_SLOW") != "1",
@@ -143,7 +144,8 @@ def test_criterion_1_curve_3_4():
 
 @SLOW
 @pytest.mark.parametrize("a, b, cap", [(3, 5, 80), (4, 4, 80), (3, 6, 130), (4, 5, 130),
-                                       (3, 7, 140), (4, 6, 190), (5, 5, 210), (4, 7, 260)])
+                                       (3, 7, 140), (4, 6, 190), (5, 5, 210), (4, 7, 260),
+                                       (5, 6, 310)])
 def test_criterion_1_curve_grid(a, b, cap):
     # the README grid past (3,4), at seed 1: reg = 1 + ab(a-1)(b-1)/2 and K_1
     # has ab(a-1)(b-1)/2 distinct points; the caps reach past each regularity
@@ -157,6 +159,18 @@ def test_criterion_1_curve_grid(a, b, cap):
     announce(1, f"lex gin regularity of the ({a},{b}) CI curve at cap {cap}", ok,
              f"reg={checks['regularity'][1]}, K1 points={checks['k1_distinct_points'][1]}, "
              f"{report.elapsed_seconds:.1f}s")
+
+
+@SLOW
+def test_criterion_1_curve_4_7_memory(tmp_path):
+    # the graded pieces hold exponent rows and no tuple copy: tuples of
+    # every piece up to degree 261 took this run to 427 MB
+    command = "curve --a 4 --b 7 --degree-cap 260 --seed 1"
+    code, peak = run_cli_child(command, tmp_path / "out.json")
+    ok = (code == 0 and peak < 380
+          and digest((tmp_path / "out.json").read_bytes()) == GRID_DIGESTS[command])
+    announce(1, "the (4,7) CI curve at cap 260 under 380 MB, recorded report", ok,
+             f"exit {code}, peak {peak:.0f} MB")
 
 
 def test_criterion_3_nonsmooth(nonsmooth_report):

@@ -696,13 +696,13 @@ def _mulmap_orders(nvars):
 
 
 def _index(piece):
-    return {m: i for i, m in enumerate(piece.monomials)}
+    return {m: i for i, m in enumerate(piece.monomials())}
 
 
 def _check_mulmaps(R, order, shapes):
     units = [tuple(int(i == j) for i in range(R.nvars)) for j in range(R.nvars)]
     for src_deg in sorted({src_deg for src_deg, _ in shapes}):
-        src = R.graded_piece(src_deg, order).monomials
+        src = R.graded_piece(src_deg, order).monomials()
         index = _index(R.graded_piece(src_deg + 1, order))
         shifts = R.variable_shifts(src_deg, order)
         assert R.variable_shifts(src_deg, order) is shifts  # cached per (degree, order)
@@ -711,7 +711,7 @@ def _check_mulmaps(R, order, shapes):
             [index[mono_mul(m, unit)] for m in src] for unit in units]
     for src_deg, delta_deg in shapes:
         # one basis element whose support is the whole degree-src_deg piece
-        src = R.graded_piece(src_deg, order).monomials
+        src = R.graded_piece(src_deg, order).monomials()
         engine = groebner._DenseEngine(R, order)
         engine.add_basis(*prepared(
             engine, Polynomial.from_terms(R, [(m, k + 1) for k, m in enumerate(src)])))
@@ -751,8 +751,8 @@ def test_piece_positions_match_an_index_built_from_its_monomials(nvars):
         for d in range(6):
             piece = R.graded_piece(d, order)
             index = _index(piece)
-            assert piece.positions(piece.monomials).tolist() == list(range(len(index)))
-            sample = rng.choices(piece.monomials, k=7)
+            assert piece.positions(piece.monomials()).tolist() == list(range(len(index)))
+            sample = rng.choices(piece.monomials(), k=7)
             assert piece.positions(sample).tolist() == [index[m] for m in sample]
 
 
@@ -769,7 +769,8 @@ def _arrays(value):
 
 def test_rings_cache_only_piece_tables_and_unit_shifts(monkeypatch):
     # no map keyed by a non-unit delta outlives a run: after a whole curve
-    # pipeline, each ring holds its pieces' tables and its unit shifts only
+    # pipeline, each ring holds its pieces' tables and its unit shifts only,
+    # and every field of a piece is a read-only array, not a tuple of tuples
     from ginlab.experiments import experiment_curve
 
     rings = []
@@ -783,7 +784,9 @@ def test_rings_cache_only_piece_tables_and_unit_shifts(monkeypatch):
     experiment_curve(3, 3, seed=1)
     assert [R.nvars for R in rings] == [4, 3]
     for R in rings:
-        tables = [array for piece in R._graded.values() for array in piece[1:]]
+        tables = [array for piece in R._graded.values() for array in piece]
+        assert all(isinstance(array, np.ndarray) and not array.flags.writeable
+                   for array in tables)
         shifts = [shift for key in R._shifts for shift in R.variable_shifts(*key)]
         assert len(shifts) == R.nvars * len(R._shifts) > 0
         known = {id(array) for array in tables + shifts}
@@ -901,7 +904,7 @@ def test_divisor_tables_match_a_brute_force_first_divisor(case, data):
     for d in range(9):
         got = [None if g == groebner._NO_DIVISOR else g
                for g in engine._divisor_table(d).tolist()]
-        assert got == _brute_force_divisor_table(lts, R.graded_piece(d, order).monomials)
+        assert got == _brute_force_divisor_table(lts, R.graded_piece(d, order).monomials())
 
 
 def test_divisor_tables_rank_no_multiples(monkeypatch):

@@ -5,6 +5,7 @@ import time
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -114,7 +115,7 @@ ALL_ORDERS = [
 def test_sorting_is_strict_total_order(order):
     R = ring(4)
     for d in range(1, 9):
-        ranked = R.graded_piece(d, order).monomials
+        ranked = R.graded_piece(d, order).monomials()
         assert sorted(ranked) == sorted(R.monomials_of_degree(d))
         for a, b in zip(ranked, ranked[1:]):
             assert greater(a, b, order)
@@ -151,8 +152,8 @@ def test_elimination_order_with_a_lex_inner_order_is_lex():
     assert elimination_order(4, Lex()) == Lex()
     R = ring(4)
     for d in range(6):
-        lex = R.graded_piece(d, Lex()).monomials
-        assert R.graded_piece(d, ProductOrder((1, 3), (Lex(), Lex()))).monomials == lex
+        lex = R.graded_piece(d, Lex()).monomials()
+        assert R.graded_piece(d, ProductOrder((1, 3), (Lex(), Lex()))).monomials() == lex
     eliminating = elimination_order(4, Revlex())
     assert isinstance(eliminating, ProductOrder)
     assert eliminating == ProductOrder((1, 3), (Lex(), Revlex()))
@@ -221,8 +222,26 @@ def test_numpy_piece_order_is_the_sort_key_order(nvars_order, d):
     tuples = [tuple(combo.count(j) for j in range(nvars))
               for combo in combinations_with_replacement(range(nvars), d)]
     piece = ring(nvars).graded_piece(d, order)
-    assert piece.monomials == tuple(sorted(tuples, key=order.sort_key))
-    assert piece.positions(piece.monomials).tolist() == list(range(len(tuples)))
+    assert piece.monomials() == tuple(sorted(tuples, key=order.sort_key))
+    assert piece.positions(piece.monomials()).tolist() == list(range(len(tuples)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([Lex(), Revlex(), WeightOrder((3, 1, 2, 1), Revlex()),
+                        ProductOrder((1, 3), (Lex(), Revlex()))]),
+       st.integers(0, 7), st.data())
+def test_piece_monomials_at_positions_are_the_sorted_tuples_there(order, d, data):
+    # a piece makes tuples of the rows asked for only: random positions, in
+    # any order and with repeats, against the sort-key order of tuples built
+    # here, and a leading slice as ``segment_space`` asks for one
+    tuples = sorted([tuple(combo.count(j) for j in range(4))
+                     for combo in combinations_with_replacement(range(4), d)], key=order.sort_key)
+    positions = data.draw(st.lists(st.integers(0, len(tuples) - 1), max_size=12))
+    piece = ring(4).graded_piece(d, order)
+    got = piece.monomials(np.array(positions, dtype=np.int64))
+    assert got == tuple(tuples[i] for i in positions)
+    assert all(type(m) is tuple and all(type(e) is int for e in m) for m in got)
+    assert piece.monomials(slice(len(positions))) == tuple(tuples[:len(positions)])
 
 
 def test_a_non_lex_piece_is_built_without_the_lex_piece():
@@ -236,8 +255,8 @@ def test_weights_past_int64_sort_a_piece_exactly():
     R = ring(3)
     order = WeightOrder((2**62, 2**62 + 1, 1), Revlex())
     for d in range(6):
-        lex = R.graded_piece(d, Lex()).monomials
-        assert R.graded_piece(d, order).monomials == tuple(sorted(lex, key=order.sort_key))
+        lex = R.graded_piece(d, Lex()).monomials()
+        assert R.graded_piece(d, order).monomials() == tuple(sorted(lex, key=order.sort_key))
 
 
 # ----------------------------------------------------------------------

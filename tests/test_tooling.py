@@ -3,6 +3,7 @@
 import argparse
 import ast
 import importlib.util
+import json
 import os
 import re
 import subprocess
@@ -271,10 +272,19 @@ def _acceptance_curve_grid():
     return ast.literal_eval(params.args[1])
 
 
+def _digest_curve_grid():
+    # the (a, b, cap) of each ``curve`` key of the recorded grid digests
+    keys = json.loads((ROOT / "tests" / "data" / "grid_digests.json").read_text())
+    return [tuple(map(int, re.fullmatch(r"curve --a (\d+) --b (\d+) --degree-cap (\d+) --seed 1",
+                                        key).groups()))
+            for key in keys if key.startswith("curve ")]
+
+
 def test_readme_curve_grid_matches_the_theorem_and_the_acceptance_caps():
     # the README grid has drifted from the code before: every row must print
     # the theorem's regularity, and the rows past (3,4) must name the caps
-    # the slow acceptance test runs, each past its regularity
+    # the slow acceptance test runs, each past its regularity, and the
+    # recorded digests of exactly those shapes
     rows = [tuple(map(int, row)) for row in re.findall(
         r"^\| \((\d+),(\d+)\) \| (\d+)(?: \(default\))? \| (\d+) \|",
         (ROOT / "README.md").read_text(), re.M)]
@@ -283,6 +293,7 @@ def test_readme_curve_grid_matches_the_theorem_and_the_acceptance_caps():
                                               for a, b, _, _ in rows]
     assert [cap for _, _, cap, _ in rows[:2]] == [DEFAULT_DEGREE_CAP] * 2
     assert [(a, b, cap) for a, b, cap, _ in rows[2:]] == _acceptance_curve_grid()
+    assert sorted(_acceptance_curve_grid()) == sorted(_digest_curve_grid())
     assert [(a, b) for a, b, cap, reg in rows[2:] if cap <= reg] == []
 
 
